@@ -30,7 +30,6 @@ from .barcode import (
     split_clr,
 )
 from .homs import (
-    DEGREE0_RULE_DEVIATIONS,
     DEGREE1_RULE_DEVIATIONS,
     RuleDeviation,
     ext_oracle,
@@ -60,7 +59,6 @@ __all__ = [
     "Barcode",
     "CLRSplit",
     "DEFAULT_TOL",
-    "DEGREE0_RULE_DEVIATIONS",
     "DEGREE1_RULE_DEVIATIONS",
     "GradedInterval",
     "INF",

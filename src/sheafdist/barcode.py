@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .homs import _src_shape, _tgt_shape
 from .intervals import (
     DEFAULT_TOL,
-    INF,
     GradedInterval,
     Interval,
     Kind,
@@ -137,40 +137,25 @@ def split_clr(b: Barcode) -> CLRSplit:
 # global sections
 # ---------------------------------------------------------------------
 
-def _shape(iv: Interval) -> str:
-    lo_inf, hi_inf = iv.lo == -INF, iv.hi == INF
-    if lo_inf and hi_inf:
-        return "line"
-    if lo_inf:
-        return "closed_ray" if iv.hi_closed else "open_ray"
-    if hi_inf:
-        return "closed_ray" if iv.lo_closed else "open_ray"
-    if iv.lo_closed and iv.hi_closed:
-        return "closed"
-    if not iv.lo_closed and not iv.hi_closed:
-        return "open"
-    return "half_open"
-
-
-# per-shape contribution: relative degree of the 1-dimensional piece, or None
-_ORDINARY = {"closed": 0, "closed_ray": 0, "line": 0, "open": 1,
-             "open_ray": None, "half_open": None}
-_COMPACT = {"closed": 0, "open": 1, "open_ray": 1, "line": 1,
-            "half_open": None, "closed_ray": None}
+# relative degree of the one-dimensional piece a bar of each shape contributes
+_SECTION_DEGREE = {"closed": 0, "open": 1}
 
 
 def global_sections(b: Barcode, compact_support: bool = False) -> dict[int, int]:
     """Graded dimensions of (compactly supported) global sections.
 
     Each bar contributes one dimension in a single degree, shifted by
-    the bar's own degree; half-open bars (and closed rays, for the
-    compactly supported flavour) contribute nothing.  Two barcodes at
-    finite distance always agree on both flavours.
+    the bar's own degree: closed bars in their own degree, open bars one
+    up, half-open bars nothing.  A ray's shape is read as in ``homs``:
+    its infinite bound counts as closed for ordinary sections (the
+    target reading) and as open for compactly supported ones (the source
+    reading).  Two barcodes at finite distance always agree on both
+    flavours.
     """
-    table = _COMPACT if compact_support else _ORDINARY
+    shape = _src_shape if compact_support else _tgt_shape
     dims: dict[int, int] = {}
     for g in b:
-        rel = table[_shape(g.interval)]
+        rel = _SECTION_DEGREE.get(shape(g.interval))
         if rel is None:
             continue
         d = g.degree + rel

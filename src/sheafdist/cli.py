@@ -1,12 +1,15 @@
 """Command line surface.
 
 Exit codes: 0 on success (an infinite distance is still success, printed
-as ``inf``), 1 on domain errors, 2 on I/O, parse and usage errors.
+as ``inf``), 1 on domain errors, 2 on I/O, parse and usage errors.  A
+non-finite ``--eps``, ``--t`` or ``--tol``, and a ``--tol`` or
+``SHEAFDIST_TOL`` that is not a number >= 0, are usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -72,20 +75,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _finite(name: str, x: float) -> float:
+    if not math.isfinite(x):
+        raise ParseError(f"{name} must be a finite number, got {x}")
+    return x
+
+
 def _tolerance(args: argparse.Namespace) -> float:
-    if args.tol is not None:
-        return args.tol
     env = os.environ.get("SHEAFDIST_TOL")
-    return float(env) if env else DEFAULT_TOL
+    if args.tol is not None:
+        name, tol = "--tol", args.tol
+    elif env:
+        name = "SHEAFDIST_TOL"
+        try:
+            tol = float(env)
+        except ValueError:
+            raise ParseError(f"SHEAFDIST_TOL must be a number, got {env!r}") from None
+    else:
+        return DEFAULT_TOL
+    if _finite(name, tol) < 0:
+        raise ParseError(f"{name} must be >= 0, got {tol}")
+    return tol
 
 
 def _load(path: str, tol: float) -> Barcode:
     with open(path, encoding="utf-8") as fh:
         return parse_barcode(fh.read(), tol=tol)
-
-
-def _fmt_value(x: float) -> str:
-    return fmt_number(x)
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -98,32 +113,34 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.command == "dist":
         value, _ = distance_with_matching(_load(args.left, tol), _load(args.right, tol))
-        print(_fmt_value(value))
+        print(fmt_number(value))
         return 0
 
     if args.command == "match":
         value, matching = distance_with_matching(_load(args.left, tol), _load(args.right, tol))
-        print(_fmt_value(value))
+        print(fmt_number(value))
         if value == INF:
             return 0
         for m, l, r, c in matching.central_pairs:
-            print(f"C {m} {l} {r} {_fmt_value(c)}")
+            print(f"C {m} {l} {r} {fmt_number(c)}")
         for side, j, l, r, c in matching.halfopen_pairs:
-            print(f"{side} {j} {l} {r} {_fmt_value(c)}")
+            print(f"{side} {j} {l} {r} {fmt_number(c)}")
         for side, j, origin, bar, c in matching.deletions:
             left = str(bar) if origin == "left" else "DELETED"
             right = str(bar) if origin == "right" else "DELETED"
-            print(f"{side} {j} {left} {right} {_fmt_value(c)}")
+            print(f"{side} {j} {left} {right} {fmt_number(c)}")
         return 0
 
     if args.command == "convolve":
-        sys.stdout.write(format_barcode(convolve_barcode(_load(args.barcode, tol), args.eps)))
+        eps = _finite("--eps", args.eps)
+        sys.stdout.write(format_barcode(convolve_barcode(_load(args.barcode, tol), eps)))
         return 0
 
     if args.command == "interpolate":
+        t = _finite("--t", args.t)
         F, G = _load(args.left, tol), _load(args.right, tol)
         value, matching = distance_with_matching(F, G)
-        sys.stdout.write(format_barcode(interpolate(F, G, matching, args.t)))
+        sys.stdout.write(format_barcode(interpolate(F, G, matching, t)))
         return 0
 
     if args.command == "hom":

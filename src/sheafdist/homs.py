@@ -12,13 +12,17 @@ more than one shape; the convention here is that such a bound reads as
 ``(a,inf)`` is an open source but an ``(a,b]``-shaped target, and the
 full line is an open source but a closed target).
 
+One degree-0 cell is easy to get wrong: a left-open source into a
+closed target, ``(a,b] -> [c,d]``, needs ``a < d <= b`` (the mirror
+image of the right-open rule ``a <= c < b``), not ``a < b <= d``, which
+would relate sheaves with disjoint supports such as ``(0,1] -> [5,9]``.
+
 The degree-1 rules are computed, not guessed: ``ext_oracle`` resolves
 the source by open intervals and the target by closed ones and takes
 H^0 of the totalized hom complex.  Around boundary-touching
 configurations the resulting dimensions differ from the naive
 "interiors overlap" intuition; every such case is enumerated in
-``DEGREE1_RULE_DEVIATIONS`` (and the single degree-0 case in
-``DEGREE0_RULE_DEVIATIONS``), each with a witness extension.  See
+``DEGREE1_RULE_DEVIATIONS``, each with a witness extension.  See
 ``docs/hom_boundary_cases.md``.
 """
 
@@ -335,23 +339,5 @@ DEGREE1_RULE_DEVIATIONS: tuple[RuleDeviation, ...] = (
         naive=1, actual=0,
         witness="supports have disjoint closures, so every morphism space vanishes",
         condition=lambda a, b, c, d: b < d and b < c,
-    ),
-)
-
-#: The single degree-0 entry whose naive form is wrong: a left-open source
-#: into a closed target needs a < d <= b (the mirror image of the
-#: right-open rule a <= c < b), not a < b <= d.
-DEGREE0_RULE_DEVIATIONS: tuple[RuleDeviation, ...] = (
-    RuleDeviation(
-        "lo", "closed", "a < b <= d without a < d <= b",
-        naive=1, actual=0,
-        witness="k(0,1] -> k[5,9] would relate sheaves with disjoint supports",
-        condition=lambda a, b, c, d: (a < b <= d) and not (a < d <= b),
-    ),
-    RuleDeviation(
-        "lo", "closed", "a < d <= b without a < b <= d",
-        naive=0, actual=1,
-        witness="k(a,b] restricts onto k[c,d] exactly when (a,b] covers d from the left",
-        condition=lambda a, b, c, d: (a < d <= b) and not (a < b <= d),
     ),
 )

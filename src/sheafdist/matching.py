@@ -1,18 +1,20 @@
 """Exact bottleneck distance between graded barcodes.
 
-The distance decomposes over the CLR split: each central index m is a
-perfect-matching problem between the two multisets filed there (no
-deletions allowed), and each half-open (side, degree) slot is a partial
-matching problem where unmatched bars pay their deletion cost.  The
-whole-barcode distance is the max over slots, attained by a concrete
-matching that ``distance_with_matching`` returns.
+The distance decomposes over the CLR split: each central index m and
+each half-open (side, degree) pair is a slot, and the whole-barcode
+distance is the max over slots, attained by a concrete matching that
+``distance_with_matching`` returns.  In a slot, unmatched bars pay their
+deletion cost; central bars, rays and the line have none, so a central
+slot is a perfect-matching problem (a bijection) and a half-open slot a
+partial one.
 
-Each slot is solved exactly: the optimum is always one of the finitely
+One solver serves every slot: the optimum is always one of the finitely
 many pairwise or deletion costs, so we binary-search that candidate set,
 testing feasibility with a maximum bipartite matching on the
-edges-at-most-eps graph (half-open slots get one virtual diagonal
-partner per bar, the classic square reduction).  No floating-point
-threshold is ever approximated.
+edges-at-most-eps graph.  Each bar with a finite deletion cost gets one
+virtual diagonal partner, the classic square reduction; undeletable bars
+get none, which keeps a central slot's graph at n x n.  No
+floating-point threshold is ever approximated.
 
 ``bruteforce_distance`` re-solves everything by exhaustive enumeration
 and exists purely as an oracle for the fast path.
@@ -48,10 +50,9 @@ class Matching:
         return Matching((), (), (), INF)
 
 
-def _max_bipartite(n_left: int, n_right: int, adj: list[list[int]]) -> list[int]:
+def _max_bipartite(n_right: int, adj: list[list[int]]) -> list[int]:
     """Deterministic augmenting-path matching; returns match_of_right."""
     match_right = [-1] * n_right
-    match_left = [-1] * n_left
 
     def try_augment(i: int, seen: list[bool]) -> bool:
         for j in adj[i]:
@@ -59,11 +60,10 @@ def _max_bipartite(n_left: int, n_right: int, adj: list[list[int]]) -> list[int]
                 seen[j] = True
                 if match_right[j] == -1 or try_augment(match_right[j], seen):
                     match_right[j] = i
-                    match_left[i] = j
                     return True
         return False
 
-    for i in range(n_left):
+    for i in range(len(adj)):
         try_augment(i, [False] * n_right)
     return match_right
 
@@ -85,75 +85,55 @@ def _least_feasible(cands: list[float], feasible) -> float | None:
 Pairing = tuple[tuple[GradedInterval | None, GradedInterval | None, float], ...]
 
 
-def _central_solve(left: list[GradedInterval], right: list[GradedInterval]) -> tuple[float, Pairing]:
-    if len(left) != len(right):
-        return INF, ()
-    n = len(left)
-    if n == 0:
-        return 0.0, ()
-    cost = [[pair_cost(l, r) for r in right] for l in left]
-    cands = sorted({c for row in cost for c in row if c < INF})
-    if not cands:
-        return INF, ()
+def _slot_solve(left: list[GradedInterval], right: list[GradedInterval]) -> tuple[float, Pairing]:
+    """Square reduction: a bar with a finite deletion cost gets a diagonal
+    copy on the other side, and copies meet each other for free.
 
-    def adj_at(eps: float) -> list[list[int]]:
-        return [[j for j in range(n) if cost[i][j] <= eps] for i in range(n)]
-
-    def feasible(eps: float) -> bool:
-        mr = _max_bipartite(n, n, adj_at(eps))
-        return all(j != -1 for j in mr)
-
-    best = _least_feasible(cands, feasible)
-    if best is None:
-        return INF, ()
-    mr = _max_bipartite(n, n, adj_at(best))
-    pairs = tuple((left[mr[j]], right[j], cost[mr[j]][j]) for j in range(n))
-    return best, pairs
-
-
-def _halfopen_solve(left: list[GradedInterval], right: list[GradedInterval]) -> tuple[float, Pairing]:
+    A finite pair cost never joins a deletable bar to an undeletable one,
+    so the undeletable bars (central bars, rays, the line) must pair off
+    among themselves, and a perfect matching can exist only when both
+    sides have the same number of vertices.
+    """
     p, q = len(left), len(right)
-    if p == 0 and q == 0:
-        return 0.0, ()
     cost = [[pair_cost(l, r) for r in right] for l in left]
     del_l = [deletion_cost(l) for l in left]
     del_r = [deletion_cost(r) for r in right]
+    copy_l = [i for i in range(p) if del_l[i] < INF]  # right vertices q, q+1, ...
+    copy_r = [j for j in range(q) if del_r[j] < INF]  # left vertices p, p+1, ...
+    size = p + len(copy_r)
+    if size != q + len(copy_l):
+        return INF, ()
+    if size == 0:
+        return 0.0, ()
     cands = sorted(
-        {0.0}
-        | {c for row in cost for c in row if c < INF}
-        | {c for c in del_l + del_r if c < INF}
+        {c for row in cost for c in row if c < INF}
+        | {del_l[i] for i in copy_l}
+        | {del_r[j] for j in copy_r}
     )
-    size = p + q  # lefts: bars + diagonal-of-right, rights: bars + diagonal-of-left
+    diag = list(range(q, size))  # shared by rows: the matcher only reads adj
 
     def adj_at(eps: float) -> list[list[int]]:
-        adj = []
-        for i in range(p):
-            row = [j for j in range(q) if cost[i][j] <= eps]
+        adj = [[j for j in range(q) if row[j] <= eps] for row in cost]
+        for k, i in enumerate(copy_l):
             if del_l[i] <= eps:
-                row.append(q + i)
-            adj.append(row)
-        for j in range(q):
-            row = [j] if del_r[j] <= eps else []
-            row.extend(range(q, q + p))  # diagonal meets diagonal for free
-            adj.append(row)
+                adj[i].append(q + k)
+        for j in copy_r:
+            adj.append([j, *diag] if del_r[j] <= eps else diag)
         return adj
 
     def feasible(eps: float) -> bool:
-        mr = _max_bipartite(size, size, adj_at(eps))
-        return all(j != -1 for j in mr)
+        return -1 not in _max_bipartite(size, adj_at(eps))
 
     best = _least_feasible(cands, feasible)
     if best is None:
         return INF, ()
-    mr = _max_bipartite(size, size, adj_at(best))
     out: list[tuple[GradedInterval | None, GradedInterval | None, float]] = []
-    for j in range(size):
-        i = mr[j]
+    for j, i in enumerate(_max_bipartite(size, adj_at(best))):
         if i < p and j < q:
             out.append((left[i], right[j], cost[i][j]))
         elif i < p:  # left bar matched to its diagonal copy
             out.append((left[i], None, del_l[i]))
-        elif j < q:  # right bar matched to a diagonal copy
+        elif j < q:  # right bar matched to its diagonal copy
             out.append((None, right[j], del_r[j]))
     return best, tuple(out)
 
@@ -165,17 +145,26 @@ def part_bottleneck(
 ) -> tuple[float, Pairing]:
     """Bottleneck value and witness for one slot.
 
-    ``kind`` is ``("central", m)``, ``("R", j)`` or ``("L", j)``; it
-    selects the matching regime (bijection for central, partial matching
-    with deletions for half-open slots).
+    ``kind`` is ``("central", m)``, ``("R", j)`` or ``("L", j)``.  Every
+    slot is solved alike: central bars cannot be deleted, so a central
+    slot comes out as a bijection (or ``inf`` when the sizes differ).
     """
-    lt = sorted(left, key=lambda g: g.key)
-    rt = sorted(right, key=lambda g: g.key)
-    if kind[0] == "central":
-        return _central_solve(lt, rt)
-    if kind[0] in ("R", "L"):
-        return _halfopen_solve(lt, rt)
-    raise ValueError(f"unknown slot kind {kind!r}")
+    if kind[0] not in ("central", "R", "L"):
+        raise ValueError(f"unknown slot kind {kind!r}")
+    return _slot_solve(sorted(left, key=lambda g: g.key), sorted(right, key=lambda g: g.key))
+
+
+def _slots(F: Barcode, G: Barcode):
+    """Yield ``(kind, F bars, G bars)`` for every slot either barcode
+    fills: central indices first, then R and L degrees, each ascending."""
+    sf, sg = split_clr(F), split_clr(G)
+    for name, fp, gp in (
+        ("central", sf.central, sg.central),
+        ("R", sf.right, sg.right),
+        ("L", sf.left, sg.left),
+    ):
+        for j in sorted(set(fp) | set(gp)):
+            yield (name, j), fp.get(j, ()), gp.get(j, ())
 
 
 def distance_with_matching(F: Barcode, G: Barcode) -> tuple[float, Matching]:
@@ -185,34 +174,25 @@ def distance_with_matching(F: Barcode, G: Barcode) -> tuple[float, Matching]:
     exists (for instance when a central slot has mismatched sizes).
     The result is deterministic: equal inputs give identical matchings.
     """
-    sf, sg = split_clr(F), split_clr(G)
     central_pairs = []
     halfopen_pairs = []
     deletions = []
     achieved = 0.0
-
-    for m in sorted(set(sf.central) | set(sg.central)):
-        value, pairs = part_bottleneck(
-            sf.central.get(m, ()), sg.central.get(m, ()), ("central", m)
-        )
+    for kind, fs, gs in _slots(F, G):
+        value, pairs = part_bottleneck(fs, gs, kind)
         if value == INF:
             return INF, Matching.infeasible()
         achieved = max(achieved, value)
-        central_pairs.extend((m, l, r, c) for l, r, c in pairs)
-
-    for side, fp, gp in (("R", sf.right, sg.right), ("L", sf.left, sg.left)):
-        for j in sorted(set(fp) | set(gp)):
-            value, pairs = part_bottleneck(fp.get(j, ()), gp.get(j, ()), (side, j))
-            if value == INF:
-                return INF, Matching.infeasible()
-            achieved = max(achieved, value)
-            for l, r, c in pairs:
-                if l is not None and r is not None:
-                    halfopen_pairs.append((side, j, l, r, c))
-                elif l is not None:
-                    deletions.append((side, j, "left", l, c))
-                else:
-                    deletions.append((side, j, "right", r, c))
+        side, j = kind
+        for l, r, c in pairs:
+            if side == "central":
+                central_pairs.append((j, l, r, c))
+            elif l is not None and r is not None:
+                halfopen_pairs.append((side, j, l, r, c))
+            elif l is not None:
+                deletions.append((side, j, "left", l, c))
+            else:
+                deletions.append((side, j, "right", r, c))
 
     return achieved, Matching(
         tuple(central_pairs), tuple(halfopen_pairs), tuple(deletions), achieved
@@ -261,22 +241,10 @@ def bruteforce_distance(F: Barcode, G: Barcode, limit: int = 6) -> float:
     identical to ``distance_with_matching`` and kept that way: the fast
     path is tested against this function.
     """
-    sf, sg = split_clr(F), split_clr(G)
     total = 0.0
-    slots = [
-        (sf.central.get(m, ()), sg.central.get(m, ()), True)
-        for m in set(sf.central) | set(sg.central)
-    ]
-    for side_f, side_g in ((sf.right, sg.right), (sf.left, sg.left)):
-        slots.extend(
-            (side_f.get(j, ()), side_g.get(j, ()), False)
-            for j in set(side_f) | set(side_g)
-        )
-    for left, right, is_central in slots:
+    for kind, left, right in _slots(F, G):
         if max(len(left), len(right)) > limit:
             raise ValueError(f"slot larger than limit={limit}")
-        lt = sorted(left, key=lambda g: g.key)
-        rt = sorted(right, key=lambda g: g.key)
-        value = _brute_central(lt, rt) if is_central else _brute_halfopen(lt, rt)
-        total = max(total, value)
+        brute = _brute_central if kind[0] == "central" else _brute_halfopen
+        total = max(total, brute(left, right))
     return total

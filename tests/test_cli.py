@@ -152,3 +152,26 @@ def test_tol_flag_and_env(tmp_path):
     assert run_cli("validate", narrow).returncode == 2
     assert run_cli("validate", narrow, "--tol", "1e-15").returncode == 0
     assert run_cli("validate", narrow, env_extra={"SHEAFDIST_TOL": "1e-15"}).returncode == 0
+
+
+@pytest.mark.parametrize(
+    "args, env",
+    [
+        (("convolve", "{f}", "--eps", "nan"), None),
+        (("convolve", "{f}", "--eps", "inf"), None),
+        (("interpolate", "{f}", "{f}", "--t", "nan"), None),
+        (("interpolate", "{f}", "{f}", "--t", "inf"), None),
+        (("validate", "{f}", "--tol", "-1"), None),
+        (("validate", "{f}", "--tol", "nan"), None),
+        (("validate", "{f}", "--tol", "inf"), None),
+        (("validate", "{f}"), {"SHEAFDIST_TOL": "abc"}),
+        (("validate", "{f}"), {"SHEAFDIST_TOL": "-1"}),
+        (("validate", "{f}"), {"SHEAFDIST_TOL": "nan"}),
+    ],
+)
+def test_bad_numbers_are_usage_errors(args, env):
+    f = str(FIXTURES / "circle_f.gbc")
+    out = run_cli(*(a.format(f=f) for a in args), env_extra=env)
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+    assert out.stdout == ""

@@ -96,3 +96,16 @@ def test_costs_never_negative_or_nan(rng):
         assert c >= 0 and not math.isnan(c)
         d = deletion_cost(a)
         assert d >= 0 and not math.isnan(d)
+
+
+def test_finite_pairs_agree_on_deletability(rng):
+    # the slot solver gives a diagonal copy only to deletable bars, which
+    # is exact because no finite pair joins a deletable and an undeletable bar
+    pool = [random_graded(rng) for _ in range(80)]
+    seen = set()
+    for a in pool:
+        for b in pool:
+            if pair_cost(a, b) < INF:
+                assert (deletion_cost(a) < INF) == (deletion_cost(b) < INF), (a, b)
+                seen.add((deletion_cost(a) < INF, a.interval.bounded))
+    assert seen == {(True, True), (False, True), (False, False)}

@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 
 from conftest import dyadic, perturbed_barcode, random_barcode
@@ -8,7 +11,10 @@ from sheafdist import (
     bruteforce_distance,
     classify,
     convolve_barcode,
+    convolve_interval,
+    deletion_cost,
     distance_with_matching,
+    pair_cost,
     parse_barcode,
     part_bottleneck,
 )
@@ -180,3 +186,83 @@ def test_achieved_is_max_of_costs(rng):
             + [c for *_, c in m.deletions]
         )
         assert value == m.achieved == (max(listed) if listed else 0.0)
+
+
+def _jitter(rng: random.Random, g: GradedInterval) -> GradedInterval:
+    iv = g.interval
+    lo = iv.lo if iv.lo == -INF else iv.lo + dyadic(rng, -1, 1, 16)
+    hi = iv.hi if iv.hi == INF else iv.hi + dyadic(rng, -1, 1, 16)
+    if iv.bounded and hi - lo < 0.125:
+        hi = lo + 0.125
+    return GradedInterval(Interval(lo, hi, iv.lo_closed, iv.hi_closed), g.degree)
+
+
+def _random_slot(rng: random.Random, central: bool, n: int):
+    """Two sides of one slot: a central slot (open bars in degree 0,
+    closed bars in degree 1) or an R slot in degree 0 with rays and
+    lines, the right side mostly a perturbation of the left."""
+    left = []
+    for _ in range(n):
+        a, w, u = dyadic(rng), dyadic(rng, 0.25, 4), rng.random()
+        if central:
+            iv, deg = (Interval.open(a, a + w), 0) if u < 0.5 else (Interval.closed(a, a + w), 1)
+        elif u < 0.7:
+            iv, deg = Interval.right_open(a, a + w), 0
+        else:
+            iv, deg = rng.choice([Interval.right_open(a, INF), Interval.open(-INF, a), Interval.line()]), 0
+        left.append(GradedInterval(iv, deg))
+    if rng.random() < 0.25:  # unrelated sides of different sizes: often infinite
+        return left, _random_slot(rng, central, n + rng.choice((-1, 1)))[0]
+    right = []
+    for g in left:
+        if central and g.degree == 0 and rng.random() < 0.25:
+            right.append(convolve_interval(g, g.interval.width / 2 + abs(dyadic(rng, 0, 1, 16))))
+        elif not (g.interval.bounded and not central and rng.random() < 0.2):
+            right.append(_jitter(rng, g))
+    if not central:
+        right += [GradedInterval(Interval.right_open(a, a + 0.5), 0)
+                  for a in (dyadic(rng) for _ in range(rng.randrange(4)))]
+    return left, right
+
+
+def test_part_bottleneck_matches_assignment_oracle():
+    # past the brute-force limit: the value must admit a perfect matching of
+    # the threshold graph and the next smaller candidate must not, decided by
+    # scipy on the plain square reduction (every bar has a diagonal copy)
+    np = pytest.importorskip("numpy")
+    optimize = pytest.importorskip("scipy.optimize")
+
+    def perfect(cost, del_l, del_r, eps):
+        p, q = cost.shape
+        ok = np.zeros((p + q, q + p), dtype=bool)
+        ok[:p, :q] = cost <= eps
+        ok[np.arange(p), q + np.arange(p)] = del_l <= eps
+        ok[p + np.arange(q), np.arange(q)] = del_r <= eps
+        ok[p:, q:] = True
+        rows, cols = optimize.linear_sum_assignment(~ok)
+        return bool(ok[rows, cols].all())
+
+    rng = random.Random(0x0DD5)
+    outcomes = Counter()
+    for trial in range(24):
+        kind = ("central", 0) if trial % 2 else ("R", 0)
+        left, right = _random_slot(rng, kind[0] == "central", rng.randrange(10, 61))
+        d, pairs = part_bottleneck(left, right, kind)
+        cost = np.array([[pair_cost(l, r) for r in right] for l in left]).reshape(len(left), len(right))
+        del_l = np.array([deletion_cost(g) for g in left])
+        del_r = np.array([deletion_cost(g) for g in right])
+        cands = np.concatenate([cost.ravel(), del_l, del_r])
+        below = cands[cands < d]
+        if d < INF:
+            assert perfect(cost, del_l, del_r, d)
+            used_l = Counter(l for l, _, _ in pairs if l is not None)
+            used_r = Counter(r for _, r, _ in pairs if r is not None)
+            assert used_l == Counter(left) and used_r == Counter(right)
+            for l, r, c in pairs:
+                real = pair_cost(l, r) if l is not None and r is not None else deletion_cost(l or r)
+                assert c == real <= d
+            assert max(c for *_, c in pairs) == d
+        if below.size:
+            assert not perfect(cost, del_l, del_r, below.max())
+        outcomes[kind[0], d < INF] += 1
+    assert set(outcomes) == {("central", True), ("central", False), ("R", True), ("R", False)}
