@@ -116,7 +116,9 @@ def pair_path(
 def interpolate(F: Barcode, G: Barcode, matching: Matching, t: float) -> Barcode:
     """Barcode at time ``t`` along the geodesic the matching describes.
 
-    ``matching`` must achieve a finite value eps and 0 <= t <= eps.
+    ``matching`` must achieve a finite value eps and 0 <= t <= eps, and
+    its bars must be exactly the multisets F and G (``ValueError``
+    otherwise, for instance for a matching computed for other barcodes).
     Pairs that finish early stay at their target; deleted bars from G
     grow in as time runs out.  t = 0 and t = eps reproduce F and G
     exactly.
@@ -126,6 +128,13 @@ def interpolate(F: Barcode, G: Barcode, matching: Matching, t: float) -> Barcode
         raise ValueError("cannot interpolate across an infinite distance")
     if not 0 <= t <= eps:
         raise ValueError(f"t={t} outside [0, {eps}]")
+    pairs = matching.central_pairs + matching.halfopen_pairs
+    src = [l for *_, l, _, _ in pairs]
+    dst = [r for *_, r, _ in pairs]
+    for _, _, origin, bar, _ in matching.deletions:
+        (src if origin == "left" else dst).append(bar)
+    if Barcode(tuple(src)) != F or Barcode(tuple(dst)) != G:
+        raise ValueError("the matching is not between these two barcodes")
     bars = []
     for _, l, r, c in matching.central_pairs:
         bars.append(pair_path(l, r, min(t, c)))

@@ -9,12 +9,23 @@ slot is a perfect-matching problem (a bijection) and a half-open slot a
 partial one.
 
 One solver serves every slot: the optimum is always one of the finitely
-many pairwise or deletion costs, so we binary-search that candidate set,
-testing feasibility with a maximum bipartite matching on the
-edges-at-most-eps graph.  Each bar with a finite deletion cost gets one
-virtual diagonal partner, the classic square reduction; undeletable bars
-get none, which keeps a central slot's graph at n x n.  No
-floating-point threshold is ever approximated.
+many pairwise or deletion costs, so we search that candidate set for the
+least eps whose threshold graph (the edges of cost at most eps) has a
+perfect matching.  Each bar with a finite deletion cost gets one virtual
+diagonal copy on the other side, the classic square reduction, and
+copies meet each other for free; undeletable bars get none, which keeps
+a central slot's graph at n x n.  Feasibility is Hopcroft-Karp (SIAM J.
+Comput. 1973) run on explicit stacks, so no slot size meets Python's
+recursion limit, and the copy-to-copy block is handled without listing
+its edges.  Each vertex's edges are sorted by cost once per slot, so the
+graph at any eps is a prefix of each list.  No eps below the lower bound
+max over bars of min(cheapest pair cost, deletion cost) is feasible, so
+the search probes that bound first and binary-searches the candidates
+above it.  Each probe starts from the matching of the last infeasible
+probe, whose edges all persist at a larger eps (the reuse of hera,
+Kerber, Morozov & Nigmetov, ACM JEA 2017), and the feasible probe that
+sets the value supplies the witness.  No floating-point threshold is
+ever approximated.
 
 ``bruteforce_distance`` re-solves everything by exhaustive enumeration
 and exists purely as an oracle for the fast path.
@@ -23,6 +34,8 @@ and exists purely as an oracle for the fast path.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .barcode import Barcode, split_clr
@@ -50,42 +63,100 @@ class Matching:
         return Matching((), (), (), INF)
 
 
-def _max_bipartite(n_right: int, adj: list[list[int]]) -> list[int]:
-    """Deterministic augmenting-path matching; returns match_of_right."""
-    match_right = [-1] * n_right
+def _hopcroft_karp(
+    nbrs: list[list[int]], cnt: list[int], p: int, q: int, mate_l: list[int], mate_r: list[int]
+) -> None:
+    """Grow the matching ``mate_l``/``mate_r`` (-1 for free) to a maximum one.
 
-    def try_augment(i: int, seen: list[bool]) -> bool:
-        for j in adj[i]:
-            if not seen[j]:
-                seen[j] = True
-                if match_right[j] == -1 or try_augment(match_right[j], seen):
-                    match_right[j] = i
-                    return True
-        return False
-
-    for i in range(len(adj)):
-        try_augment(i, [False] * n_right)
-    return match_right
-
-
-def _least_feasible(cands: list[float], feasible) -> float | None:
-    """Smallest candidate passing the monotone feasibility test."""
-    lo, hi = 0, len(cands) - 1
-    best = None
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        if feasible(cands[mid]):
-            best = cands[mid]
-            hi = mid - 1
-        else:
-            lo = mid + 1
-    return best
+    Left vertex ``u`` is joined to ``nbrs[u][:cnt[u]]``.  The left copies
+    ``u >= p`` are also joined to every right copy ``v >= q``; that block
+    is never listed.  In a phase's BFS only the first left copy reached
+    scans the right copies, and in its DFS the left copies of one layer
+    share one pointer into them: a right copy tried from layer k is
+    useless to every other vertex of layer k.  Both searches run on
+    explicit queues and stacks, and vertices and edges are visited in a
+    fixed order, so the result is deterministic.
+    """
+    size = len(mate_l)
+    while True:
+        roots = [u for u in range(size) if mate_l[u] == -1]
+        if not roots:
+            return
+        # BFS layers; ``last`` is the first layer that sees a free right vertex
+        dist = [-1] * size
+        for u in roots:
+            dist[u] = 0
+        last = size
+        pooled = False
+        queue = roots[:]
+        for u in queue:  # grows while it is read
+            d = dist[u]
+            if d >= last:
+                break
+            targets = nbrs[u][: cnt[u]]
+            if u >= p and not pooled:
+                pooled = True
+                targets += range(q, size)
+            for v in targets:
+                w = mate_r[v]
+                if w == -1:
+                    last = d
+                elif dist[w] == -1:
+                    dist[w] = d + 1
+                    queue.append(w)
+        if last == size:
+            return
+        # DFS for vertex-disjoint shortest augmenting paths: from layer d < last
+        # step to a right vertex whose mate is in layer d + 1; at layer last
+        # take a free right vertex
+        ptr = [0] * size
+        pool = [q] * (last + 1)
+        for root in roots:
+            stack = [root]
+            path: list[int] = []  # path[k]: right vertex from stack[k] to stack[k + 1]
+            while stack:
+                u = stack[-1]
+                d = dist[u]
+                edges, k, end = nbrs[u], ptr[u], cnt[u]
+                v = -1
+                while k < end:
+                    w = mate_r[edges[k]]
+                    k += 1
+                    if (d < last and dist[w] == d + 1) if w != -1 else d == last:
+                        v = edges[k - 1]
+                        break
+                ptr[u] = k
+                if v == -1 and u >= p:
+                    k = pool[d]
+                    while k < size:
+                        w = mate_r[k]
+                        k += 1
+                        if (d < last and dist[w] == d + 1) if w != -1 else d == last:
+                            v = k - 1
+                            break
+                    pool[d] = k
+                if v == -1:  # dead end for the rest of the phase
+                    dist[u] = -1
+                    stack.pop()
+                    if path:
+                        path.pop()
+                elif mate_r[v] == -1:
+                    path.append(v)
+                    for x, y in zip(stack, path):
+                        mate_l[x] = y
+                        mate_r[y] = x
+                    break
+                else:
+                    path.append(v)
+                    stack.append(mate_r[v])
 
 
 Pairing = tuple[tuple[GradedInterval | None, GradedInterval | None, float], ...]
 
 
-def _slot_solve(left: list[GradedInterval], right: list[GradedInterval]) -> tuple[float, Pairing]:
+def _slot_solve(
+    left: Sequence[GradedInterval], right: Sequence[GradedInterval]
+) -> tuple[float, Pairing]:
     """Square reduction: a bar with a finite deletion cost gets a diagonal
     copy on the other side, and copies meet each other for free.
 
@@ -105,30 +176,49 @@ def _slot_solve(left: list[GradedInterval], right: list[GradedInterval]) -> tupl
         return INF, ()
     if size == 0:
         return 0.0, ()
-    cands = sorted(
-        {c for row in cost for c in row if c < INF}
-        | {del_l[i] for i in copy_l}
-        | {del_r[j] for j in copy_r}
-    )
-    diag = list(range(q, size))  # shared by rows: the matcher only reads adj
-
-    def adj_at(eps: float) -> list[list[int]]:
-        adj = [[j for j in range(q) if row[j] <= eps] for row in cost]
-        for k, i in enumerate(copy_l):
-            if del_l[i] <= eps:
-                adj[i].append(q + k)
-        for j in copy_r:
-            adj.append([j, *diag] if del_r[j] <= eps else diag)
-        return adj
-
-    def feasible(eps: float) -> bool:
-        return -1 not in _max_bipartite(size, adj_at(eps))
-
-    best = _least_feasible(cands, feasible)
-    if best is None:
+    # listed edges of each left vertex, cheapest first (ties by vertex):
+    # the graph at eps keeps a bisect prefix of each list
+    nbrs: list[list[int]] = []
+    ecost: list[list[float]] = []
+    cols = list(range(q))  # one int object per column, shared by the lists
+    for row in cost:
+        order = sorted(cols, key=row.__getitem__)
+        costs = [row[j] for j in order]
+        end = bisect_left(costs, INF)
+        nbrs.append(order[:end])
+        ecost.append(costs[:end])
+    for k, i in enumerate(copy_l):
+        at = bisect_right(ecost[i], del_l[i])
+        nbrs[i].insert(at, q + k)
+        ecost[i].insert(at, del_l[i])
+    nbrs += [[j] for j in copy_r]
+    ecost += [[del_r[j]] for j in copy_r]
+    # every bar needs a partner or its copy, so no eps below lb is feasible
+    col_min = [min(col) for col in zip(*cost)] if p else [INF] * q
+    lb = max([c[0] if c else INF for c in ecost[:p]] + list(map(min, col_min, del_r)))
+    if lb == INF:
+        return INF, ()
+    cands = sorted({c for row in ecost for c in row if c >= lb})
+    # binary search with lb probed first; each probe starts from the
+    # matching of the last infeasible probe, whose edges all persist
+    warm_l, warm_r = [-1] * size, [-1] * size
+    best, witness = INF, None
+    lo, hi, mid = 0, len(cands) - 1, 0
+    while lo <= hi:
+        eps = cands[mid]
+        mate_l, mate_r = warm_l[:], warm_r[:]
+        _hopcroft_karp(nbrs, [bisect_right(c, eps) for c in ecost], p, q, mate_l, mate_r)
+        if -1 in mate_r:
+            warm_l, warm_r = mate_l, mate_r
+            lo = mid + 1
+        else:
+            best, witness = eps, mate_r
+            hi = mid - 1
+        mid = (lo + hi) // 2
+    if witness is None:
         return INF, ()
     out: list[tuple[GradedInterval | None, GradedInterval | None, float]] = []
-    for j, i in enumerate(_max_bipartite(size, adj_at(best))):
+    for j, i in enumerate(witness):
         if i < p and j < q:
             out.append((left[i], right[j], cost[i][j]))
         elif i < p:  # left bar matched to its diagonal copy
@@ -151,7 +241,15 @@ def part_bottleneck(
     """
     if kind[0] not in ("central", "R", "L"):
         raise ValueError(f"unknown slot kind {kind!r}")
-    return _slot_solve(sorted(left, key=lambda g: g.key), sorted(right, key=lambda g: g.key))
+    return _slot_solve(_by_key(left), _by_key(right))
+
+
+def _by_key(bars: Sequence[GradedInterval]) -> Sequence[GradedInterval]:
+    """``bars`` in key order, sorted only if they are not so already (the
+    ``split_clr`` slots that ``distance_with_matching`` passes are)."""
+    if any(a.key > b.key for a, b in zip(bars, bars[1:])):
+        return sorted(bars, key=lambda g: g.key)
+    return bars
 
 
 def _slots(F: Barcode, G: Barcode):

@@ -91,6 +91,12 @@ def test_interpolate_errors():
     _, m = distance_with_matching(F, Gb)
     with pytest.raises(ValueError):
         interpolate(F, Gb, m, 2.0)
+    # a matching computed for another G, at a time it would accept
+    stale = parse_barcode("0 (0,1.5)\n")
+    with pytest.raises(ValueError, match="not between"):
+        interpolate(F, stale, m, 0.5)
+    with pytest.raises(ValueError, match="not between"):
+        interpolate(stale, Gb, m, 0.5)
 
 
 def test_endpoint_recovery_exact(rng):

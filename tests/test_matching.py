@@ -1,7 +1,9 @@
 import random
+import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import dyadic, perturbed_barcode, random_barcode
 from sheafdist import (
@@ -166,6 +168,56 @@ def test_self_convolution_bound(rng):
         assert distance_with_matching(convolve_barcode(A, eps), A)[0] <= eps + 1e-9
 
 
+@st.composite
+def _float_barcodes(draw, max_bars: int = 5) -> Barcode:
+    """Barcodes with arbitrary float endpoints, off the dyadic grid of
+    ``conftest``, in the shapes ``random_interval`` draws."""
+    bars = []
+    for _ in range(draw(st.integers(0, max_bars))):
+        a = draw(st.floats(-20, 20))
+        b = a + draw(st.floats(0.01, 8))
+        shape = draw(st.integers(0, 7))
+        if shape < 4:
+            iv = Interval(a, b, shape in (0, 2), shape in (0, 3))
+        else:
+            iv = (Interval.right_open(a, INF), Interval.left_open(-INF, b),
+                  Interval.open(a, INF), Interval.line())[shape - 4]
+        bars.append(GradedInterval(iv, draw(st.integers(-1, 1))))
+    return Barcode(tuple(bars))
+
+
+@st.composite
+def _moved(draw, b: Barcode) -> Barcode:
+    """``b`` with every finite endpoint moved by up to 1 and some bounded
+    half-open bars dropped, so it lies at a finite distance from ``b``."""
+    bars = []
+    for g in b:
+        iv = g.interval
+        if deletion_cost(g) < INF and draw(st.booleans()):
+            continue
+        lo = iv.lo + draw(st.floats(-1, 1)) if iv.lo > -INF else iv.lo
+        hi = max(lo + 0.01, iv.hi + draw(st.floats(-1, 1))) if iv.hi < INF else iv.hi
+        bars.append(GradedInterval(Interval(lo, hi, iv.lo_closed, iv.hi_closed), g.degree))
+    return Barcode(tuple(bars))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_float_barcodes(), st.floats(-3, 3))
+def test_self_convolution_bound_off_grid(A, eps):
+    assert distance_with_matching(convolve_barcode(A, eps), A)[0] <= abs(eps) + 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(_float_barcodes().flatmap(lambda A: st.tuples(st.just(A), _moved(A), _moved(A))))
+def test_triangle_inequality_off_grid(triple):
+    A, B, C = triple
+    dbc = distance_with_matching(B, C)[0]
+    dba = distance_with_matching(B, A)[0]
+    dac = distance_with_matching(A, C)[0]
+    assert dba < INF and dac < INF
+    assert dbc <= dba + dac + 1e-9
+
+
 def test_determinism(rng):
     for _ in range(40):
         A = random_barcode(rng, max_bars=5)
@@ -197,22 +249,27 @@ def _jitter(rng: random.Random, g: GradedInterval) -> GradedInterval:
     return GradedInterval(Interval(lo, hi, iv.lo_closed, iv.hi_closed), g.degree)
 
 
-def _random_slot(rng: random.Random, central: bool, n: int):
+def _random_slot(rng: random.Random, side: str, n: int, unrelated: float = 0.25):
     """Two sides of one slot: a central slot (open bars in degree 0,
-    closed bars in degree 1) or an R slot in degree 0 with rays and
-    lines, the right side mostly a perturbation of the left."""
+    closed bars in degree 1) or an R or L slot in degree 0 with rays and
+    lines, the right side a perturbation of the left or, with chance
+    ``unrelated``, an unrelated slot of a different size."""
+    central = side == "central"
+    bar = Interval.right_open if side == "R" else Interval.left_open
     left = []
     for _ in range(n):
         a, w, u = dyadic(rng), dyadic(rng, 0.25, 4), rng.random()
         if central:
             iv, deg = (Interval.open(a, a + w), 0) if u < 0.5 else (Interval.closed(a, a + w), 1)
         elif u < 0.7:
-            iv, deg = Interval.right_open(a, a + w), 0
-        else:
+            iv, deg = bar(a, a + w), 0
+        elif side == "R":
             iv, deg = rng.choice([Interval.right_open(a, INF), Interval.open(-INF, a), Interval.line()]), 0
+        else:
+            iv, deg = rng.choice([Interval.open(a, INF), Interval.left_open(-INF, a), Interval.line()]), 0
         left.append(GradedInterval(iv, deg))
-    if rng.random() < 0.25:  # unrelated sides of different sizes: often infinite
-        return left, _random_slot(rng, central, n + rng.choice((-1, 1)))[0]
+    if rng.random() < unrelated:  # often infinite
+        return left, _random_slot(rng, side, n + rng.choice((-1, 1)))[0]
     right = []
     for g in left:
         if central and g.degree == 0 and rng.random() < 0.25:
@@ -220,19 +277,20 @@ def _random_slot(rng: random.Random, central: bool, n: int):
         elif not (g.interval.bounded and not central and rng.random() < 0.2):
             right.append(_jitter(rng, g))
     if not central:
-        right += [GradedInterval(Interval.right_open(a, a + 0.5), 0)
+        right += [GradedInterval(bar(a, a + 0.5), 0)
                   for a in (dyadic(rng) for _ in range(rng.randrange(4)))]
     return left, right
 
 
-def test_part_bottleneck_matches_assignment_oracle():
-    # past the brute-force limit: the value must admit a perfect matching of
-    # the threshold graph and the next smaller candidate must not, decided by
-    # scipy on the plain square reduction (every bar has a diagonal copy)
+def _assert_optimal(left, right, d, pairs):
+    """The value must admit a perfect matching of the threshold graph and
+    the next smaller candidate must not, decided by scipy on the plain
+    square reduction (every bar has a diagonal copy); the witness must
+    use every bar once, at its true cost, and attain the value."""
     np = pytest.importorskip("numpy")
     optimize = pytest.importorskip("scipy.optimize")
 
-    def perfect(cost, del_l, del_r, eps):
+    def perfect(eps):
         p, q = cost.shape
         ok = np.zeros((p + q, q + p), dtype=bool)
         ok[:p, :q] = cost <= eps
@@ -242,27 +300,80 @@ def test_part_bottleneck_matches_assignment_oracle():
         rows, cols = optimize.linear_sum_assignment(~ok)
         return bool(ok[rows, cols].all())
 
+    cost = np.array([[pair_cost(l, r) for r in right] for l in left]).reshape(len(left), len(right))
+    del_l = np.array([deletion_cost(g) for g in left])
+    del_r = np.array([deletion_cost(g) for g in right])
+    cands = np.concatenate([cost.ravel(), del_l, del_r])
+    below = cands[cands < d]
+    if d < INF:
+        assert perfect(d)
+        used_l = Counter(l for l, _, _ in pairs if l is not None)
+        used_r = Counter(r for _, r, _ in pairs if r is not None)
+        assert used_l == Counter(left) and used_r == Counter(right)
+        for l, r, c in pairs:
+            real = pair_cost(l, r) if l is not None and r is not None else deletion_cost(l or r)
+            assert c == real <= d
+        assert max(c for *_, c in pairs) == d
+    else:
+        assert pairs == ()
+    if below.size:
+        assert not perfect(below.max())
+
+
+def test_part_bottleneck_matches_assignment_oracle():
+    # past the brute-force limit: 24 slots of 10-60 bars, then central,
+    # R and L slots of 100 and 300 bars
     rng = random.Random(0x0DD5)
     outcomes = Counter()
-    for trial in range(24):
-        kind = ("central", 0) if trial % 2 else ("R", 0)
-        left, right = _random_slot(rng, kind[0] == "central", rng.randrange(10, 61))
-        d, pairs = part_bottleneck(left, right, kind)
-        cost = np.array([[pair_cost(l, r) for r in right] for l in left]).reshape(len(left), len(right))
-        del_l = np.array([deletion_cost(g) for g in left])
-        del_r = np.array([deletion_cost(g) for g in right])
-        cands = np.concatenate([cost.ravel(), del_l, del_r])
-        below = cands[cands < d]
-        if d < INF:
-            assert perfect(cost, del_l, del_r, d)
-            used_l = Counter(l for l, _, _ in pairs if l is not None)
-            used_r = Counter(r for _, r, _ in pairs if r is not None)
-            assert used_l == Counter(left) and used_r == Counter(right)
-            for l, r, c in pairs:
-                real = pair_cost(l, r) if l is not None and r is not None else deletion_cost(l or r)
-                assert c == real <= d
-            assert max(c for *_, c in pairs) == d
-        if below.size:
-            assert not perfect(cost, del_l, del_r, below.max())
-        outcomes[kind[0], d < INF] += 1
-    assert set(outcomes) == {("central", True), ("central", False), ("R", True), ("R", False)}
+    trials = [("central" if t % 2 else "R", 0) for t in range(24)]
+    trials += [(side, n) for n in (100, 300) for side in ("central", "R", "L")]
+    for side, n in trials:
+        if n:
+            left, right = _random_slot(rng, side, n, unrelated=0)
+        else:
+            left, right = _random_slot(rng, side, rng.randrange(10, 61))
+        d, pairs = part_bottleneck(left, right, (side, 0))
+        _assert_optimal(left, right, d, pairs)
+        outcomes[side, n > 60, d < INF] += 1
+    assert {k for k in outcomes if not k[1]} == {
+        ("central", False, True), ("central", False, False), ("R", False, True), ("R", False, False)
+    }
+    assert {k for k in outcomes if k[1]} == {("central", True, True), ("R", True, True), ("L", True, True)}
+
+
+def test_large_slot_needs_no_recursion():
+    # an R slot drawn like the benchmark's: 5% rays, 15% of the bounded
+    # bars facing an unrelated fresh bar, the rest jittered by up to 1;
+    # a recursive augmenting search overflows a limit of 120 here
+    def grid(x):
+        return round(x * 256) / 256
+
+    rng = random.Random(0x5EED)
+    left, right = [], []
+    for _ in range(100):
+        u, a = rng.random(), grid(rng.uniform(-50, 50))
+        if u < 0.05:
+            b = grid(a + rng.uniform(-1, 1))
+            if rng.random() < 0.5:
+                pair = Interval.right_open(a, INF), Interval.right_open(b, INF)
+            else:
+                pair = Interval.open(-INF, a), Interval.open(-INF, b)
+        else:
+            hi = a + grid(rng.uniform(0.5, 8))
+            if u < 0.2:
+                lo = grid(rng.uniform(-50, 50))
+                other = lo, lo + grid(rng.uniform(0.5, 8))
+            else:
+                lo = grid(a + rng.uniform(-1, 1))
+                other = lo, max(lo + 0.25, grid(hi + rng.uniform(-1, 1)))
+            pair = Interval.right_open(a, hi), Interval.right_open(*other)
+        left.append(GradedInterval(pair[0], 0))
+        right.append(GradedInterval(pair[1], 0))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(120)
+    try:
+        d, pairs = part_bottleneck(left, right, ("R", 0))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert d < INF
+    _assert_optimal(left, right, d, pairs)
