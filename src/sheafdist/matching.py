@@ -111,6 +111,7 @@ def _hopcroft_karp(
         # take a free right vertex
         ptr = [0] * size
         pool = [q] * (last + 1)
+        grown = False
         for root in roots:
             stack = [root]
             path: list[int] = []  # path[k]: right vertex from stack[k] to stack[k + 1]
@@ -145,10 +146,13 @@ def _hopcroft_karp(
                     for x, y in zip(stack, path):
                         mate_l[x] = y
                         mate_r[y] = x
+                    grown = True
                     break
                 else:
                     path.append(v)
                     stack.append(mate_r[v])
+        if not grown:  # the BFS saw a path the DFS cannot take: a bug, not a hang
+            raise AssertionError("Hopcroft-Karp phase augmented nothing")
 
 
 Pairing = tuple[tuple[GradedInterval | None, GradedInterval | None, float], ...]
@@ -241,15 +245,7 @@ def part_bottleneck(
     """
     if kind[0] not in ("central", "R", "L"):
         raise ValueError(f"unknown slot kind {kind!r}")
-    return _slot_solve(_by_key(left), _by_key(right))
-
-
-def _by_key(bars: Sequence[GradedInterval]) -> Sequence[GradedInterval]:
-    """``bars`` in key order, sorted only if they are not so already (the
-    ``split_clr`` slots that ``distance_with_matching`` passes are)."""
-    if any(a.key > b.key for a, b in zip(bars, bars[1:])):
-        return sorted(bars, key=lambda g: g.key)
-    return bars
+    return _slot_solve(sorted(left, key=lambda g: g.key), sorted(right, key=lambda g: g.key))
 
 
 def _slots(F: Barcode, G: Barcode):

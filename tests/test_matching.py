@@ -344,7 +344,7 @@ def test_part_bottleneck_matches_assignment_oracle():
 def test_large_slot_needs_no_recursion():
     # an R slot drawn like the benchmark's: 5% rays, 15% of the bounded
     # bars facing an unrelated fresh bar, the rest jittered by up to 1;
-    # a recursive augmenting search overflows a limit of 120 here
+    # a recursive augmenting search overflows 60 frames above this one
     def grid(x):
         return round(x * 256) / 256
 
@@ -369,8 +369,11 @@ def test_large_slot_needs_no_recursion():
             pair = Interval.right_open(a, hi), Interval.right_open(*other)
         left.append(GradedInterval(pair[0], 0))
         right.append(GradedInterval(pair[1], 0))
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(120)
+    sys.setrecursionlimit(depth + 60)
     try:
         d, pairs = part_bottleneck(left, right, ("R", 0))
     finally:
