@@ -3,7 +3,8 @@
 Exit codes: 0 on success (an infinite distance is still success, printed
 as ``inf``), 1 on domain errors, 2 on I/O, parse and usage errors.  A
 non-finite ``--eps``, ``--t`` or ``--tol``, and a ``--tol`` or
-``SHEAFDIST_TOL`` that is not a number >= 0, are usage errors.
+``SHEAFDIST_TOL`` that is not a number >= 0, are usage errors; an input
+file that is not UTF-8 is a parse error.
 """
 
 from __future__ import annotations
@@ -98,9 +99,16 @@ def _tolerance(args: argparse.Namespace) -> float:
     return tol
 
 
+def _read(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _load(path: str, tol: float) -> Barcode:
-    with open(path, encoding="utf-8") as fh:
-        return parse_barcode(fh.read(), tol=tol)
+    return parse_barcode(_read(path), tol=tol)
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -160,8 +168,7 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "import-diagram":
-        with open(args.diagram, encoding="utf-8") as fh:
-            diagrams = parse_diagrams(fh.read())
+        diagrams = parse_diagrams(_read(args.diagram))
         bars = [g for d in diagrams for g in from_persistence(d, args.side)]
         sys.stdout.write(format_barcode(Barcode(tuple(bars))))
         return 0

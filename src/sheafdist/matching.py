@@ -27,6 +27,20 @@ Kerber, Morozov & Nigmetov, ACM JEA 2017), and the feasible probe that
 sets the value supplies the witness.  No floating-point threshold is
 ever approximated.
 
+A central slot lists every finite ``pair_cost``.  A half-open slot never
+builds its p x q cost matrix.  Its bars fall into four shape classes
+(bounded bars, rays to -inf, rays to inf, the line) that no finite edge
+joins, so its value is the max over the classes and its witness their
+union.  Inside a class the shared infinite ends cost nothing and a pair
+cost is the L-infinity distance of the finite ends, the float
+``pair_cost`` returns.  Deleting every bounded bar is feasible at ub,
+the dearest deletion, so no bounded edge above ub is listed: each left
+bar bisects into the right bars sorted by lower end and walks outward
+while the lower ends alone are within ub, an exact stop because rounded
+subtraction is monotone (the sorted-endpoint neighbour query of Efrat,
+Itai & Katz, Algorithmica 2001).  Rays and the line cannot be deleted
+and list every edge of their class.
+
 ``bruteforce_distance`` re-solves everything by exhaustive enumeration
 and exists purely as an oracle for the fast path.
 """
@@ -34,7 +48,7 @@ and exists purely as an oracle for the fast path.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -156,23 +170,29 @@ def _hopcroft_karp(
 
 
 Pairing = tuple[tuple[GradedInterval | None, GradedInterval | None, float], ...]
+Rows = list[list[tuple[float, int]]]
 
 
 def _slot_solve(
-    left: Sequence[GradedInterval], right: Sequence[GradedInterval]
+    left: Sequence[GradedInterval],
+    right: Sequence[GradedInterval],
+    rows: Rows,
+    del_l: list[float],
+    del_r: list[float],
 ) -> tuple[float, Pairing]:
     """Square reduction: a bar with a finite deletion cost gets a diagonal
     copy on the other side, and copies meet each other for free.
 
-    A finite pair cost never joins a deletable bar to an undeletable one,
+    ``rows[i]`` holds the finite edges ``(cost, j)`` of left bar ``i``,
+    sorted; the copies' edges are added to ``rows`` in place.  It may
+    leave out edges dearer than some eps at which the edges kept already
+    admit a perfect matching: below that eps nothing is left out, and
+    from it on the slot is feasible either way.  A finite pair cost never joins a deletable bar to an undeletable one,
     so the undeletable bars (central bars, rays, the line) must pair off
     among themselves, and a perfect matching can exist only when both
     sides have the same number of vertices.
     """
     p, q = len(left), len(right)
-    cost = [[pair_cost(l, r) for r in right] for l in left]
-    del_l = [deletion_cost(l) for l in left]
-    del_r = [deletion_cost(r) for r in right]
     copy_l = [i for i in range(p) if del_l[i] < INF]  # right vertices q, q+1, ...
     copy_r = [j for j in range(q) if del_r[j] < INF]  # left vertices p, p+1, ...
     size = p + len(copy_r)
@@ -182,24 +202,18 @@ def _slot_solve(
         return 0.0, ()
     # listed edges of each left vertex, cheapest first (ties by vertex):
     # the graph at eps keeps a bisect prefix of each list
-    nbrs: list[list[int]] = []
-    ecost: list[list[float]] = []
-    cols = list(range(q))  # one int object per column, shared by the lists
-    for row in cost:
-        order = sorted(cols, key=row.__getitem__)
-        costs = [row[j] for j in order]
-        end = bisect_left(costs, INF)
-        nbrs.append(order[:end])
-        ecost.append(costs[:end])
     for k, i in enumerate(copy_l):
-        at = bisect_right(ecost[i], del_l[i])
-        nbrs[i].insert(at, q + k)
-        ecost[i].insert(at, del_l[i])
-    nbrs += [[j] for j in copy_r]
-    ecost += [[del_r[j]] for j in copy_r]
+        insort(rows[i], (del_l[i], q + k))
+    rows += [[(del_r[j], j)] for j in copy_r]
+    nbrs = [[j for _, j in row] for row in rows]
+    ecost = [[c for c, _ in row] for row in rows]
     # every bar needs a partner or its copy, so no eps below lb is feasible
-    col_min = [min(col) for col in zip(*cost)] if p else [INF] * q
-    lb = max([c[0] if c else INF for c in ecost[:p]] + list(map(min, col_min, del_r)))
+    col_min = [INF] * q
+    for row in rows:
+        for c, j in row:
+            if j < q and c < col_min[j]:
+                col_min[j] = c
+    lb = max([c[0] if c else INF for c in ecost[:p]] + col_min)
     if lb == INF:
         return INF, ()
     cands = sorted({c for row in ecost for c in row if c >= lb})
@@ -224,12 +238,65 @@ def _slot_solve(
     out: list[tuple[GradedInterval | None, GradedInterval | None, float]] = []
     for j, i in enumerate(witness):
         if i < p and j < q:
-            out.append((left[i], right[j], cost[i][j]))
+            out.append((left[i], right[j], ecost[i][nbrs[i].index(j)]))
         elif i < p:  # left bar matched to its diagonal copy
             out.append((left[i], None, del_l[i]))
         elif j < q:  # right bar matched to its diagonal copy
             out.append((None, right[j], del_r[j]))
     return best, tuple(out)
+
+
+def _ends(g: GradedInterval) -> tuple[int, float, float]:
+    """Shape class (0 bounded, 1 ray to -inf, 2 ray to inf, 3 the line)
+    and finite ends of a half-open bar; an infinite end becomes 0."""
+    lo, hi = g.interval.lo, g.interval.hi
+    return (lo == -INF) + 2 * (hi == INF), (lo if lo > -INF else 0.0), (hi if hi < INF else 0.0)
+
+
+def _halfopen_rows(
+    left: Sequence[GradedInterval], right: Sequence[GradedInterval], ub: float
+) -> Rows | None:
+    """Sorted edges ``(cost, j)`` of a half-open slot, or ``None`` when a
+    class of undeletable bars has unequal sides.
+
+    No finite pair cost crosses shape classes, and inside a class the
+    shared infinite ends contribute 0, so a cost is the L-infinity
+    distance of the finite ends: the float ``pair_cost`` returns.
+    Deleting every bounded bar is feasible at ``ub``, the dearest
+    deletion, so a bounded edge above ``ub`` cannot matter; rays and the
+    line cannot be deleted and keep every edge.  The right bars are
+    sorted by (class, lo) once, and each left bar ``(a, b)`` bisects to
+    ``a`` in its class and walks outward while ``abs(a - lo) <= ub``.
+    Rounded subtraction is monotone, so the walk stops exactly where the
+    lower ends alone exceed ``ub``: no window is widened and no
+    tolerance is used.
+    """
+    right_ends = [_ends(g) for g in right]
+    order = sorted(range(len(right)), key=right_ends.__getitem__)
+    shapes = [right_ends[j][0] for j in order]
+    los = [right_ends[j][1] for j in order]
+    his = [right_ends[j][2] for j in order]
+    left_ends = [_ends(g) for g in left]
+    # rays and the line must pair off inside their class
+    if [s for s in shapes if s] != sorted(s for s, _, _ in left_ends if s):
+        return None
+    rows: Rows = []
+    for s, a, b in left_ends:
+        bound = INF if s else ub
+        first, stop = bisect_left(shapes, s), bisect_right(shapes, s)
+        start = bisect_left(los, a, first, stop)
+        row = []
+        for steps in (range(start, stop), range(start - 1, first - 1, -1)):
+            for m in steps:
+                g = abs(a - los[m])
+                if g > bound:
+                    break
+                c = max(g, abs(b - his[m]))
+                if c <= bound:
+                    row.append((c, order[m]))
+        row.sort()
+        rows.append(row)
+    return rows
 
 
 def part_bottleneck(
@@ -241,11 +308,28 @@ def part_bottleneck(
 
     ``kind`` is ``("central", m)``, ``("R", j)`` or ``("L", j)``.  Every
     slot is solved alike: central bars cannot be deleted, so a central
-    slot comes out as a bijection (or ``inf`` when the sizes differ).
+    slot comes out as a bijection (or ``inf`` when the sizes differ).  A
+    half-open slot falls into shape classes (bounded bars, rays to -inf,
+    rays to inf, the line) that no finite edge joins, so its value is
+    the max over the classes and its witness their union.
     """
     if kind[0] not in ("central", "R", "L"):
         raise ValueError(f"unknown slot kind {kind!r}")
-    return _slot_solve(sorted(left, key=lambda g: g.key), sorted(right, key=lambda g: g.key))
+    left = sorted(left, key=lambda g: g.key)
+    right = sorted(right, key=lambda g: g.key)
+    del_l = [deletion_cost(g) for g in left]
+    del_r = [deletion_cost(g) for g in right]
+    if kind[0] == "central":
+        rows: Rows | None = [
+            sorted([(c, j) for j, r in enumerate(right) if (c := pair_cost(l, r)) < INF])
+            for l in left
+        ]
+    else:
+        ub = max([d for d in del_l + del_r if d < INF], default=0.0)
+        rows = _halfopen_rows(left, right, ub)
+    if rows is None:
+        return INF, ()
+    return _slot_solve(left, right, rows, del_l, del_r)
 
 
 def _slots(F: Barcode, G: Barcode):

@@ -79,6 +79,17 @@ def test_missing_file_is_io_error():
     assert out.returncode == 2
 
 
+@pytest.mark.parametrize("verb, name", [("validate", "bad.gbc"), ("import-diagram", "bad.pdg")])
+def test_non_utf8_file_is_parse_error(tmp_path, verb, name):
+    path = tmp_path / name
+    path.write_bytes(b"0 [0,1)\n\xff\xfe\n")
+    extra = ("--side", "R") if verb == "import-diagram" else ()
+    out = run_cli(verb, str(path), *extra)
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+    assert str(path) in out.stderr and "UTF-8" in out.stderr
+
+
 def test_unknown_verb_usage_error():
     out = run_cli("frobnicate")
     assert out.returncode == 2

@@ -16,6 +16,7 @@ from sheafdist import (
     convolve_interval,
     deletion_cost,
     distance_with_matching,
+    interpolate,
     pair_cost,
     parse_barcode,
     part_bottleneck,
@@ -72,6 +73,11 @@ def test_part_bottleneck_slots():
     )
     assert value == 0.5
     assert pairs == ((GradedInterval(Interval.right_open(0, 1), 0), None, 0.5),)
+    # equal totals, but the rays [0,inf) and (-inf,0) are in different
+    # shape classes and cannot be deleted
+    F = [GradedInterval(Interval.right_open(0, INF), 0), GradedInterval(Interval.right_open(1, 2), 0)]
+    G = [GradedInterval(Interval.open(-INF, 0), 0), GradedInterval(Interval.right_open(1, 2), 0)]
+    assert part_bottleneck(F, G, ("R", 0)) == (INF, ())
     with pytest.raises(ValueError):
         part_bottleneck([], [], ("X", 0))
 
@@ -218,6 +224,17 @@ def test_triangle_inequality_off_grid(triple):
     assert dbc <= dba + dac + 1e-9
 
 
+@settings(max_examples=200, deadline=None)
+@given(_float_barcodes().flatmap(lambda F: st.tuples(st.just(F), _moved(F))), st.floats(0, 1))
+def test_geodesic_bounds_off_grid(pair, frac):
+    F, G = pair
+    eps, matching = distance_with_matching(F, G)
+    t = frac * eps
+    U = interpolate(F, G, matching, t)
+    assert distance_with_matching(F, U)[0] <= t + 1e-9
+    assert distance_with_matching(U, G)[0] <= eps - t + 1e-9
+
+
 def test_determinism(rng):
     for _ in range(40):
         A = random_barcode(rng, max_bars=5)
@@ -249,16 +266,26 @@ def _jitter(rng: random.Random, g: GradedInterval) -> GradedInterval:
     return GradedInterval(Interval(lo, hi, iv.lo_closed, iv.hi_closed), g.degree)
 
 
-def _random_slot(rng: random.Random, side: str, n: int, unrelated: float = 0.25):
+def _random_slot(
+    rng: random.Random, side: str, n: int, unrelated: float = 0.25, span: float | None = None
+):
     """Two sides of one slot: a central slot (open bars in degree 0,
     closed bars in degree 1) or an R or L slot in degree 0 with rays and
     lines, the right side a perturbation of the left or, with chance
-    ``unrelated``, an unrelated slot of a different size."""
+    ``unrelated``, an unrelated slot of a different size.  Left ends are
+    dyadic in [-6, 6] with widths 0.25-4 or, given ``span``, arbitrary
+    floats in [-span, span] with widths 0.5-8."""
     central = side == "central"
     bar = Interval.right_open if side == "R" else Interval.left_open
+
+    def start() -> float:
+        return dyadic(rng) if span is None else rng.uniform(-span, span)
+
     left = []
     for _ in range(n):
-        a, w, u = dyadic(rng), dyadic(rng, 0.25, 4), rng.random()
+        a = start()
+        w = dyadic(rng, 0.25, 4) if span is None else rng.uniform(0.5, 8)
+        u = rng.random()
         if central:
             iv, deg = (Interval.open(a, a + w), 0) if u < 0.5 else (Interval.closed(a, a + w), 1)
         elif u < 0.7:
@@ -269,7 +296,7 @@ def _random_slot(rng: random.Random, side: str, n: int, unrelated: float = 0.25)
             iv, deg = rng.choice([Interval.open(a, INF), Interval.left_open(-INF, a), Interval.line()]), 0
         left.append(GradedInterval(iv, deg))
     if rng.random() < unrelated:  # often infinite
-        return left, _random_slot(rng, side, n + rng.choice((-1, 1)))[0]
+        return left, _random_slot(rng, side, n + rng.choice((-1, 1)), span=span)[0]
     right = []
     for g in left:
         if central and g.degree == 0 and rng.random() < 0.25:
@@ -278,7 +305,7 @@ def _random_slot(rng: random.Random, side: str, n: int, unrelated: float = 0.25)
             right.append(_jitter(rng, g))
     if not central:
         right += [GradedInterval(bar(a, a + 0.5), 0)
-                  for a in (dyadic(rng) for _ in range(rng.randrange(4)))]
+                  for a in (start() for _ in range(rng.randrange(4)))]
     return left, right
 
 
@@ -322,14 +349,17 @@ def _assert_optimal(left, right, d, pairs):
 
 def test_part_bottleneck_matches_assignment_oracle():
     # past the brute-force limit: 24 slots of 10-60 bars, then central,
-    # R and L slots of 100 and 300 bars
+    # R and L slots of 100 and 300 bars, then R and L slots of 100 and 300
+    # bars off the dyadic grid, spread like the benchmark's so that most
+    # pairs cost more than the dearest deletion
     rng = random.Random(0x0DD5)
     outcomes = Counter()
-    trials = [("central" if t % 2 else "R", 0) for t in range(24)]
-    trials += [(side, n) for n in (100, 300) for side in ("central", "R", "L")]
-    for side, n in trials:
+    trials = [("central" if t % 2 else "R", 0, None) for t in range(24)]
+    trials += [(side, n, None) for n in (100, 300) for side in ("central", "R", "L")]
+    trials += [(side, n, 50.0) for n in (100, 300) for side in ("R", "L")]
+    for side, n, span in trials:
         if n:
-            left, right = _random_slot(rng, side, n, unrelated=0)
+            left, right = _random_slot(rng, side, n, unrelated=0, span=span)
         else:
             left, right = _random_slot(rng, side, rng.randrange(10, 61))
         d, pairs = part_bottleneck(left, right, (side, 0))
