@@ -11,20 +11,17 @@ else costs ``inf``.  Only bounded half-open bars can be deleted, at half
 their width; central bars admit no deletion at any cost (their global
 sections obstruct it).
 
-Same-type costs are the L-infinity distance of the endpoint pairs.  The
-cross-degree cost ``r + max(c - x, y - c)`` of ``(a,b)@m`` with
-``[x,y]@m+1`` (r the half-width and c the centre of ``(a,b)``) equals
-the directed form ``max(b - x, y - a)`` in exact arithmetic only: in
-floating point the two roundings differ on about 30% of random
-off-grid pairs, so code that must reproduce ``pair_cost`` bit for bit
-uses this formula.
+Every finite cost is an L-infinity distance between plane points
+(``point``): ``[x,y]`` sits at ``(x,y)`` and ``(a,b)`` at ``(b,a)``, so
+the collapse pairing of ``(a,b)@m`` with ``[x,y]@m+1`` costs
+``max(b - x, y - a)``, correctly rounded like every finite cost.
 """
 
 from __future__ import annotations
 
 import math
 
-from .intervals import INF, GradedInterval, Kind, classify
+from .intervals import INF, GradedInterval, Interval, Kind, classify
 
 
 def _endpoint_gap(x: float, y: float) -> float:
@@ -46,9 +43,7 @@ def pair_cost(a: GradedInterval, b: GradedInterval) -> float:
     if {ka, kb} == {Kind.C_OPEN, Kind.C_CLOSED}:
         u, s = (a, b) if ka is Kind.C_OPEN else (b, a)
         if s.degree == u.degree + 1:
-            r = u.interval.width / 2.0
-            c = u.interval.center
-            return r + max(c - s.interval.lo, s.interval.hi - c)
+            return max(abs(u.interval.hi - s.interval.lo), abs(u.interval.lo - s.interval.hi))
     return INF
 
 
@@ -59,3 +54,16 @@ def deletion_cost(a: GradedInterval) -> float:
     if not a.interval.bounded:
         return INF
     return a.interval.width / 2.0
+
+
+def point(iv: Interval) -> tuple[int, float, float]:
+    """Shape class and plane point of a bar.  Two bars of one slot have
+    a finite ``pair_cost`` exactly when they share a class, and it is the
+    L-infinity distance of their points.  Class 4 is the central bars;
+    half-open bars keep their ends in class 0 (bounded, the only
+    deletable class), 1 (ray to -inf), 2 (ray to inf) or 3 (the line),
+    an infinite end mapped to 0."""
+    lo, hi = iv.lo, iv.hi
+    if iv.bounded and iv.lo_closed == iv.hi_closed:
+        return (4, lo, hi) if iv.lo_closed else (4, hi, lo)
+    return (lo == -INF) + 2 * (hi == INF), (lo if lo > -INF else 0.0), (hi if hi < INF else 0.0)

@@ -136,9 +136,7 @@ def interpolate(F: Barcode, G: Barcode, matching: Matching, t: float) -> Barcode
     if Barcode(tuple(src)) != F or Barcode(tuple(dst)) != G:
         raise ValueError("the matching is not between these two barcodes")
     bars = []
-    for _, l, r, c in matching.central_pairs:
-        bars.append(pair_path(l, r, min(t, c)))
-    for _, _, l, r, c in matching.halfopen_pairs:
+    for *_, l, r, c in pairs:
         bars.append(pair_path(l, r, min(t, c)))
     for _, _, origin, bar, c in matching.deletions:
         te = min(t, c) if origin == "left" else min(eps - t, c)

@@ -222,7 +222,10 @@ def parse_number(tok: str) -> float:
         return -INF
     if not _NUMBER.match(tok):
         raise ParseError(f"bad number {tok!r}")
-    return float(tok)
+    x = float(tok)
+    if abs(x) >= 2.0**1022:  # 1e400 reads as inf; below 2**1022 no width overflows
+        raise ParseError(f"number {tok!r} out of range: a finite value must be below 2**1022")
+    return x
 
 
 def fmt_number(x: float) -> str:

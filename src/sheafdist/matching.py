@@ -27,19 +27,17 @@ Kerber, Morozov & Nigmetov, ACM JEA 2017), and the feasible probe that
 sets the value supplies the witness.  No floating-point threshold is
 ever approximated.
 
-A central slot lists every finite ``pair_cost``.  A half-open slot never
-builds its p x q cost matrix.  Its bars fall into four shape classes
-(bounded bars, rays to -inf, rays to inf, the line) that no finite edge
-joins, so its value is the max over the classes and its witness their
-union.  Inside a class the shared infinite ends cost nothing and a pair
-cost is the L-infinity distance of the finite ends, the float
-``pair_cost`` returns.  Deleting every bounded bar is feasible at ub,
-the dearest deletion, so no bounded edge above ub is listed: each left
-bar bisects into the right bars sorted by lower end and walks outward
-while the lower ends alone are within ub, an exact stop because rounded
-subtraction is monotone (the sorted-endpoint neighbour query of Efrat,
-Itai & Katz, Algorithmica 2001).  Rays and the line cannot be deleted
-and list every edge of their class.
+No slot builds its p x q cost matrix.  ``costs.point`` puts each bar
+at a point of the plane in a shape class (central bars; or bounded
+bars, rays to -inf, rays to inf, the line): a finite pair cost joins two
+bars exactly when they share a class and is the L-infinity distance of
+their points, the float ``pair_cost`` returns.  Deleting every bounded
+half-open bar is feasible at ub, the dearest deletion, so none of their
+edges above ub is listed, and the other classes list every edge.  Each
+left bar bisects into the right bars sorted by first coordinate and
+walks outward while that coordinate alone is within the bound (the
+sorted-endpoint neighbour query of Efrat, Itai & Katz, Algorithmica
+2001), an exact stop because rounded subtraction is monotone.
 
 ``bruteforce_distance`` re-solves everything by exhaustive enumeration
 and exists purely as an oracle for the fast path.
@@ -53,7 +51,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .barcode import Barcode, split_clr
-from .costs import deletion_cost, pair_cost
+from .costs import deletion_cost, pair_cost, point
 from .intervals import INF, GradedInterval
 
 
@@ -187,10 +185,11 @@ def _slot_solve(
     sorted; the copies' edges are added to ``rows`` in place.  It may
     leave out edges dearer than some eps at which the edges kept already
     admit a perfect matching: below that eps nothing is left out, and
-    from it on the slot is feasible either way.  A finite pair cost never joins a deletable bar to an undeletable one,
-    so the undeletable bars (central bars, rays, the line) must pair off
-    among themselves, and a perfect matching can exist only when both
-    sides have the same number of vertices.
+    from it on the slot is feasible either way.  A finite pair cost
+    never joins a deletable bar to an undeletable one, so the
+    undeletable bars (central bars, rays, the line) must pair off among
+    themselves, and a perfect matching can exist only when both sides
+    have the same number of vertices.
     """
     p, q = len(left), len(right)
     copy_l = [i for i in range(p) if del_l[i] < INF]  # right vertices q, q+1, ...
@@ -246,52 +245,42 @@ def _slot_solve(
     return best, tuple(out)
 
 
-def _ends(g: GradedInterval) -> tuple[int, float, float]:
-    """Shape class (0 bounded, 1 ray to -inf, 2 ray to inf, 3 the line)
-    and finite ends of a half-open bar; an infinite end becomes 0."""
-    lo, hi = g.interval.lo, g.interval.hi
-    return (lo == -INF) + 2 * (hi == INF), (lo if lo > -INF else 0.0), (hi if hi < INF else 0.0)
-
-
-def _halfopen_rows(
+def _rows(
     left: Sequence[GradedInterval], right: Sequence[GradedInterval], ub: float
 ) -> Rows | None:
-    """Sorted edges ``(cost, j)`` of a half-open slot, or ``None`` when a
-    class of undeletable bars has unequal sides.
+    """Sorted edges ``(cost, j)`` of a slot, or ``None`` when a class of
+    undeletable bars has unequal sides.
 
-    No finite pair cost crosses shape classes, and inside a class the
-    shared infinite ends contribute 0, so a cost is the L-infinity
-    distance of the finite ends: the float ``pair_cost`` returns.
-    Deleting every bounded bar is feasible at ``ub``, the dearest
-    deletion, so a bounded edge above ``ub`` cannot matter; rays and the
-    line cannot be deleted and keep every edge.  The right bars are
-    sorted by (class, lo) once, and each left bar ``(a, b)`` bisects to
-    ``a`` in its class and walks outward while ``abs(a - lo) <= ub``.
-    Rounded subtraction is monotone, so the walk stops exactly where the
-    lower ends alone exceed ``ub``: no window is widened and no
-    tolerance is used.
+    A finite pair cost joins two bars exactly when they share a
+    ``point`` class, and it is the L-infinity distance of their points.
+    Deleting every bar of class 0 is feasible at ``ub``, the dearest
+    deletion, so its edges above ``ub`` cannot matter; the undeletable
+    classes keep every edge.  The right bars are sorted by (class, u)
+    once, and each left bar at ``(u, v)`` bisects to ``u`` in its class
+    and walks outward while ``abs(u - us[m])`` alone is within the
+    bound, an exact stop because rounded subtraction is monotone.
     """
-    right_ends = [_ends(g) for g in right]
-    order = sorted(range(len(right)), key=right_ends.__getitem__)
-    shapes = [right_ends[j][0] for j in order]
-    los = [right_ends[j][1] for j in order]
-    his = [right_ends[j][2] for j in order]
-    left_ends = [_ends(g) for g in left]
-    # rays and the line must pair off inside their class
-    if [s for s in shapes if s] != sorted(s for s, _, _ in left_ends if s):
+    right_pts = [point(g.interval) for g in right]
+    order = sorted(range(len(right)), key=right_pts.__getitem__)
+    shapes = [right_pts[j][0] for j in order]
+    us = [right_pts[j][1] for j in order]
+    vs = [right_pts[j][2] for j in order]
+    left_pts = [point(g.interval) for g in left]
+    # undeletable bars must pair off inside their class
+    if [s for s in shapes if s] != sorted(s for s, _, _ in left_pts if s):
         return None
     rows: Rows = []
-    for s, a, b in left_ends:
+    for s, u, v in left_pts:
         bound = INF if s else ub
         first, stop = bisect_left(shapes, s), bisect_right(shapes, s)
-        start = bisect_left(los, a, first, stop)
+        start = bisect_left(us, u, first, stop)
         row = []
         for steps in (range(start, stop), range(start - 1, first - 1, -1)):
             for m in steps:
-                g = abs(a - los[m])
+                g = abs(u - us[m])
                 if g > bound:
                     break
-                c = max(g, abs(b - his[m]))
+                c = max(g, abs(v - vs[m]))
                 if c <= bound:
                     row.append((c, order[m]))
         row.sort()
@@ -311,22 +300,17 @@ def part_bottleneck(
     slot comes out as a bijection (or ``inf`` when the sizes differ).  A
     half-open slot falls into shape classes (bounded bars, rays to -inf,
     rays to inf, the line) that no finite edge joins, so its value is
-    the max over the classes and its witness their union.
+    the max over the classes and its witness their union.  The sides
+    are read in the order given (``distance_with_matching`` passes them
+    in key order); another order can change only which of several
+    equally optimal witnesses comes back.
     """
     if kind[0] not in ("central", "R", "L"):
         raise ValueError(f"unknown slot kind {kind!r}")
-    left = sorted(left, key=lambda g: g.key)
-    right = sorted(right, key=lambda g: g.key)
     del_l = [deletion_cost(g) for g in left]
     del_r = [deletion_cost(g) for g in right]
-    if kind[0] == "central":
-        rows: Rows | None = [
-            sorted([(c, j) for j, r in enumerate(right) if (c := pair_cost(l, r)) < INF])
-            for l in left
-        ]
-    else:
-        ub = max([d for d in del_l + del_r if d < INF], default=0.0)
-        rows = _halfopen_rows(left, right, ub)
+    ub = max([d for d in del_l + del_r if d < INF], default=0.0)
+    rows = _rows(left, right, ub)
     if rows is None:
         return INF, ()
     return _slot_solve(left, right, rows, del_l, del_r)

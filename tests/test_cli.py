@@ -90,6 +90,25 @@ def test_non_utf8_file_is_parse_error(tmp_path, verb, name):
     assert str(path) in out.stderr and "UTF-8" in out.stderr
 
 
+@pytest.mark.parametrize(
+    "args, text",
+    [
+        (("validate", "{f}"), "0 [0,1e400)\n"),  # once read as the ray [0,inf)
+        (("dist", "{f}", "{e}"), "0 [-1.5e308,1.5e308)\n"),  # its width overflowed to inf
+        (("component", "{f}", "{e}"), "0 [-1.5e308,1.5e308)\n"),
+        (("import-diagram", "{f}", "--side", "R"), "0 0 1e400\n"),
+        (("import-diagram", "{f}", "--side", "R"), "0 -4.5e307 0\n"),
+        (("hom", "[0,1e400)@0", "[0,1)@0"), ""),
+    ],
+)
+def test_out_of_range_numbers_are_parse_errors(tmp_path, args, text):
+    f, e = gbc(tmp_path, "f.txt", text), gbc(tmp_path, "empty.gbc", "")
+    out = run_cli(*(a.format(f=f, e=e) for a in args))
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+    assert "out of range" in out.stderr and out.stdout == ""
+
+
 def test_unknown_verb_usage_error():
     out = run_cli("frobnicate")
     assert out.returncode == 2

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 from conftest import dyadic, random_graded
 from sheafdist import GradedInterval, Interval, classify, convolve_interval, deletion_cost, pair_cost
@@ -67,6 +68,19 @@ def test_cross_degree_consistency(rng):
         s = convolve_interval(u, eps)
         assert s.degree == u.degree + 1
         assert pair_cost(u, s) == eps
+
+
+def test_cross_degree_cost_is_correctly_rounded(rng):
+    # off the dyadic grid the collapse pairing of (a,b)@0 with [x,y]@1
+    # must cost max(b - x, y - a) rounded once, as a float of the exact value
+    for _ in range(2000):
+        a = rng.uniform(-20, 20)
+        b = a + rng.uniform(0.01, 8)
+        x = rng.uniform(-20, 20)
+        y = x + rng.uniform(0, 8)
+        u, s = G(Interval.open(a, b)), G(Interval.closed(x, y), 1)
+        exact = max(Fraction(b) - Fraction(x), Fraction(y) - Fraction(a))
+        assert pair_cost(u, s) == pair_cost(s, u) == float(exact), (u, s)
 
 
 def test_translation_invariance(rng):

@@ -90,6 +90,10 @@ def test_number_formatting():
     assert parse_number("1e3") == 1000.0
     with pytest.raises(ParseError):
         parse_number("nan")
+    assert parse_number("-4.4e307") == -4.4e307
+    for tok in ("1e400", "-1e400", "1.5e308", "4.5e307"):
+        with pytest.raises(ParseError):
+            parse_number(tok)
 
 
 @given(st.floats(-50, 50), st.floats(-50, 50))

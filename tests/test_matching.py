@@ -349,14 +349,15 @@ def _assert_optimal(left, right, d, pairs):
 
 def test_part_bottleneck_matches_assignment_oracle():
     # past the brute-force limit: 24 slots of 10-60 bars, then central,
-    # R and L slots of 100 and 300 bars, then R and L slots of 100 and 300
-    # bars off the dyadic grid, spread like the benchmark's so that most
-    # pairs cost more than the dearest deletion
+    # R and L slots of 100 and 300 bars, then the same off the dyadic
+    # grid, spread like the benchmark's so that most half-open pairs cost
+    # more than the dearest deletion and central slots pair open with
+    # closed bars at off-grid cross-degree costs
     rng = random.Random(0x0DD5)
     outcomes = Counter()
     trials = [("central" if t % 2 else "R", 0, None) for t in range(24)]
     trials += [(side, n, None) for n in (100, 300) for side in ("central", "R", "L")]
-    trials += [(side, n, 50.0) for n in (100, 300) for side in ("R", "L")]
+    trials += [(side, n, 50.0) for n in (100, 300) for side in ("central", "R", "L")]
     for side, n, span in trials:
         if n:
             left, right = _random_slot(rng, side, n, unrelated=0, span=span)
