@@ -43,7 +43,7 @@ for side, diagram in (("R", r0), ("L", l0), ("L", l1)):
 
 left = [g for g in parse_barcode("0 [0,2)\n0 [1,1.5)\n")]
 right = [g for g in parse_barcode("0 [0.5,2.5)\n0 [8,8.5)\n")]
-value, pairs = part_bottleneck(left, right, ("R", 0))
+value, pairs = part_bottleneck(left, right)
 print(f"\nslot bottleneck between two R-parts: {value}")
 for l, r, c in pairs:
     print(f"  {str(l) if l else 'deleted':>10}  <->  {str(r) if r else 'deleted':<10}  cost {c}")

@@ -16,10 +16,9 @@ from .intervals import (
     DEFAULT_TOL,
     GradedInterval,
     Interval,
-    Kind,
     ParseError,
-    classify,
     interval_parts,
+    point,
 )
 
 
@@ -102,13 +101,9 @@ def format_barcode(b: Barcode) -> str:
 
 @dataclass(frozen=True, eq=True)
 class CLRSplit:
-    """Barcode regrouped for matching.
-
-    ``central[m]`` holds the bounded open bars of degree m together with
-    the bounded closed bars of degree m+1 (they are the ones a matching
-    may pair across the degree step).  ``right[j]`` / ``left[j]`` hold
-    the R- / L-type bars of degree j.
-    """
+    """Barcode regrouped for matching: ``central[m]``, ``right[j]`` and
+    ``left[j]`` hold the bars that ``point`` puts in slot
+    ``("central", m)``, ``("R", j)`` and ``("L", j)``."""
 
     central: dict[int, tuple[GradedInterval, ...]] = field(default_factory=dict)
     right: dict[int, tuple[GradedInterval, ...]] = field(default_factory=dict)
@@ -116,21 +111,12 @@ class CLRSplit:
 
 
 def split_clr(b: Barcode) -> CLRSplit:
-    central: dict[int, list[GradedInterval]] = {}
-    right: dict[int, list[GradedInterval]] = {}
-    left: dict[int, list[GradedInterval]] = {}
+    parts: dict[str, dict[int, list[GradedInterval]]] = {"central": {}, "R": {}, "L": {}}
     for g in b:
-        kind = classify(g.interval)
-        if kind is Kind.C_OPEN:
-            central.setdefault(g.degree, []).append(g)
-        elif kind is Kind.C_CLOSED:
-            central.setdefault(g.degree - 1, []).append(g)
-        elif kind is Kind.R:
-            right.setdefault(g.degree, []).append(g)
-        else:
-            left.setdefault(g.degree, []).append(g)
-    freeze = lambda d: {k: tuple(v) for k, v in sorted(d.items())}
-    return CLRSplit(freeze(central), freeze(right), freeze(left))
+        (side, m), _, _, _ = point(g)
+        parts[side].setdefault(m, []).append(g)
+    freeze = lambda d: {m: tuple(v) for m, v in sorted(d.items())}
+    return CLRSplit(freeze(parts["central"]), freeze(parts["R"]), freeze(parts["L"]))
 
 
 # ---------------------------------------------------------------------

@@ -15,7 +15,7 @@ import os
 import sys
 
 from .barcode import Barcode, format_barcode, global_sections, parse_barcode
-from .convolve import convolve_barcode
+from .convolve import convolve_interval
 from .homs import hom_dim
 from .intervals import DEFAULT_TOL, INF, ParseError, fmt_number, parse_graded_interval
 from .interpolate import interpolate, same_component
@@ -141,7 +141,14 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.command == "convolve":
         eps = _finite("--eps", args.eps)
-        sys.stdout.write(format_barcode(convolve_barcode(_load(args.barcode, tol), eps)))
+        bars = []
+        for g in _load(args.barcode, tol):
+            try:  # print only bars that read back
+                bars.append(parse_graded_interval(str(convolve_interval(g, eps))))
+            except ValueError:
+                raise ParseError(f"--eps {fmt_number(eps)} takes {g} out of range: an endpoint "
+                                 "reaches 2**1022 or the width rounds to zero") from None
+        sys.stdout.write(format_barcode(Barcode(tuple(bars))))
         return 0
 
     if args.command == "interpolate":
@@ -169,7 +176,10 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.command == "import-diagram":
         diagrams = parse_diagrams(_read(args.diagram))
-        bars = [g for d in diagrams for g in from_persistence(d, args.side)]
+        try:
+            bars = [g for d in diagrams for g in from_persistence(d, args.side)]
+        except ValueError as exc:
+            raise ParseError(f"{args.diagram}: {exc}") from None
         sys.stdout.write(format_barcode(Barcode(tuple(bars))))
         return 0
 

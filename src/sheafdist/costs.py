@@ -4,66 +4,30 @@
 is the cost of matching a bar to nothing.  Costs are nonnegative floats
 with ``math.inf`` for impossible matches; NaN never occurs.
 
-Matchable combinations: two bars of the same CLR type in the same
-degree, and the cross-degree pair of a bounded open bar in degree m with
-a bounded closed bar in degree m+1 (the collapse pairing).  Everything
-else costs ``inf``.  Only bounded half-open bars can be deleted, at half
-their width; central bars admit no deletion at any cost (their global
-sections obstruct it).
-
-Every finite cost is an L-infinity distance between plane points
-(``point``): ``[x,y]`` sits at ``(x,y)`` and ``(a,b)`` at ``(b,a)``, so
-the collapse pairing of ``(a,b)@m`` with ``[x,y]@m+1`` costs
-``max(b - x, y - a)``, correctly rounded like every finite cost.
+Both read ``intervals.point``.  Two bars match at finite cost exactly
+when they share its slot and shape class, and the cost is the
+L-infinity distance of their points: two bars of one CLR type and
+degree pay their larger endpoint gap, and the collapse pairing of
+``(a,b)@m`` with ``[x,y]@m+1`` costs ``max(b - x, y - a)``, correctly
+rounded like every finite cost.  Everything else costs ``inf``.  Only
+bounded half-open bars (class 0) can be deleted, at half their width;
+central bars admit no deletion at any cost (their global sections
+obstruct it).
 """
 
 from __future__ import annotations
 
-import math
-
-from .intervals import INF, GradedInterval, Interval, Kind, classify
-
-
-def _endpoint_gap(x: float, y: float) -> float:
-    # matching infinities are free, an infinity never matches a finite value
-    if x == y:
-        return 0.0
-    if math.isinf(x) or math.isinf(y):
-        return INF
-    return abs(x - y)
+from .intervals import INF, GradedInterval, point
 
 
 def pair_cost(a: GradedInterval, b: GradedInterval) -> float:
-    ka, kb = classify(a.interval), classify(b.interval)
-    if ka == kb and a.degree == b.degree:
-        return max(
-            _endpoint_gap(a.interval.lo, b.interval.lo),
-            _endpoint_gap(a.interval.hi, b.interval.hi),
-        )
-    if {ka, kb} == {Kind.C_OPEN, Kind.C_CLOSED}:
-        u, s = (a, b) if ka is Kind.C_OPEN else (b, a)
-        if s.degree == u.degree + 1:
-            return max(abs(u.interval.hi - s.interval.lo), abs(u.interval.lo - s.interval.hi))
-    return INF
+    slot_a, cls_a, ua, va = point(a)
+    slot_b, cls_b, ub, vb = point(b)
+    if cls_a != cls_b or slot_a != slot_b:
+        return INF
+    return max(abs(ua - ub), abs(va - vb))
 
 
 def deletion_cost(a: GradedInterval) -> float:
-    kind = classify(a.interval)
-    if kind in (Kind.C_OPEN, Kind.C_CLOSED):
-        return INF
-    if not a.interval.bounded:
-        return INF
-    return a.interval.width / 2.0
-
-
-def point(iv: Interval) -> tuple[int, float, float]:
-    """Shape class and plane point of a bar.  Two bars of one slot have
-    a finite ``pair_cost`` exactly when they share a class, and it is the
-    L-infinity distance of their points.  Class 4 is the central bars;
-    half-open bars keep their ends in class 0 (bounded, the only
-    deletable class), 1 (ray to -inf), 2 (ray to inf) or 3 (the line),
-    an infinite end mapped to 0."""
-    lo, hi = iv.lo, iv.hi
-    if iv.bounded and iv.lo_closed == iv.hi_closed:
-        return (4, lo, hi) if iv.lo_closed else (4, hi, lo)
-    return (lo == -INF) + 2 * (hi == INF), (lo if lo > -INF else 0.0), (hi if hi < INF else 0.0)
+    _, cls, u, v = point(a)
+    return (v - u) / 2.0 if cls == 0 else INF

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .barcode import Barcode
 from .costs import deletion_cost, pair_cost
-from .intervals import INF, GradedInterval, Interval, Kind, classify
+from .intervals import INF, GradedInterval, Interval
 from .matching import Matching, distance_with_matching
 
 
@@ -74,13 +74,13 @@ def pair_path(
     if t == c:
         return target
 
-    ks, kt = classify(source.interval), classify(target.interval)
-    if ks == kt:
+    # finite cost: one degree is one shape, else open meets closed one up
+    if source.degree == target.degree:
         theta = t / c
         return GradedInterval(
             _lerp_interval(source.interval, target.interval, theta), source.degree
         )
-    if ks is Kind.C_OPEN:
+    if source.degree < target.degree:
         # shrink to the centre point, then grow onto the closed target
         r = source.interval.width / 2.0
         mid = source.interval.center

@@ -5,6 +5,9 @@ sentinels (``math.inf``), never the result of overflow, and an infinite
 endpoint is always stored with an open flag: ``[2, inf)`` is fine,
 ``[2, inf]`` is not constructible.
 
+``point`` holds the CLR rule that every other module reads: a bar's
+slot, shape class and plane point, from its flags, infinities and degree.
+
 Every value here is immutable; all operations are pure functions.
 """
 
@@ -39,15 +42,8 @@ def close(a: float, b: float, tol: float = DEFAULT_TOL) -> bool:
 
 
 class Kind(Enum):
-    """Support classification of an interval.
-
-    Bounded intervals whose two flags agree are *central* (C_OPEN /
-    C_CLOSED).  Intervals shaped like ``[a,b)`` with a,b in the extended
-    reals are *right-directed* (R); intervals shaped like ``(a,b]``,
-    except the full line, are *left-directed* (L).  Rays are typed by
-    which extended-real form they fit: ``(-inf,b)`` and ``[a,inf)`` are
-    R, ``(-inf,b]`` and ``(a,inf)`` are L, and the full line is R.
-    """
+    """CLR type of an interval: central (C_OPEN, C_CLOSED), right- or
+    left-directed (R, L).  ``point`` holds the rule; see ``classify``."""
 
     C_OPEN = "C_open"
     C_CLOSED = "C_closed"
@@ -170,23 +166,6 @@ class Interval:
         return f"{lb}{fmt_number(self.lo)},{fmt_number(self.hi)}{rb}"
 
 
-def classify(iv: Interval) -> Kind:
-    """CLR type of an interval.  Total and single-valued."""
-    lo_inf = iv.lo == -INF
-    hi_inf = iv.hi == INF
-    if lo_inf and hi_inf:
-        return Kind.R
-    if lo_inf:
-        return Kind.L if iv.hi_closed else Kind.R
-    if hi_inf:
-        return Kind.R if iv.lo_closed else Kind.L
-    if iv.lo_closed and iv.hi_closed:
-        return Kind.C_CLOSED
-    if not iv.lo_closed and not iv.hi_closed:
-        return Kind.C_OPEN
-    return Kind.R if iv.lo_closed else Kind.L
-
-
 @dataclass(frozen=True)
 class GradedInterval:
     """An interval placed in a cohomological degree.
@@ -205,6 +184,34 @@ class GradedInterval:
 
     def __str__(self) -> str:
         return f"{self.interval}@{self.degree}"
+
+
+def point(g: GradedInterval) -> tuple[tuple[str, int], int, float, float]:
+    """Slot, shape class and plane point of a bar: the CLR rule.
+
+    ``(a,b)@m`` sits at ``(b,a)`` and ``[x,y]@m+1`` at ``(x,y)``, both
+    bounded, in class 4 of slot ``("central", m)``.  Other bars lie in
+    slot ``("R"|"L", degree)`` at their ends, an infinite end mapped to
+    0, in class 0 (bounded), 1 (ray to -inf), 2 (ray to inf) or 3 (the
+    line).  R holds ``[a,b)``, ``(-inf,b)``, ``[a,inf)`` and the line;
+    L holds ``(a,b]``, ``(-inf,b]`` and ``(a,inf)``.  Bars match at finite cost exactly when they share slot and
+    class, at the L-infinity distance of their points; only class 0 can
+    be deleted."""
+    iv = g.interval
+    lo, hi, lc, hc = iv.lo, iv.hi, iv.lo_closed, iv.hi_closed
+    cls = (lo == -INF) + 2 * (hi == INF)
+    if not cls and lc == hc:
+        return (("central", g.degree - 1), 4, lo, hi) if lc else (("central", g.degree), 4, hi, lo)
+    side = "R" if lc or (lo == -INF and not hc) else "L"
+    return (side, g.degree), cls, (lo if lo > -INF else 0.0), (hi if hi < INF else 0.0)
+
+
+def classify(iv: Interval) -> Kind:
+    """CLR type of an interval, read off its ``point`` in degree 0."""
+    (side, m), _, _, _ = point(GradedInterval(iv, 0))
+    if side != "central":
+        return Kind(side)
+    return Kind.C_OPEN if m == 0 else Kind.C_CLOSED
 
 
 # ---------------------------------------------------------------------

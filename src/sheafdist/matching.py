@@ -1,8 +1,8 @@
 """Exact bottleneck distance between graded barcodes.
 
-The distance decomposes over the CLR split: each central index m and
-each half-open (side, degree) pair is a slot, and the whole-barcode
-distance is the max over slots, attained by a concrete matching that
+The distance decomposes over the slots of ``intervals.point`` (central
+index m, half-open side and degree): the whole-barcode distance is the
+max over slots, attained by a concrete matching that
 ``distance_with_matching`` returns.  In a slot, unmatched bars pay their
 deletion cost; central bars, rays and the line have none, so a central
 slot is a perfect-matching problem (a bijection) and a half-open slot a
@@ -27,32 +27,31 @@ Kerber, Morozov & Nigmetov, ACM JEA 2017), and the feasible probe that
 sets the value supplies the witness.  No floating-point threshold is
 ever approximated.
 
-No slot builds its p x q cost matrix.  ``costs.point`` puts each bar
-at a point of the plane in a shape class (central bars; or bounded
-bars, rays to -inf, rays to inf, the line): a finite pair cost joins two
-bars exactly when they share a class and is the L-infinity distance of
-their points, the float ``pair_cost`` returns.  Deleting every bounded
-half-open bar is feasible at ub, the dearest deletion, so none of their
-edges above ub is listed, and the other classes list every edge.  Each
-left bar bisects into the right bars sorted by first coordinate and
-walks outward while that coordinate alone is within the bound (the
+No slot builds its p x q cost matrix.  ``point`` also places each bar
+in the plane: a finite pair cost joins two bars exactly when they share
+a slot and class (central bars; or bounded bars, rays to -inf, rays to
+inf, the line) and is the L-infinity distance of their points, the
+float ``pair_cost`` returns.  Deleting every bounded half-open bar is
+feasible at ub, the dearest deletion, so none of their edges above ub
+is listed, and the other classes list every edge.  Each left bar
+bisects into the right bars sorted by first coordinate and walks
+outward while that coordinate alone is within the bound (the
 sorted-endpoint neighbour query of Efrat, Itai & Katz, Algorithmica
 2001), an exact stop because rounded subtraction is monotone.
 
-``bruteforce_distance`` re-solves everything by exhaustive enumeration
-and exists purely as an oracle for the fast path.
+``bruteforce_distance`` re-solves every slot by one exhaustive
+enumeration of partial matchings, purely as an oracle for the fast path.
 """
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left, bisect_right, insort
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .barcode import Barcode, split_clr
-from .costs import deletion_cost, pair_cost, point
-from .intervals import INF, GradedInterval
+from .costs import deletion_cost, pair_cost
+from .intervals import INF, GradedInterval, point
 
 
 @dataclass(frozen=True)
@@ -248,31 +247,31 @@ def _slot_solve(
 def _rows(
     left: Sequence[GradedInterval], right: Sequence[GradedInterval], ub: float
 ) -> Rows | None:
-    """Sorted edges ``(cost, j)`` of a slot, or ``None`` when a class of
+    """Sorted edges ``(cost, j)`` of the bars, or ``None`` when a class of
     undeletable bars has unequal sides.
 
     A finite pair cost joins two bars exactly when they share a
-    ``point`` class, and it is the L-infinity distance of their points.
-    Deleting every bar of class 0 is feasible at ``ub``, the dearest
-    deletion, so its edges above ``ub`` cannot matter; the undeletable
-    classes keep every edge.  The right bars are sorted by (class, u)
-    once, and each left bar at ``(u, v)`` bisects to ``u`` in its class
-    and walks outward while ``abs(u - us[m])`` alone is within the
-    bound, an exact stop because rounded subtraction is monotone.
+    ``point`` slot and class, and it is the L-infinity distance of their
+    points.  Deleting every bar of class 0 is feasible at ``ub``, the
+    dearest deletion, so its edges above ``ub`` cannot matter; the
+    undeletable classes keep every edge.  The right bars are sorted by
+    point once, and each left bar at ``(u, v)`` bisects to ``u`` in its
+    slot and class and walks outward while ``abs(u - us[m])`` alone is
+    within the bound, an exact stop as rounded subtraction is monotone.
     """
-    right_pts = [point(g.interval) for g in right]
+    right_pts = [point(g) for g in right]
     order = sorted(range(len(right)), key=right_pts.__getitem__)
-    shapes = [right_pts[j][0] for j in order]
-    us = [right_pts[j][1] for j in order]
-    vs = [right_pts[j][2] for j in order]
-    left_pts = [point(g.interval) for g in left]
-    # undeletable bars must pair off inside their class
-    if [s for s in shapes if s] != sorted(s for s, _, _ in left_pts if s):
+    keys = [right_pts[j][:2] for j in order]
+    us = [right_pts[j][2] for j in order]
+    vs = [right_pts[j][3] for j in order]
+    left_pts = [point(g) for g in left]
+    # undeletable bars must pair off inside their slot and class
+    if [k for k in keys if k[1]] != sorted(p[:2] for p in left_pts if p[1]):
         return None
     rows: Rows = []
-    for s, u, v in left_pts:
+    for slot, s, u, v in left_pts:
         bound = INF if s else ub
-        first, stop = bisect_left(shapes, s), bisect_right(shapes, s)
+        first, stop = bisect_left(keys, (slot, s)), bisect_right(keys, (slot, s))
         start = bisect_left(us, u, first, stop)
         row = []
         for steps in (range(start, stop), range(start - 1, first - 1, -1)):
@@ -291,22 +290,18 @@ def _rows(
 def part_bottleneck(
     left: list[GradedInterval] | tuple[GradedInterval, ...],
     right: list[GradedInterval] | tuple[GradedInterval, ...],
-    kind: tuple,
 ) -> tuple[float, Pairing]:
-    """Bottleneck value and witness for one slot.
+    """Bottleneck value and an optimal matching of two lists of bars.
 
-    ``kind`` is ``("central", m)``, ``("R", j)`` or ``("L", j)``.  Every
-    slot is solved alike: central bars cannot be deleted, so a central
-    slot comes out as a bijection (or ``inf`` when the sizes differ).  A
-    half-open slot falls into shape classes (bounded bars, rays to -inf,
-    rays to inf, the line) that no finite edge joins, so its value is
-    the max over the classes and its witness their union.  The sides
-    are read in the order given (``distance_with_matching`` passes them
-    in key order); another order can change only which of several
-    equally optimal witnesses comes back.
+    The bars may come from any mix of slots.  No finite edge joins two
+    ``point`` slots or shape classes, so the value is the max over them
+    and the witness their union.  Central bars cannot be deleted, so a
+    central slot comes out as a bijection (or ``inf`` when the sizes
+    differ).  The sides are read in the order given
+    (``distance_with_matching`` passes one slot at a time, in key
+    order); another order can change only which of several equally
+    optimal witnesses comes back.
     """
-    if kind[0] not in ("central", "R", "L"):
-        raise ValueError(f"unknown slot kind {kind!r}")
     del_l = [deletion_cost(g) for g in left]
     del_r = [deletion_cost(g) for g in right]
     ub = max([d for d in del_l + del_r if d < INF], default=0.0)
@@ -341,7 +336,7 @@ def distance_with_matching(F: Barcode, G: Barcode) -> tuple[float, Matching]:
     deletions = []
     achieved = 0.0
     for kind, fs, gs in _slots(F, G):
-        value, pairs = part_bottleneck(fs, gs, kind)
+        value, pairs = part_bottleneck(fs, gs)
         if value == INF:
             return INF, Matching.infeasible()
         achieved = max(achieved, value)
@@ -366,22 +361,15 @@ def distance_with_matching(F: Barcode, G: Barcode) -> tuple[float, Matching]:
 # ---------------------------------------------------------------------
 
 
-def _brute_central(left, right) -> float:
-    if len(left) != len(right):
-        return INF
-    if not left:
-        return 0.0
-    best = INF
-    for perm in itertools.permutations(range(len(right))):
-        worst = max(pair_cost(l, right[j]) for l, j in zip(left, perm))
-        best = min(best, worst)
-    return best
-
-
-def _brute_halfopen(left, right) -> float:
+def _brute(left, right) -> float:
+    """Least bottleneck over every partial matching.  A branch ends once
+    its cost is ``inf``, so undeletable bars (a central slot's, rays,
+    the line) are enumerated only in bijections."""
     del_r = [deletion_cost(r) for r in right]
 
     def go(i: int, used: frozenset, cur: float) -> float:
+        if cur == INF:
+            return INF
         if i == len(left):
             tail = max((del_r[j] for j in range(len(right)) if j not in used), default=0.0)
             return max(cur, tail)
@@ -404,9 +392,8 @@ def bruteforce_distance(F: Barcode, G: Barcode, limit: int = 6) -> float:
     path is tested against this function.
     """
     total = 0.0
-    for kind, left, right in _slots(F, G):
+    for _, left, right in _slots(F, G):
         if max(len(left), len(right)) > limit:
             raise ValueError(f"slot larger than limit={limit}")
-        brute = _brute_central if kind[0] == "central" else _brute_halfopen
-        total = max(total, brute(left, right))
+        total = max(total, _brute(left, right))
     return total

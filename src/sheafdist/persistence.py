@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .barcode import CLRSplit
-from .intervals import GradedInterval, Interval, ParseError, fmt_number, parse_number
+from .intervals import GradedInterval, Interval, ParseError, fmt_number, parse_number, point
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,9 @@ def to_persistence(split: CLRSplit, side: str, degree: int) -> PersistenceDiagra
 
 
 def from_persistence(diagram: PersistenceDiagram, side: str) -> tuple[GradedInterval, ...]:
-    """Inverse of ``to_persistence``; returns the slot's bars."""
+    """Inverse of ``to_persistence``; returns the slot's bars.  A pair
+    with no bar on ``side`` (``(-inf, inf)``, the full line, on L) is a
+    ``ValueError``."""
     bars = []
     for birth, death in diagram.pairs:
         if side == "R":
@@ -57,7 +59,11 @@ def from_persistence(diagram: PersistenceDiagram, side: str) -> tuple[GradedInte
             iv = Interval(-death, -birth, False, birth != -math.inf)
         else:
             raise ValueError(f"side must be 'R' or 'L', got {side!r}")
-        bars.append(GradedInterval(iv, diagram.degree))
+        g = GradedInterval(iv, diagram.degree)
+        if point(g)[0][0] != side:
+            pair = f"({fmt_number(birth)}, {fmt_number(death)})"
+            raise ValueError(f"pair {pair} reads as {g}, not an {side} bar")
+        bars.append(g)
     return tuple(sorted(bars, key=lambda g: g.key))
 
 

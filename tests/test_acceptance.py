@@ -323,7 +323,7 @@ def test_criterion_9_bridge_isometry():
     rng = random.Random(9)
     for _ in range(200):
         left, right = random_r_part(rng), random_r_part(rng)
-        slot_value, _ = part_bottleneck(left, right, ("R", 0))
+        slot_value, _ = part_bottleneck(left, right)
         dl = to_persistence(split_clr(Barcode(tuple(left))), "R", 0).pairs
         dr = to_persistence(split_clr(Barcode(tuple(right))), "R", 0).pairs
         assert slot_value == classical_bottleneck(list(dl), list(dr))

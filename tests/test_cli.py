@@ -125,6 +125,21 @@ def test_convolve_golden(tmp_path):
     assert parse_barcode(out.stdout) == convolve_barcode(parse_barcode("0 (-1,1)\n0 [-1,1]\n"), 1)
 
 
+@pytest.mark.parametrize(
+    "text, eps, bar",
+    [
+        ("0 [-4e307,4e307]\n", "1e307", "[-4e+307,4e+307]@0"),  # printed [-5e+307,5e+307]
+        ("0 [0,1)\n", "1e16", "[0,1)@0"),  # 1 - 1e16 rounds onto -1e16
+        ("0 (0,1]\n", "-1e308", "(0,1]@0"),
+    ],
+)
+def test_convolve_out_of_range_is_parse_error(tmp_path, text, eps, bar):
+    out = run_cli("convolve", gbc(tmp_path, "a.gbc", text), f"--eps={eps}")
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+    assert bar in out.stderr and "--eps" in out.stderr
+
+
 def test_interpolate(tmp_path):
     f = str(FIXTURES / "circle_f.gbc")
     g = str(FIXTURES / "circle_g.gbc")
@@ -175,6 +190,16 @@ def test_import_diagram(tmp_path):
     assert out.stdout == "0 [0,3)\n1 (-inf,2)\n"
     out = run_cli("import-diagram", str(pdg), "--side", "L")
     assert out.stdout == "0 (-3,0]\n1 (-2,inf)\n"
+
+
+def test_import_diagram_line_is_not_an_l_bar(tmp_path):
+    # the pair (-inf, inf) is the full line, an R bar: no L part holds it
+    pdg = tmp_path / "d.pdg"
+    pdg.write_text("0 0 3\n0 -inf inf\n", encoding="utf-8")
+    assert run_cli("import-diagram", str(pdg), "--side", "R").stdout == "0 (-inf,inf)\n0 [0,3)\n"
+    out = run_cli("import-diagram", str(pdg), "--side", "L")
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
 
 
 def test_tol_flag_and_env(tmp_path):

@@ -123,3 +123,93 @@ def test_finite_pairs_agree_on_deletability(rng):
                 assert (deletion_cost(a) < INF) == (deletion_cost(b) < INF), (a, b)
                 seen.add((deletion_cost(a) < INF, a.interval.bounded))
     assert seen == {(True, True), (False, True), (False, False)}
+
+
+# The CLR rule written out case by case, without ``intervals.point``:
+# the brute-force and assignment oracles call ``pair_cost``, so they rest
+# on this independent encoding.
+
+
+def _rule_kind(iv):
+    lo_inf, hi_inf = iv.lo == -INF, iv.hi == INF
+    if lo_inf and hi_inf:
+        return Kind.R
+    if lo_inf:
+        return Kind.L if iv.hi_closed else Kind.R
+    if hi_inf:
+        return Kind.R if iv.lo_closed else Kind.L
+    if iv.lo_closed and iv.hi_closed:
+        return Kind.C_CLOSED
+    if not iv.lo_closed and not iv.hi_closed:
+        return Kind.C_OPEN
+    return Kind.R if iv.lo_closed else Kind.L
+
+
+def _rule_gap(x, y):
+    # equal infinities are free, an infinity never meets a finite value
+    if x == y:
+        return 0.0
+    if math.isinf(x) or math.isinf(y):
+        return INF
+    return abs(x - y)
+
+
+def _rule_pair_cost(a, b):
+    ka, kb = _rule_kind(a.interval), _rule_kind(b.interval)
+    if ka == kb and a.degree == b.degree:
+        return max(_rule_gap(a.interval.lo, b.interval.lo), _rule_gap(a.interval.hi, b.interval.hi))
+    if {ka, kb} == {Kind.C_OPEN, Kind.C_CLOSED}:
+        u, s = (a, b) if ka is Kind.C_OPEN else (b, a)
+        if s.degree == u.degree + 1:  # (a,b)@m with [x,y]@m+1: max(|b-x|, |a-y|)
+            return max(abs(u.interval.hi - s.interval.lo), abs(u.interval.lo - s.interval.hi))
+    return INF
+
+
+def _rule_deletion_cost(a):
+    if _rule_kind(a.interval) in (Kind.R, Kind.L) and a.interval.bounded:
+        return a.interval.width / 2.0
+    return INF
+
+
+def _any_bar(rng, pool):
+    """A bar of any shape: points, bounded bars of all four flag pairs,
+    the four rays and the line; ends from ``pool`` (so ends repeat) or
+    fresh off-grid values of magnitude up to 1e300."""
+
+    def end():
+        if rng.random() < 0.6:
+            return rng.choice(pool)
+        return rng.uniform(-1, 1) * 10.0 ** rng.uniform(-5, 300)
+
+    lo, hi = sorted((end(), end()))
+    shape = rng.randrange(10)
+    if shape == 0 or lo == hi:
+        iv = Interval.point(lo)
+    elif shape < 5:
+        iv = Interval(lo, hi, shape in (1, 2), shape in (1, 3))
+    elif shape == 5:
+        iv = Interval.right_open(lo, INF)
+    elif shape == 6:
+        iv = Interval.open(lo, INF)
+    elif shape == 7:
+        iv = Interval.open(-INF, hi)
+    elif shape == 8:
+        iv = Interval.left_open(-INF, hi)
+    else:
+        iv = Interval.line()
+    return GradedInterval(iv, rng.randrange(-1, 3))
+
+
+def test_costs_and_classify_match_the_written_out_rule(rng):
+    finite = 0
+    for _ in range(300):
+        pool = [dyadic(rng)] + [rng.uniform(-1, 1) * 10.0 ** rng.uniform(-5, 300) for _ in range(3)]
+        bars = [_any_bar(rng, pool) for _ in range(12)]
+        for a in bars:
+            assert classify(a.interval) is _rule_kind(a.interval), a
+            assert deletion_cost(a).hex() == _rule_deletion_cost(a).hex(), a
+            for b in bars:
+                want = _rule_pair_cost(a, b)
+                assert pair_cost(a, b).hex() == want.hex(), (a, b)
+                finite += want < INF
+    assert finite > 5000

@@ -61,25 +61,39 @@ def test_part_bottleneck_slots():
     central = part_bottleneck(
         [GradedInterval(Interval.open(-1, 1), 0)],
         [GradedInterval(Interval.point(0), 1)],
-        ("central", 0),
     )
     assert central == (
         1.0,
         ((GradedInterval(Interval.open(-1, 1), 0), GradedInterval(Interval.point(0), 1), 1.0),),
     )
-    assert part_bottleneck([], [], ("central", 0)) == (0.0, ())
-    value, pairs = part_bottleneck(
-        [GradedInterval(Interval.right_open(0, 1), 0)], [], ("R", 0)
-    )
+    assert part_bottleneck([], []) == (0.0, ())
+    value, pairs = part_bottleneck([GradedInterval(Interval.right_open(0, 1), 0)], [])
     assert value == 0.5
     assert pairs == ((GradedInterval(Interval.right_open(0, 1), 0), None, 0.5),)
     # equal totals, but the rays [0,inf) and (-inf,0) are in different
     # shape classes and cannot be deleted
     F = [GradedInterval(Interval.right_open(0, INF), 0), GradedInterval(Interval.right_open(1, 2), 0)]
     G = [GradedInterval(Interval.open(-INF, 0), 0), GradedInterval(Interval.right_open(1, 2), 0)]
-    assert part_bottleneck(F, G, ("R", 0)) == (INF, ())
-    with pytest.raises(ValueError):
-        part_bottleneck([], [], ("X", 0))
+    assert part_bottleneck(F, G) == (INF, ())
+
+
+def test_part_bottleneck_mixes_slots(rng):
+    # bars of different degrees lie in different slots and never pair
+    a = GradedInterval(Interval.right_open(0, 1), 0)
+    b = GradedInterval(Interval.right_open(0, 1), 1)
+    value, pairs = part_bottleneck([a], [b])
+    assert value == 0.5
+    assert sorted(pairs, key=str) == sorted([(a, None, 0.5), (None, b, 0.5)], key=str)
+    # whole barcodes in one call: the max of the per-slot values
+    for k in range(300):
+        F = random_barcode(rng, max_bars=8)
+        G = perturbed_barcode(rng, F) if k % 2 else random_barcode(rng, max_bars=8)
+        value, pairs = part_bottleneck(F.bars, G.bars)
+        assert value == distance_with_matching(F, G)[0]
+        if value < INF:
+            costs = [pair_cost(l, r) if l and r else deletion_cost(l or r) for l, r, _ in pairs]
+            assert costs == [c for _, _, c in pairs]
+            assert max(costs, default=0.0) == value
 
 
 def test_halfopen_prefers_double_deletion():
@@ -363,7 +377,7 @@ def test_part_bottleneck_matches_assignment_oracle():
             left, right = _random_slot(rng, side, n, unrelated=0, span=span)
         else:
             left, right = _random_slot(rng, side, rng.randrange(10, 61))
-        d, pairs = part_bottleneck(left, right, (side, 0))
+        d, pairs = part_bottleneck(left, right)
         _assert_optimal(left, right, d, pairs)
         outcomes[side, n > 60, d < INF] += 1
     assert {k for k in outcomes if not k[1]} == {
@@ -406,7 +420,7 @@ def test_large_slot_needs_no_recursion():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 60)
     try:
-        d, pairs = part_bottleneck(left, right, ("R", 0))
+        d, pairs = part_bottleneck(left, right)
     finally:
         sys.setrecursionlimit(limit)
     assert d < INF

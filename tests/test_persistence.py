@@ -34,6 +34,13 @@ def test_from_persistence_examples():
     assert from_persistence(diagram, "L") == (GradedInterval(Interval.left_open(-2, 5), 1),)
 
 
+def test_from_persistence_line_is_not_an_l_bar():
+    line = PersistenceDiagram(0, ((-INF, INF),))
+    assert from_persistence(line, "R") == (GradedInterval(Interval.line(), 0),)
+    with pytest.raises(ValueError):
+        from_persistence(line, "L")  # the full line is an R bar
+
+
 def test_round_trip_with_infinite_ends():
     bars = (
         GradedInterval(Interval.right_open(0, INF), 0),
@@ -143,7 +150,7 @@ def random_r_part(rng, max_bars=4):
 def test_bridge_isometry(rng):
     for _ in range(200):
         left, right = random_r_part(rng), random_r_part(rng)
-        slot_value, _ = part_bottleneck(left, right, ("R", 0))
+        slot_value, _ = part_bottleneck(left, right)
         dl = to_persistence(split_clr(Barcode(tuple(left))), "R", 0).pairs
         dr = to_persistence(split_clr(Barcode(tuple(right))), "R", 0).pairs
         assert slot_value == classical_bottleneck(list(dl), list(dr))
