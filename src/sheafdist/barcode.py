@@ -10,6 +10,7 @@ and compactly supported), which are invariants of finite distance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .homs import _src_shape, _tgt_shape
 from .intervals import (
@@ -33,7 +34,7 @@ class Barcode:
     bars: tuple[GradedInterval, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bars", tuple(sorted(self.bars, key=lambda g: g.key)))
+        object.__setattr__(self, "bars", tuple(sorted(self.bars, key=attrgetter("key"))))
 
     def __len__(self) -> int:
         return len(self.bars)
@@ -79,14 +80,20 @@ def parse_barcode(text: str, tol: float = DEFAULT_TOL) -> Barcode:
         except ValueError:
             raise ParseError(f"line {ln}: bad degree {deg_tok!r}") from None
         try:
-            lo, hi, lc, hc = interval_parts(iv_tok)
-            if hi - lo <= tol and not (lc and hc and hi >= lo):
-                raise ParseError(f"empty interval {iv_tok!r}")
-            iv = Interval(lo, hi, lc, hc)
+            bars.append(parse_bar(degree, iv_tok, tol))
         except ValueError as exc:
             raise ParseError(f"line {ln}: {exc}") from None
-        bars.append(GradedInterval(iv, degree))
     return Barcode(tuple(bars))
+
+
+def parse_bar(degree: int, literal: str, tol: float = DEFAULT_TOL) -> GradedInterval:
+    """One bar as ``parse_barcode`` reads it: the interval ``literal`` in
+    ``degree``.  A bar with an open end and a width of at most ``tol`` is
+    empty.  Raises ValueError (ParseError for the literal itself)."""
+    lo, hi, lc, hc = interval_parts(literal)
+    if hi - lo <= tol and not (lc and hc and hi >= lo):
+        raise ParseError(f"empty interval {literal!r}")
+    return GradedInterval(Interval(lo, hi, lc, hc), degree)
 
 
 def format_barcode(b: Barcode) -> str:

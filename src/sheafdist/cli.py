@@ -4,7 +4,9 @@ Exit codes: 0 on success (an infinite distance is still success, printed
 as ``inf``), 1 on domain errors, 2 on I/O, parse and usage errors.  A
 non-finite ``--eps``, ``--t`` or ``--tol``, and a ``--tol`` or
 ``SHEAFDIST_TOL`` that is not a number >= 0, are usage errors; an input
-file that is not UTF-8 is a parse error.
+file that is not UTF-8 is a parse error.  The value of ``--eps``, ``--t``
+or ``--tol`` may be a separate argument in any float syntax, negative
+ones included (``--eps -1e-3``).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 import os
 import sys
 
-from .barcode import Barcode, format_barcode, global_sections, parse_barcode
+from .barcode import Barcode, format_barcode, global_sections, parse_bar, parse_barcode
 from .convolve import convolve_interval
 from .homs import hom_dim
 from .intervals import DEFAULT_TOL, INF, ParseError, fmt_number, parse_graded_interval
@@ -143,11 +145,13 @@ def _run(args: argparse.Namespace) -> int:
         eps = _finite("--eps", args.eps)
         bars = []
         for g in _load(args.barcode, tol):
-            try:  # print only bars that read back
-                bars.append(parse_graded_interval(str(convolve_interval(g, eps))))
+            try:  # print only bars that read back under the same --tol
+                h = convolve_interval(g, eps)
+                bars.append(parse_bar(h.degree, str(h.interval), tol))
             except ValueError:
                 raise ParseError(f"--eps {fmt_number(eps)} takes {g} out of range: an endpoint "
-                                 "reaches 2**1022 or the width rounds to zero") from None
+                                 "reaches 2**1022 or the width falls to the tolerance "
+                                 f"{tol!r} or below") from None
         sys.stdout.write(format_barcode(Barcode(tuple(bars))))
         return 0
 
@@ -186,8 +190,34 @@ def _run(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled command {args.command}")
 
 
+_NUMBER_OPTIONS = ("--eps", "--t", "--tol")
+
+
+def _attach_numbers(argv: list[str]) -> list[str]:
+    """``--eps -1e-3`` as ``--eps=-1e-3``, likewise for ``--t`` and
+    ``--tol``.  argparse reads a separate value that starts with ``-`` as
+    an option unless it is a plain decimal, so ``-1e-3`` or ``-inf``
+    would end in "expected one argument"."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _NUMBER_OPTIONS and tok.startswith("-") and _is_float(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
+def _is_float(tok: str) -> bool:
+    try:
+        float(tok)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_attach_numbers(argv))
     try:
         return _run(args)
     except (ParseError, OSError) as exc:

@@ -8,14 +8,16 @@ endpoint is always stored with an open flag: ``[2, inf)`` is fine,
 ``point`` holds the CLR rule that every other module reads: a bar's
 slot, shape class and plane point, from its flags, infinities and degree.
 
-Every value here is immutable; all operations are pure functions.
+Every value here is immutable; all operations are pure functions.  A
+bar keeps its sort key and, once read, its ``point``; both follow from
+its fields.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 INF = math.inf
@@ -66,6 +68,8 @@ class Interval:
     hi_closed: bool
 
     def __post_init__(self) -> None:
+        if -INF < self.lo < self.hi < INF:  # bounded and nonempty: every check holds
+            return
         if math.isnan(self.lo) or math.isnan(self.hi):
             raise ValueError("NaN endpoint")
         if self.lo == INF or self.hi == -INF:
@@ -173,14 +177,21 @@ class GradedInterval:
     The pair (interval, degree) is the atom every barcode is made of.
     Degrees are explicit integers; no shift bookkeeping is implied by
     the notation.
+
+    Two values are cached on the instance, outside equality, hashing
+    and ``repr``: ``key``, the sort key ``(degree, *interval.key)``, set
+    at construction, and the bar's ``point``, set on its first call.
     """
 
     interval: Interval
     degree: int
+    key: tuple = field(init=False, repr=False, compare=False)
+    _point = None  # not a field: ``point`` sets it on the instance
 
-    @property
-    def key(self) -> tuple:
-        return (self.degree, *self.interval.key)
+    def __post_init__(self) -> None:
+        iv = self.interval  # (degree, *iv.key), without the property call
+        key = (self.degree, iv.lo, not iv.lo_closed, iv.hi, not iv.hi_closed)
+        object.__setattr__(self, "key", key)
 
     def __str__(self) -> str:
         return f"{self.interval}@{self.degree}"
@@ -194,16 +205,24 @@ def point(g: GradedInterval) -> tuple[tuple[str, int], int, float, float]:
     slot ``("R"|"L", degree)`` at their ends, an infinite end mapped to
     0, in class 0 (bounded), 1 (ray to -inf), 2 (ray to inf) or 3 (the
     line).  R holds ``[a,b)``, ``(-inf,b)``, ``[a,inf)`` and the line;
-    L holds ``(a,b]``, ``(-inf,b]`` and ``(a,inf)``.  Bars match at finite cost exactly when they share slot and
-    class, at the L-infinity distance of their points; only class 0 can
-    be deleted."""
-    iv = g.interval
-    lo, hi, lc, hc = iv.lo, iv.hi, iv.lo_closed, iv.hi_closed
-    cls = (lo == -INF) + 2 * (hi == INF)
-    if not cls and lc == hc:
-        return (("central", g.degree - 1), 4, lo, hi) if lc else (("central", g.degree), 4, hi, lo)
-    side = "R" if lc or (lo == -INF and not hc) else "L"
-    return (side, g.degree), cls, (lo if lo > -INF else 0.0), (hi if hi < INF else 0.0)
+    L holds ``(a,b]``, ``(-inf,b]`` and ``(a,inf)``.  Bars match at
+    finite cost exactly when they share slot and class, at the
+    L-infinity distance of their points; only class 0 can be deleted.
+
+    The result is computed on the first call and kept on the bar, where
+    every later call reads it; it takes no part in equality or hashing."""
+    p = g._point
+    if p is None:
+        iv = g.interval
+        lo, hi, lc, hc = iv.lo, iv.hi, iv.lo_closed, iv.hi_closed
+        cls = (lo == -INF) + 2 * (hi == INF)
+        if not cls and lc == hc:
+            p = (("central", g.degree - 1), 4, lo, hi) if lc else (("central", g.degree), 4, hi, lo)
+        else:
+            side = "R" if lc or (lo == -INF and not hc) else "L"
+            p = (side, g.degree), cls, (lo if lo > -INF else 0.0), (hi if hi < INF else 0.0)
+        object.__setattr__(g, "_point", p)
+    return p
 
 
 def classify(iv: Interval) -> Kind:
@@ -218,8 +237,11 @@ def classify(iv: Interval) -> Kind:
 # literals
 # ---------------------------------------------------------------------
 
-_NUMBER = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$")
-_LITERAL = re.compile(r"([\[\(])([^,\s]+),([^,\s]+)([\]\)])$")
+_FINITE = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_NUMBER = re.compile(_FINITE + "$")
+_LITERAL = re.compile(rf"([\[\(])({_FINITE}|[+-]?inf),({_FINITE}|[+-]?inf)([\]\)])$")
+_SHAPE = re.compile(r"([\[\(])([^,\s]+),([^,\s]+)([\]\)])$")
+_LIMIT = 2.0**1022  # 1e400 reads as inf; below 2**1022 no width overflows
 
 
 def parse_number(tok: str) -> float:
@@ -230,7 +252,7 @@ def parse_number(tok: str) -> float:
     if not _NUMBER.match(tok):
         raise ParseError(f"bad number {tok!r}")
     x = float(tok)
-    if abs(x) >= 2.0**1022:  # 1e400 reads as inf; below 2**1022 no width overflows
+    if abs(x) >= _LIMIT:
         raise ParseError(f"number {tok!r} out of range: a finite value must be below 2**1022")
     return x
 
@@ -246,8 +268,19 @@ def fmt_number(x: float) -> str:
 
 
 def interval_parts(text: str) -> tuple[float, float, bool, bool]:
-    """Split an interval literal like ``[-1,2.5)`` into raw parts."""
+    """Split an interval literal like ``[-1,2.5)`` into raw parts.
+
+    A valid literal is read by one match of the number grammar and the
+    range check (an end reads as infinite only from ``inf``); any other
+    text goes through ``parse_number`` on each end, which names the
+    error."""
     m = _LITERAL.match(text)
+    if m is not None:
+        lb, a, b, rb = m.groups()
+        lo, hi = float(a), float(b)
+        if (abs(lo) < _LIMIT or a[-1] == "f") and (abs(hi) < _LIMIT or b[-1] == "f"):
+            return lo, hi, lb == "[", rb == "]"
+    m = _SHAPE.match(text)
     if m is None:
         raise ParseError(f"bad interval literal {text!r}")
     lo = parse_number(m.group(2))

@@ -20,8 +20,9 @@ recursion limit, and the copy-to-copy block is handled without listing
 its edges.  Each vertex's edges are sorted by cost once per slot, so the
 graph at any eps is a prefix of each list.  No eps below the lower bound
 max over bars of min(cheapest pair cost, deletion cost) is feasible, so
-the search probes that bound first and binary-searches the candidates
-above it.  Each probe starts from the matching of the last infeasible
+the search probes that bound alone first; it usually decides the slot,
+and only when it fails is the candidate set above it built, sorted and
+binary-searched.  Each probe starts from the matching of the last infeasible
 probe, whose edges all persist at a larger eps (the reuse of hera,
 Kerber, Morozov & Nigmetov, ACM JEA 2017), and the feasible probe that
 sets the value supplies the witness.  No floating-point threshold is
@@ -189,6 +190,11 @@ def _slot_solve(
     undeletable bars (central bars, rays, the line) must pair off among
     themselves, and a perfect matching can exist only when both sides
     have the same number of vertices.
+
+    The lower bound lb is probed alone, before any candidate is listed.
+    Only when lb is infeasible are the candidates above it built, sorted
+    and binary-searched, starting at their middle: the same probes, warm
+    starts and witness as a search over lb and every candidate above it.
     """
     p, q = len(left), len(right)
     copy_l = [i for i in range(p) if del_l[i] < INF]  # right vertices q, q+1, ...
@@ -214,23 +220,26 @@ def _slot_solve(
     lb = max([c[0] if c else INF for c in ecost[:p]] + col_min)
     if lb == INF:
         return INF, ()
-    cands = sorted({c for row in ecost for c in row if c >= lb})
-    # binary search with lb probed first; each probe starts from the
-    # matching of the last infeasible probe, whose edges all persist
+    # lb alone, then (only if it fails) a binary search of the candidates
+    # above it; each probe starts from the matching of the last infeasible
+    # probe, whose edges all persist
     warm_l, warm_r = [-1] * size, [-1] * size
     best, witness = INF, None
-    lo, hi, mid = 0, len(cands) - 1, 0
+    cands, lo, hi = [lb], 0, 0
     while lo <= hi:
+        mid = (lo + hi) // 2
         eps = cands[mid]
         mate_l, mate_r = warm_l[:], warm_r[:]
         _hopcroft_karp(nbrs, [bisect_right(c, eps) for c in ecost], p, q, mate_l, mate_r)
         if -1 in mate_r:
             warm_l, warm_r = mate_l, mate_r
             lo = mid + 1
+            if eps == lb:  # lb failed: search the candidates above it
+                cands = sorted({c for row in ecost for c in row if c > lb})
+                lo, hi = 0, len(cands) - 1
         else:
             best, witness = eps, mate_r
             hi = mid - 1
-        mid = (lo + hi) // 2
     if witness is None:
         return INF, ()
     out: list[tuple[GradedInterval | None, GradedInterval | None, float]] = []
@@ -271,7 +280,8 @@ def _rows(
     rows: Rows = []
     for slot, s, u, v in left_pts:
         bound = INF if s else ub
-        first, stop = bisect_left(keys, (slot, s)), bisect_right(keys, (slot, s))
+        key = (slot, s)
+        first, stop = bisect_left(keys, key), bisect_right(keys, key)
         start = bisect_left(us, u, first, stop)
         row = []
         for steps in (range(start, stop), range(start - 1, first - 1, -1)):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .barcode import CLRSplit
 from .intervals import GradedInterval, Interval, ParseError, fmt_number, parse_number, point
@@ -64,7 +65,7 @@ def from_persistence(diagram: PersistenceDiagram, side: str) -> tuple[GradedInte
             pair = f"({fmt_number(birth)}, {fmt_number(death)})"
             raise ValueError(f"pair {pair} reads as {g}, not an {side} bar")
         bars.append(g)
-    return tuple(sorted(bars, key=lambda g: g.key))
+    return tuple(sorted(bars, key=attrgetter("key")))
 
 
 # ---------------------------------------------------------------------

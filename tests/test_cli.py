@@ -131,6 +131,7 @@ def test_convolve_golden(tmp_path):
         ("0 [-4e307,4e307]\n", "1e307", "[-4e+307,4e+307]@0"),  # printed [-5e+307,5e+307]
         ("0 [0,1)\n", "1e16", "[0,1)@0"),  # 1 - 1e16 rounds onto -1e16
         ("0 (0,1]\n", "-1e308", "(0,1]@0"),
+        ("0 (0,1)\n", "0.4999999999", "(0,1)@0"),  # width 2e-10 <= tol: validate rejects it
     ],
 )
 def test_convolve_out_of_range_is_parse_error(tmp_path, text, eps, bar):
@@ -138,6 +139,30 @@ def test_convolve_out_of_range_is_parse_error(tmp_path, text, eps, bar):
     assert out.returncode == 2 and out.stdout == ""
     assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
     assert bar in out.stderr and "--eps" in out.stderr
+
+
+def test_convolve_reads_back_under_the_given_tol(tmp_path):
+    # the width 2e-10 is over --tol 0 (under the default tol: see above)
+    a = gbc(tmp_path, "a.gbc", "0 (0,1)\n")
+    out = run_cli("convolve", a, "--eps", "0.4999999999", "--tol", "0")
+    assert out.returncode == 0 and out.stdout == "0 (0.4999999999,0.5000000001)\n"
+    b = gbc(tmp_path, "b.gbc", out.stdout)
+    assert run_cli("validate", b, "--tol", "0").stdout == "OK 1 bars\n"
+    assert run_cli("validate", b).returncode == 2
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-1E-3", "-.1e-2", "-0.001", "-1e-0_3"])
+def test_negative_values_in_any_float_syntax(tmp_path, value):
+    a = gbc(tmp_path, "a.gbc", "0 (0,1)\n0 [0,1)\n")
+    attached = run_cli("convolve", a, f"--eps={value}")
+    assert attached.returncode == 0 and attached.stdout == "0 (-0.001,1.001)\n0 [0.001,1.001)\n"
+    out = run_cli("convolve", a, "--eps", value)
+    assert (out.returncode, out.stdout, out.stderr) == (0, attached.stdout, "")
+    # the same t as --t=value: outside [0, d], a domain error, not a usage dump
+    out = run_cli("interpolate", a, a, "--t", value)
+    assert out.returncode == 1 and out.stderr.startswith("error: t=-0.001 outside")
+    out = run_cli("validate", a, "--tol", value)
+    assert out.returncode == 2 and out.stderr == "error: --tol must be >= 0, got -0.001\n"
 
 
 def test_interpolate(tmp_path):
@@ -222,6 +247,10 @@ def test_tol_flag_and_env(tmp_path):
         (("validate", "{f}"), {"SHEAFDIST_TOL": "abc"}),
         (("validate", "{f}"), {"SHEAFDIST_TOL": "-1"}),
         (("validate", "{f}"), {"SHEAFDIST_TOL": "nan"}),
+        # once argparse's "expected one argument" and a usage dump
+        (("convolve", "{f}", "--eps", "-inf"), None),
+        (("interpolate", "{f}", "{f}", "--t", "-inf"), None),
+        (("validate", "{f}", "--tol", "-inf"), None),
     ],
 )
 def test_bad_numbers_are_usage_errors(args, env):
