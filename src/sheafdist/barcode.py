@@ -9,32 +9,51 @@ and compactly supported), which are invariants of finite distance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from operator import attrgetter
 
-from .homs import _src_shape, _tgt_shape
 from .intervals import (
+    _DEGREE,
     DEFAULT_TOL,
     GradedInterval,
     Interval,
     ParseError,
+    _Frozen,
+    _src_shape,
+    _tgt_shape,
     interval_parts,
     point,
 )
 
+_BY_KEY = attrgetter("key")
 
-@dataclass(frozen=True)
-class Barcode:
+
+class Barcode(_Frozen):
     """Finite multiset of graded intervals, stored canonically sorted.
 
     Multiplicity is preserved (the same bar may occur several times);
     equality and hashing are multiset equality.
     """
 
-    bars: tuple[GradedInterval, ...] = ()
+    __slots__ = ("bars",)
+    __match_args__ = ("bars",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bars", tuple(sorted(self.bars, key=attrgetter("key"))))
+    def __init__(self, bars: tuple[GradedInterval, ...] = ()) -> None:
+        object.__setattr__(self, "bars", tuple(sorted(bars, key=_BY_KEY)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.bars == other.bars
+
+    def __hash__(self) -> int:
+        return hash((self.bars,))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(bars={self.bars!r})"
+
+    def __reduce__(self):
+        return self.__class__, (self.bars,)
 
     def __len__(self) -> int:
         return len(self.bars)
@@ -75,12 +94,10 @@ def parse_barcode(text: str, tol: float = DEFAULT_TOL) -> Barcode:
         if len(fields) != 2:
             raise ParseError(f"line {ln}: expected '<degree> <interval>', got {line!r}")
         deg_tok, iv_tok = fields
+        if _DEGREE(deg_tok) is None:
+            raise ParseError(f"line {ln}: bad degree {deg_tok!r}")
         try:
-            degree = int(deg_tok)
-        except ValueError:
-            raise ParseError(f"line {ln}: bad degree {deg_tok!r}") from None
-        try:
-            bars.append(parse_bar(degree, iv_tok, tol))
+            bars.append(parse_bar(int(deg_tok), iv_tok, tol))
         except ValueError as exc:
             raise ParseError(f"line {ln}: {exc}") from None
     return Barcode(tuple(bars))
@@ -106,15 +123,23 @@ def format_barcode(b: Barcode) -> str:
 # ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=True)
-class CLRSplit:
+class CLRSplit(namedtuple("CLRSplit", "central right left")):
     """Barcode regrouped for matching: ``central[m]``, ``right[j]`` and
     ``left[j]`` hold the bars that ``point`` puts in slot
-    ``("central", m)``, ``("R", j)`` and ``("L", j)``."""
+    ``("central", m)``, ``("R", j)`` and ``("L", j)``.  Each field
+    defaults to a new empty dict."""
 
-    central: dict[int, tuple[GradedInterval, ...]] = field(default_factory=dict)
-    right: dict[int, tuple[GradedInterval, ...]] = field(default_factory=dict)
-    left: dict[int, tuple[GradedInterval, ...]] = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        central: dict[int, tuple[GradedInterval, ...]] | None = None,
+        right: dict[int, tuple[GradedInterval, ...]] | None = None,
+        left: dict[int, tuple[GradedInterval, ...]] | None = None,
+    ) -> "CLRSplit":
+        return tuple.__new__(cls, ({} if central is None else central,
+                                   {} if right is None else right,
+                                   {} if left is None else left))
 
 
 def split_clr(b: Barcode) -> CLRSplit:

@@ -6,7 +6,12 @@ non-finite ``--eps``, ``--t`` or ``--tol``, and a ``--tol`` or
 ``SHEAFDIST_TOL`` that is not a number >= 0, are usage errors; an input
 file that is not UTF-8 is a parse error.  The value of ``--eps``, ``--t``
 or ``--tol`` may be a separate argument in any float syntax, negative
-ones included (``--eps -1e-3``).
+ones included (``--eps -1e-3``).  Options are spelled out in full: an
+abbreviation such as ``--ep`` is an unrecognized argument.
+
+Start-up: at module level this imports only ``barcode``, ``intervals``
+and ``matching``, all that ``validate``, ``dist`` and ``match`` run.
+Every other command imports its own module in its branch of ``_run``.
 """
 
 from __future__ import annotations
@@ -17,12 +22,8 @@ import os
 import sys
 
 from .barcode import Barcode, format_barcode, global_sections, parse_bar, parse_barcode
-from .convolve import convolve_interval
-from .homs import hom_dim
 from .intervals import DEFAULT_TOL, INF, ParseError, fmt_number, parse_graded_interval
-from .interpolate import interpolate, same_component
 from .matching import distance_with_matching
-from .persistence import from_persistence, parse_diagrams
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -36,42 +37,46 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sheafdist",
         description="graded barcodes on the line: distances, matchings, smoothing",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common], help="check a .gbc file")
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, parents=[common], allow_abbrev=False, help=help)
+
+    p = command("validate", "check a .gbc file")
     p.add_argument("barcode")
 
-    p = sub.add_parser("dist", parents=[common], help="bottleneck distance of two .gbc files")
+    p = command("dist", "bottleneck distance of two .gbc files")
     p.add_argument("left")
     p.add_argument("right")
 
-    p = sub.add_parser("match", parents=[common], help="distance plus an optimal matching")
+    p = command("match", "distance plus an optimal matching")
     p.add_argument("left")
     p.add_argument("right")
 
-    p = sub.add_parser("convolve", parents=[common], help="smooth a barcode, print .gbc")
+    p = command("convolve", "smooth a barcode, print .gbc")
     p.add_argument("barcode")
     p.add_argument("--eps", type=float, required=True)
 
-    p = sub.add_parser("interpolate", parents=[common], help="barcode at time t between two files")
+    p = command("interpolate", "barcode at time t between two files")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--t", type=float, required=True)
 
-    p = sub.add_parser("hom", parents=[common], help="morphism dimension between graded bars")
+    p = command("hom", "morphism dimension between graded bars")
     p.add_argument("source", help='graded interval literal, e.g. "[0,1]@0"')
     p.add_argument("target")
 
-    p = sub.add_parser("gamma", parents=[common], help="graded global section dimensions")
+    p = command("gamma", "graded global section dimensions")
     p.add_argument("barcode")
     p.add_argument("--compact", action="store_true", help="compactly supported sections")
 
-    p = sub.add_parser("component", parents=[common], help="same connected component?")
+    p = command("component", "same connected component?")
     p.add_argument("left")
     p.add_argument("right")
 
-    p = sub.add_parser("import-diagram", parents=[common], help="convert a .pdg file to .gbc")
+    p = command("import-diagram", "convert a .pdg file to .gbc")
     p.add_argument("diagram")
     p.add_argument("--side", choices=("R", "L"), required=True)
 
@@ -142,6 +147,8 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "convolve":
+        from .convolve import convolve_interval
+
         eps = _finite("--eps", args.eps)
         bars = []
         for g in _load(args.barcode, tol):
@@ -156,6 +163,8 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "interpolate":
+        from .interpolate import interpolate
+
         t = _finite("--t", args.t)
         F, G = _load(args.left, tol), _load(args.right, tol)
         value, matching = distance_with_matching(F, G)
@@ -163,6 +172,8 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "hom":
+        from .homs import hom_dim
+
         src = parse_graded_interval(args.source)
         tgt = parse_graded_interval(args.target)
         print(hom_dim(src, tgt))
@@ -175,10 +186,14 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "component":
+        from .interpolate import same_component
+
         print("true" if same_component(_load(args.left, tol), _load(args.right, tol)) else "false")
         return 0
 
     if args.command == "import-diagram":
+        from .persistence import from_persistence, parse_diagrams
+
         diagrams = parse_diagrams(_read(args.diagram))
         try:
             bars = [g for d in diagrams for g in from_persistence(d, args.side)]
@@ -197,7 +212,8 @@ def _attach_numbers(argv: list[str]) -> list[str]:
     """``--eps -1e-3`` as ``--eps=-1e-3``, likewise for ``--t`` and
     ``--tol``.  argparse reads a separate value that starts with ``-`` as
     an option unless it is a plain decimal, so ``-1e-3`` or ``-inf``
-    would end in "expected one argument"."""
+    would end in "expected one argument".  No parser takes an
+    abbreviation, so the full names are the only ones to look for."""
     out: list[str] = []
     for tok in argv:
         if out and out[-1] in _NUMBER_OPTIONS and tok.startswith("-") and _is_float(tok):

@@ -17,7 +17,7 @@ independently, from the window geometry alone.
 
 from __future__ import annotations
 
-from .intervals import GradedInterval, Interval
+from .intervals import _LIMIT, INF, GradedInterval, Interval
 from .barcode import Barcode
 
 
@@ -26,27 +26,38 @@ def convolve_interval(gi: GradedInterval, eps: float) -> GradedInterval:
 
     Never empty for valid input; the degree moves by +1 exactly when an
     open bar collapses (eps >= half-width) and by -1 when a closed bar
-    is over-shrunk (eps <= -half-width).
+    is over-shrunk (eps <= -half-width).  A result endpoint of magnitude
+    2**1022 or more, which the parser would refuse, is a ValueError;
+    infinite endpoints stay infinite.
     """
     iv, j = gi.interval, gi.degree
-    lc, hc = iv.lo_closed, iv.hi_closed
+    lo, hi, lc, hc = iv
     if not lc and not hc:
         r = iv.width / 2.0
         if eps < r:
-            return GradedInterval(Interval.open(iv.lo + eps, iv.hi - eps), j)
-        rad = eps - r
-        c = iv.center
-        return GradedInterval(Interval.closed(c - rad, c + rad), j + 1)
-    if lc and hc:
+            lo, hi = lo + eps, hi - eps
+        else:
+            rad = eps - r
+            c = iv.center
+            lo, hi, lc, hc, j = c - rad, c + rad, True, True, j + 1
+    elif lc and hc:
         r = iv.width / 2.0
         if eps >= -r:
-            return GradedInterval(Interval.closed(iv.lo - eps, iv.hi + eps), j)
-        rad = -eps - r
-        c = iv.center
-        return GradedInterval(Interval.open(c - rad, c + rad), j - 1)
-    if lc:
-        return GradedInterval(Interval.right_open(iv.lo - eps, iv.hi - eps), j)
-    return GradedInterval(Interval.left_open(iv.lo + eps, iv.hi + eps), j)
+            lo, hi = lo - eps, hi + eps
+        else:
+            rad = -eps - r
+            c = iv.center
+            lo, hi, lc, hc, j = c - rad, c + rad, False, False, j - 1
+    elif lc:
+        lo, hi = lo - eps, hi - eps
+    else:
+        lo, hi = lo + eps, hi + eps
+    # an infinite end stays where it was; only a finite one can run out of range
+    if not -_LIMIT < lo <= hi < _LIMIT and (
+        (abs(lo) >= _LIMIT and iv.lo != -INF) or (abs(hi) >= _LIMIT and iv.hi != INF)
+    ):
+        raise ValueError(f"convolving {gi} by eps={eps!r} moves an endpoint to 2**1022 or beyond")
+    return GradedInterval(Interval(lo, hi, lc, hc), j)
 
 
 def convolve_barcode(b: Barcode, eps: float) -> Barcode:

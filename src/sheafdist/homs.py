@@ -28,39 +28,10 @@ configurations the resulting dimensions differ from the naive
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Callable
 
-from .intervals import INF, GradedInterval, Interval
-
-
-# ---------------------------------------------------------------------
-# shape readings
-# ---------------------------------------------------------------------
-
-def _src_shape(iv: Interval) -> str:
-    # infinite bounds are stored open, which is exactly the source reading
-    if iv.lo_closed and iv.hi_closed:
-        return "closed"
-    if iv.lo_closed:
-        return "ro"  # [a,b)
-    if iv.hi_closed:
-        return "lo"  # (a,b]
-    return "open"
-
-
-def _tgt_shape(iv: Interval) -> str:
-    # an infinite bound reads as closed on the target side
-    lc = iv.lo_closed or iv.lo == -INF
-    hc = iv.hi_closed or iv.hi == INF
-    if lc and hc:
-        return "closed"
-    if lc:
-        return "ro"
-    if hc:
-        return "lo"
-    return "open"
+from .intervals import INF, GradedInterval, Interval, _src_shape, _tgt_shape
 
 
 def _hom0(src: Interval, tgt: Interval) -> int:
@@ -278,18 +249,21 @@ def ext_oracle(source: GradedInterval, target: GradedInterval) -> int:
 # documented boundary cases
 # ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RuleDeviation:
+class RuleDeviation(
+    namedtuple(
+        "RuleDeviation", "source_shape target_shape pattern naive actual witness condition"
+    )
+):
     """A configuration class where the implemented hom dimension differs
-    from the naive endpoint rule one would first write down."""
+    from the naive endpoint rule one would first write down.
 
-    source_shape: str
-    target_shape: str
-    pattern: str
-    naive: int
-    actual: int
-    witness: str
-    condition: Callable[[float, float, float, float], bool]
+    Fields: ``source_shape`` and ``target_shape`` (as read by
+    ``_src_shape`` / ``_tgt_shape``), ``pattern``, the ``naive`` and
+    ``actual`` dimensions, a ``witness`` extension, and ``condition``,
+    a predicate on ``(a, b, c, d)``, the source's and target's ends.
+    """
+
+    __slots__ = ()
 
     def applies(self, src: Interval, tgt: Interval) -> bool:
         return (

@@ -11,13 +11,19 @@ slot, shape class and plane point, from its flags, infinities and degree.
 Every value here is immutable; all operations are pure functions.  A
 bar keeps its sort key and, once read, its ``point``; both follow from
 its fields.
+
+The records are written out by hand rather than with ``dataclasses``,
+whose import alone (it pulls in ``inspect``) costs a command-line call
+about as much as its computation: ``Interval`` is a named tuple whose
+constructor runs the checks, ``GradedInterval`` a ``__slots__`` class.
+Assigning or deleting a field of either raises ``AttributeError``.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 
 INF = math.inf
@@ -53,35 +59,40 @@ class Kind(Enum):
     L = "L"
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(namedtuple("Interval", "lo hi lo_closed hi_closed")):
     """A nonempty interval of the real line.
 
     ``lo_closed`` / ``hi_closed`` record whether each endpoint belongs
     to the interval.  Valid states: ``lo < hi``, or ``lo == hi`` finite
     with both flags closed (a single point).
+
+    A named tuple: it unpacks as ``lo, hi, lo_closed, hi_closed`` and
+    compares equal to (and orders like) the plain tuple of its fields;
+    sort bars by ``key``.  ``_make`` and ``_replace`` build through the
+    checks too.
     """
 
-    lo: float
-    hi: float
-    lo_closed: bool
-    hi_closed: bool
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if -INF < self.lo < self.hi < INF:  # bounded and nonempty: every check holds
-            return
-        if math.isnan(self.lo) or math.isnan(self.hi):
-            raise ValueError("NaN endpoint")
-        if self.lo == INF or self.hi == -INF:
-            raise ValueError("empty interval: endpoint at the wrong infinity")
-        if self.lo == -INF and self.lo_closed:
-            raise ValueError("closed flag on infinite endpoint")
-        if self.hi == INF and self.hi_closed:
-            raise ValueError("closed flag on infinite endpoint")
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval: lo={self.lo} > hi={self.hi}")
-        if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
-            raise ValueError("empty interval: equal endpoints need both flags closed")
+    def __new__(cls, lo: float, hi: float, lo_closed: bool, hi_closed: bool) -> "Interval":
+        if not -INF < lo < hi < INF:  # bounded and nonempty: every check holds
+            if math.isnan(lo) or math.isnan(hi):
+                raise ValueError("NaN endpoint")
+            if lo == INF or hi == -INF:
+                raise ValueError("empty interval: endpoint at the wrong infinity")
+            if lo == -INF and lo_closed:
+                raise ValueError("closed flag on infinite endpoint")
+            if hi == INF and hi_closed:
+                raise ValueError("closed flag on infinite endpoint")
+            if lo > hi:
+                raise ValueError(f"empty interval: lo={lo} > hi={hi}")
+            if lo == hi and not (lo_closed and hi_closed):
+                raise ValueError("empty interval: equal endpoints need both flags closed")
+        return tuple.__new__(cls, (lo, hi, lo_closed, hi_closed))
+
+    @classmethod
+    def _make(cls, iterable) -> "Interval":
+        return cls(*iterable)
 
     # -- constructors ------------------------------------------------
 
@@ -170,8 +181,21 @@ class Interval:
         return f"{lb}{fmt_number(self.lo)},{fmt_number(self.hi)}{rb}"
 
 
-@dataclass(frozen=True)
-class GradedInterval:
+class _Frozen:
+    """Base of the ``__slots__`` records: ``__init__`` sets each field
+    once through its slot, and neither assigning nor deleting one is
+    allowed afterwards."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GradedInterval(_Frozen):
     """An interval placed in a cohomological degree.
 
     The pair (interval, degree) is the atom every barcode is made of.
@@ -183,18 +207,38 @@ class GradedInterval:
     at construction, and the bar's ``point``, set on its first call.
     """
 
-    interval: Interval
-    degree: int
-    key: tuple = field(init=False, repr=False, compare=False)
-    _point = None  # not a field: ``point`` sets it on the instance
+    __slots__ = ("interval", "degree", "key", "_point")
+    __match_args__ = ("interval", "degree")
 
-    def __post_init__(self) -> None:
-        iv = self.interval  # (degree, *iv.key), without the property call
-        key = (self.degree, iv.lo, not iv.lo_closed, iv.hi, not iv.hi_closed)
-        object.__setattr__(self, "key", key)
+    def __init__(self, interval: Interval, degree: int) -> None:
+        _set_interval(self, interval)
+        _set_degree(self, degree)
+        lo, hi, lc, hc = interval  # (degree, *interval.key), without the property call
+        _set_key(self, (degree, lo, not lc, hi, not hc))
+        _set_point(self, None)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.interval == other.interval and self.degree == other.degree
+
+    def __hash__(self) -> int:
+        return hash((self.interval, self.degree))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(interval={self.interval!r}, degree={self.degree!r})"
+
+    def __reduce__(self):
+        return self.__class__, (self.interval, self.degree)
 
     def __str__(self) -> str:
         return f"{self.interval}@{self.degree}"
+
+
+# the slots' own setters, which ``_Frozen.__setattr__`` leaves as the only way in
+_set_interval, _set_degree, _set_key, _set_point = (
+    GradedInterval.__dict__[name].__set__ for name in GradedInterval.__slots__
+)
 
 
 def point(g: GradedInterval) -> tuple[tuple[str, int], int, float, float]:
@@ -221,8 +265,35 @@ def point(g: GradedInterval) -> tuple[tuple[str, int], int, float, float]:
         else:
             side = "R" if lc or (lo == -INF and not hc) else "L"
             p = (side, g.degree), cls, (lo if lo > -INF else 0.0), (hi if hi < INF else 0.0)
-        object.__setattr__(g, "_point", p)
+        _set_point(g, p)
     return p
+
+
+def _src_shape(iv: Interval) -> str:
+    """Boundary shape of a morphism source: "closed", "ro" (``[a,b)``),
+    "lo" (``(a,b]``) or "open".  Infinite bounds are stored open, which
+    is exactly the source reading."""
+    if iv.lo_closed and iv.hi_closed:
+        return "closed"
+    if iv.lo_closed:
+        return "ro"
+    if iv.hi_closed:
+        return "lo"
+    return "open"
+
+
+def _tgt_shape(iv: Interval) -> str:
+    """Boundary shape of a morphism target: an infinite bound reads as
+    closed."""
+    lc = iv.lo_closed or iv.lo == -INF
+    hc = iv.hi_closed or iv.hi == INF
+    if lc and hc:
+        return "closed"
+    if lc:
+        return "ro"
+    if hc:
+        return "lo"
+    return "open"
 
 
 def classify(iv: Interval) -> Kind:
@@ -237,9 +308,12 @@ def classify(iv: Interval) -> Kind:
 # literals
 # ---------------------------------------------------------------------
 
+# ASCII only: ``float`` and ``int`` also read other scripts' digits, and
+# ``int`` reads ``+1`` and ``1_0``
 _FINITE = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-_NUMBER = re.compile(_FINITE + "$")
-_LITERAL = re.compile(rf"([\[\(])({_FINITE}|[+-]?inf),({_FINITE}|[+-]?inf)([\]\)])$")
+_NUMBER = re.compile(_FINITE + "$", re.ASCII)
+_LITERAL = re.compile(rf"([\[\(])({_FINITE}|[+-]?inf),({_FINITE}|[+-]?inf)([\]\)])$", re.ASCII)
+_DEGREE = re.compile(r"-?[0-9]+").fullmatch  # the one degree grammar of every reader
 _SHAPE = re.compile(r"([\[\(])([^,\s]+),([^,\s]+)([\]\)])$")
 _LIMIT = 2.0**1022  # 1e400 reads as inf; below 2**1022 no width overflows
 
@@ -299,6 +373,6 @@ def parse_interval(text: str) -> Interval:
 def parse_graded_interval(text: str) -> GradedInterval:
     """Parse a graded literal like ``[0,1)@2``; degree defaults to 0."""
     body, at, deg = text.partition("@")
-    if at and not re.match(r"-?\d+$", deg):
+    if at and _DEGREE(deg) is None:
         raise ParseError(f"bad degree in {text!r}")
     return GradedInterval(parse_interval(body), int(deg) if at else 0)

@@ -47,16 +47,15 @@ enumeration of partial matchings, purely as an oracle for the fast path.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .barcode import Barcode, split_clr
 from .costs import deletion_cost, pair_cost
 from .intervals import INF, GradedInterval, point
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(namedtuple("Matching", "central_pairs halfopen_pairs deletions achieved")):
     """Witness of an achieved bottleneck value.
 
     ``central_pairs``: (index m, left bar, right bar, cost)
@@ -65,10 +64,7 @@ class Matching:
     ``achieved``: max over all listed costs (inf when no matching exists).
     """
 
-    central_pairs: tuple[tuple[int, GradedInterval, GradedInterval, float], ...]
-    halfopen_pairs: tuple[tuple[str, int, GradedInterval, GradedInterval, float], ...]
-    deletions: tuple[tuple[str, int, str, GradedInterval, float], ...]
-    achieved: float
+    __slots__ = ()
 
     @staticmethod
     def infeasible() -> "Matching":

@@ -14,25 +14,39 @@ distance zero translate to the same diagram.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import attrgetter
 
 from .barcode import CLRSplit
-from .intervals import GradedInterval, Interval, ParseError, fmt_number, parse_number, point
+from .intervals import (
+    _DEGREE,
+    GradedInterval,
+    Interval,
+    ParseError,
+    fmt_number,
+    parse_number,
+    point,
+)
 
 
-@dataclass(frozen=True)
-class PersistenceDiagram:
-    """Multiset of (birth, death) pairs in one homological degree."""
+class PersistenceDiagram(namedtuple("PersistenceDiagram", "degree pairs")):
+    """Multiset of (birth, death) pairs in one homological degree, kept
+    sorted.  ``_make`` and ``_replace`` build through the checks too."""
 
-    degree: int
-    pairs: tuple[tuple[float, float], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", tuple(sorted(self.pairs)))
-        for birth, death in self.pairs:
+    def __new__(
+        cls, degree: int, pairs: tuple[tuple[float, float], ...] = ()
+    ) -> "PersistenceDiagram":
+        pairs = tuple(sorted(pairs))
+        for birth, death in pairs:
             if math.isnan(birth) or math.isnan(death) or not birth < death:
                 raise ValueError(f"bad diagram pair ({birth}, {death})")
+        return tuple.__new__(cls, (degree, pairs))
+
+    @classmethod
+    def _make(cls, iterable) -> "PersistenceDiagram":
+        return cls(*iterable)
 
 
 def to_persistence(split: CLRSplit, side: str, degree: int) -> PersistenceDiagram:
@@ -83,6 +97,8 @@ def parse_diagrams(text: str) -> tuple[PersistenceDiagram, ...]:
         fields = line.split()
         if len(fields) != 3:
             raise ParseError(f"line {ln}: expected '<degree> <birth> <death>'")
+        if _DEGREE(fields[0]) is None:
+            raise ParseError(f"line {ln}: bad degree {fields[0]!r}")
         try:
             degree = int(fields[0])
             birth = parse_number(fields[1])

@@ -9,6 +9,8 @@ from sheafdist import (
     format_barcode,
     global_sections,
     parse_barcode,
+    parse_diagrams,
+    parse_graded_interval,
     split_clr,
 )
 from sheafdist.intervals import INF
@@ -53,6 +55,27 @@ def test_parse_errors_carry_line_numbers(text, fragment):
     with pytest.raises(ParseError) as err:
         parse_barcode(text)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("tok", ["1_0", "+1", "\u0661", "1\u0660", "1.0", "0x1", "--1"])
+def test_degrees_are_ascii_integers_in_every_reader(tok):
+    # int() reads the first four, as 10, 1, 1 and 10
+    with pytest.raises(ParseError) as exc:
+        parse_barcode(f"0 [0,1)\n{tok} [0,1)\n")
+    assert str(exc.value) == f"line 2: bad degree {tok!r}"
+    with pytest.raises(ParseError) as exc:
+        parse_graded_interval(f"[0,1)@{tok}")
+    assert str(exc.value) == f"bad degree in {'[0,1)@' + tok!r}"
+    with pytest.raises(ParseError) as exc:
+        parse_diagrams(f"0 0 1\n{tok} 0 1\n")
+    assert str(exc.value) == f"line 2: bad degree {tok!r}"
+
+
+def test_degree_grammar():
+    for tok, degree in [("0", 0), ("-0", 0), ("007", 7), ("-12", -12)]:
+        assert parse_barcode(f"{tok} [0,1)").bars[0].degree == degree
+        assert parse_graded_interval(f"[0,1)@{tok}").degree == degree
+        assert parse_diagrams(f"{tok} 0 1")[0].degree == degree
 
 
 def test_parse_tolerance_rejects_sub_tol_open_bars():

@@ -109,6 +109,43 @@ def test_out_of_range_numbers_are_parse_errors(tmp_path, args, text):
     assert "out of range" in out.stderr and out.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "args, text",
+    [
+        (("validate", "{f}"), "1_0 [0,1)\n"),  # once read as degree 10
+        (("validate", "{f}"), "+1 [0,1)\n"),
+        (("validate", "{f}"), "\u0661 [0,1)\n"),  # an Arabic-Indic digit one
+        (("validate", "{f}"), "0 [\u0661,2)\n"),  # once read as [1,2)
+        (("import-diagram", "{f}", "--side", "R"), "1_0 0 1\n"),
+        (("hom", "[0,1)@\u0661", "[0,1)@0"), ""),
+        (("hom", "[0,1)@+1", "[0,1)@0"), ""),
+        (("hom", "[\u0661,2)@0", "[0,1)@0"), ""),
+    ],
+)
+def test_numbers_and_degrees_are_ascii(tmp_path, args, text):
+    f = gbc(tmp_path, "f.txt", text)
+    out = run_cli(*(a.format(f=f) for a in args))
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+    assert ("line " in out.stderr) != (args[0] == "hom")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("convolve", "{f}", "--ep", "0.5"),  # once read as --eps 0.5
+        ("convolve", "{f}", "--ep", "-1e-3"),
+        ("convolve", "{f}", "--eps", "0.5", "--to", "0"),
+        ("gamma", "{f}", "--comp"),
+    ],
+)
+def test_options_are_never_abbreviated(tmp_path, args):
+    f = gbc(tmp_path, "a.gbc", "0 [0,1)\n")
+    out = run_cli(*(a.format(f=f) for a in args))
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("usage: ")
+
+
 def test_unknown_verb_usage_error():
     out = run_cli("frobnicate")
     assert out.returncode == 2
@@ -132,6 +169,7 @@ def test_convolve_golden(tmp_path):
         ("0 [0,1)\n", "1e16", "[0,1)@0"),  # 1 - 1e16 rounds onto -1e16
         ("0 (0,1]\n", "-1e308", "(0,1]@0"),
         ("0 (0,1)\n", "0.4999999999", "(0,1)@0"),  # width 2e-10 <= tol: validate rejects it
+        ("0 (-4e307,4e307)\n", "-1.7e308", "(-4e+307,4e+307)@0"),  # once printed as the line
     ],
 )
 def test_convolve_out_of_range_is_parse_error(tmp_path, text, eps, bar):

@@ -9,6 +9,7 @@ from sheafdist import (
     convolve_interval,
     global_sections,
     parse_barcode,
+    parse_graded_interval,
     stalk_type,
 )
 from sheafdist.intervals import INF
@@ -51,6 +52,36 @@ def test_rays():
     assert convolve_interval(G(Interval.open(0, INF)), 1) == G(Interval.open(1, INF))
     assert convolve_interval(G(Interval.open(-INF, 0)), 1) == G(Interval.open(-INF, -1))
     assert convolve_interval(G(Interval.left_open(-INF, 0)), 1) == G(Interval.left_open(-INF, 1))
+
+
+@pytest.mark.parametrize(
+    "literal, eps",
+    [
+        ("(-4e307,4e307)@0", -1.7e308),  # once the line (-inf,inf)@0
+        ("[0,1)@0", -1.7e308),  # once "empty interval: equal endpoints ..."
+        ("[0,1]@0", 4.5e307),  # ends just past 2**1022, still finite
+        ("(0,inf)@1", -4.5e307),
+        ("(-inf,0]@1", 4.5e307),
+        ("(0,1)@0", INF),  # collapses onto a closed bar of radius inf
+    ],
+)
+def test_out_of_range_results_are_errors(literal, eps):
+    g = parse_graded_interval(literal)
+    with pytest.raises(ValueError) as exc:
+        convolve_interval(g, eps)
+    assert str(exc.value) == (
+        f"convolving {g} by eps={eps!r} moves an endpoint to 2**1022 or beyond"
+    )
+
+
+def test_infinite_ends_stay_in_range():
+    big = 4.4e307  # just under 2**1022
+    for literal, eps in [("(0,inf)@1", -big), ("(-inf,0]@1", big), ("(-inf,inf)@0", 1e308),
+                         ("[0,inf)@0", -big), ("(-inf,0)@0", big)]:
+        g = parse_graded_interval(literal)
+        h = convolve_interval(g, eps)
+        assert (h.interval.lo == -INF) == (g.interval.lo == -INF)
+        assert (h.interval.hi == INF) == (g.interval.hi == INF)
 
 
 def test_barcode_eps_zero_is_identity(rng):

@@ -181,6 +181,8 @@ INVALID_TOKENS = [
     ("0x10", "bad number '0x10'"),
     ("1e", "bad number '1e'"),
     ("--1", "bad number '--1'"),
+    ("\u0661", "bad number '\u0661'"),  # an Arabic-Indic digit one: float() reads it
+    ("1e\u0661", "bad number '1e\u0661'"),
     ("1e400", f"number '1e400' {RANGE}"),
     (str(2**1022), f"number '{2**1022}' {RANGE}"),
 ]
