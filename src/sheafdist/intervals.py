@@ -309,12 +309,13 @@ def classify(iv: Interval) -> Kind:
 # ---------------------------------------------------------------------
 
 # ASCII only: ``float`` and ``int`` also read other scripts' digits, and
-# ``int`` reads ``+1`` and ``1_0``
+# ``int`` reads ``+1`` and ``1_0``; ``fullmatch``, as ``$`` also matches
+# before a final newline
 _FINITE = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-_NUMBER = re.compile(_FINITE + "$", re.ASCII)
-_LITERAL = re.compile(rf"([\[\(])({_FINITE}|[+-]?inf),({_FINITE}|[+-]?inf)([\]\)])$", re.ASCII)
+_NUMBER = re.compile(_FINITE, re.ASCII).fullmatch
+_LITERAL = re.compile(rf"([\[\(])({_FINITE}|[+-]?inf),({_FINITE}|[+-]?inf)([\]\)])", re.ASCII).fullmatch
 _DEGREE = re.compile(r"-?[0-9]+").fullmatch  # the one degree grammar of every reader
-_SHAPE = re.compile(r"([\[\(])([^,\s]+),([^,\s]+)([\]\)])$")
+_SHAPE = re.compile(r"([\[\(])([^,\s]+),([^,\s]+)([\]\)])").fullmatch
 _LIMIT = 2.0**1022  # 1e400 reads as inf; below 2**1022 no width overflows
 
 
@@ -323,7 +324,7 @@ def parse_number(tok: str) -> float:
         return INF
     if tok == "-inf":
         return -INF
-    if not _NUMBER.match(tok):
+    if not _NUMBER(tok):
         raise ParseError(f"bad number {tok!r}")
     x = float(tok)
     if abs(x) >= _LIMIT:
@@ -348,13 +349,13 @@ def interval_parts(text: str) -> tuple[float, float, bool, bool]:
     range check (an end reads as infinite only from ``inf``); any other
     text goes through ``parse_number`` on each end, which names the
     error."""
-    m = _LITERAL.match(text)
+    m = _LITERAL(text)
     if m is not None:
         lb, a, b, rb = m.groups()
         lo, hi = float(a), float(b)
         if (abs(lo) < _LIMIT or a[-1] == "f") and (abs(hi) < _LIMIT or b[-1] == "f"):
             return lo, hi, lb == "[", rb == "]"
-    m = _SHAPE.match(text)
+    m = _SHAPE(text)
     if m is None:
         raise ParseError(f"bad interval literal {text!r}")
     lo = parse_number(m.group(2))

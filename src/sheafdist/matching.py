@@ -24,21 +24,25 @@ the search probes that bound alone first; it usually decides the slot,
 and only when it fails is the candidate set above it built, sorted and
 binary-searched.  Each probe starts from the matching of the last infeasible
 probe, whose edges all persist at a larger eps (the reuse of hera,
-Kerber, Morozov & Nigmetov, ACM JEA 2017), and the feasible probe that
-sets the value supplies the witness.  No floating-point threshold is
-ever approximated.
+Kerber, Morozov & Nigmetov, ACM JEA 2017), extended greedily before
+the first phase: each free vertex takes its cheapest free partner.  At
+the lb probe that greedy pass alone often finds the perfect matching.
+The feasible probe that sets the value supplies the witness.  No
+floating-point threshold is ever approximated.
 
 No slot builds its p x q cost matrix.  ``point`` also places each bar
 in the plane: a finite pair cost joins two bars exactly when they share
 a slot and class (central bars; or bounded bars, rays to -inf, rays to
 inf, the line) and is the L-infinity distance of their points, the
-float ``pair_cost`` returns.  Deleting every bounded half-open bar is
-feasible at ub, the dearest deletion, so none of their edges above ub
-is listed, and the other classes list every edge.  Each left bar
-bisects into the right bars sorted by first coordinate and walks
-outward while that coordinate alone is within the bound (the
-sorted-endpoint neighbour query of Efrat, Itai & Katz, Algorithmica
-2001), an exact stop because rounded subtraction is monotone.
+float ``pair_cost`` returns.  A pair of bounded half-open bars dearer
+than both of their deletion costs is not listed (hera's per-pair
+bound): deleting both, their copies matched to each other for free, is
+cheaper.  The other classes list every edge.  The right bars are
+grouped into one block per slot and class, sorted by first coordinate,
+and each left bar bisects into its block and walks outward while that
+coordinate alone is within the bound (the sorted-endpoint neighbour
+query of Efrat, Itai & Katz, Algorithmica 2001), an exact stop because
+rounded subtraction is monotone.
 
 ``bruteforce_distance`` re-solves every slot by one exhaustive
 enumeration of partial matchings, purely as an oracle for the fast path.
@@ -49,6 +53,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from collections import namedtuple
 from collections.abc import Sequence
+from itertools import islice
 
 from .barcode import Barcode, split_clr
 from .costs import deletion_cost, pair_cost
@@ -78,14 +83,28 @@ def _hopcroft_karp(
 
     Left vertex ``u`` is joined to ``nbrs[u][:cnt[u]]``.  The left copies
     ``u >= p`` are also joined to every right copy ``v >= q``; that block
-    is never listed.  In a phase's BFS only the first left copy reached
-    scans the right copies, and in its DFS the left copies of one layer
-    share one pointer into them: a right copy tried from layer k is
+    is never listed.  A greedy pass first gives each free left vertex, in
+    index order, the first free right vertex of its prefix (its cheapest
+    edge), then each free left copy the next free right copy; the phases
+    augment what it leaves.  In a phase's BFS only the first left copy
+    reached scans the right copies, and in its DFS the left copies of one
+    layer share one pointer into them: a right copy tried from layer k is
     useless to every other vertex of layer k.  Both searches run on
     explicit queues and stacks, and vertices and edges are visited in a
     fixed order, so the result is deterministic.
     """
     size = len(mate_l)
+    for u in range(size):
+        if mate_l[u] == -1:
+            for v in islice(nbrs[u], cnt[u]):
+                if mate_r[v] == -1:
+                    mate_l[u] = v
+                    mate_r[v] = u
+                    break
+    free = [v for v in range(q, size) if mate_r[v] == -1]
+    for u, v in zip((u for u in range(p, size) if mate_l[u] == -1), free):
+        mate_l[u] = v
+        mate_r[v] = u
     while True:
         roots = [u for u in range(size) if mate_l[u] == -1]
         if not roots:
@@ -181,8 +200,12 @@ def _slot_solve(
     sorted; the copies' edges are added to ``rows`` in place.  It may
     leave out edges dearer than some eps at which the edges kept already
     admit a perfect matching: below that eps nothing is left out, and
-    from it on the slot is feasible either way.  A finite pair cost
-    never joins a deletable bar to an undeletable one, so the
+    from it on the slot is feasible either way.  It may also leave out
+    an edge ``(i, j)`` dearer than both ``del_l[i]`` and ``del_r[j]``: a
+    perfect matching that uses it stays perfect, and no dearer, with the
+    two copy edges and a free copy-to-copy edge in its place, and the
+    cheapest edge at each bar, which sets lb, is still listed.  A finite
+    pair cost never joins a deletable bar to an undeletable one, so the
     undeletable bars (central bars, rays, the line) must pair off among
     themselves, and a perfect matching can exist only when both sides
     have the same number of vertices.
@@ -250,45 +273,61 @@ def _slot_solve(
 
 
 def _rows(
-    left: Sequence[GradedInterval], right: Sequence[GradedInterval], ub: float
+    left: Sequence[GradedInterval],
+    right: Sequence[GradedInterval],
+    del_l: list[float],
+    del_r: list[float],
 ) -> Rows | None:
     """Sorted edges ``(cost, j)`` of the bars, or ``None`` when a class of
     undeletable bars has unequal sides.
 
     A finite pair cost joins two bars exactly when they share a
     ``point`` slot and class, and it is the L-infinity distance of their
-    points.  Deleting every bar of class 0 is feasible at ``ub``, the
-    dearest deletion, so its edges above ``ub`` cannot matter; the
-    undeletable classes keep every edge.  The right bars are sorted by
-    point once, and each left bar at ``(u, v)`` bisects to ``u`` in its
-    slot and class and walks outward while ``abs(u - us[m])`` alone is
-    within the bound, an exact stop as rounded subtraction is monotone.
+    points.  The right bars are grouped once into blocks by slot and
+    class, each sorted by point, and each left bar at ``(u, v)`` looks
+    up its block, bisects to ``u`` and walks outward while
+    ``abs(u - us[m])`` alone is within its bound, an exact stop as
+    rounded subtraction is monotone.  An edge ``(i, j)`` is listed only
+    when its cost is at most ``max(del_l[i], del_r[j])``, hera's
+    per-pair bound (see ``_slot_solve``), so a left bar walks only up to
+    the larger of its own deletion cost and the dearest one in its
+    block.  Undeletable bars have infinite deletion costs and keep every
+    edge of their class.
     """
-    right_pts = [point(g) for g in right]
-    order = sorted(range(len(right)), key=right_pts.__getitem__)
-    keys = [right_pts[j][:2] for j in order]
-    us = [right_pts[j][2] for j in order]
-    vs = [right_pts[j][3] for j in order]
+    blocks: dict = {}
+    for j, g in enumerate(right):
+        slot, s, u, v = point(g)
+        blocks.setdefault((slot, s), []).append((u, v, j))
     left_pts = [point(g) for g in left]
     # undeletable bars must pair off inside their slot and class
-    if [k for k in keys if k[1]] != sorted(p[:2] for p in left_pts if p[1]):
+    need: dict = {}
+    for slot, s, _, _ in left_pts:
+        if s:
+            need[slot, s] = need.get((slot, s), 0) + 1
+    if need != {k: len(block) for k, block in blocks.items() if k[1]}:
         return None
+    for k, block in blocks.items():
+        block.sort()
+        us, vs, js = zip(*block)
+        ds = [del_r[j] for j in js]
+        blocks[k] = us, vs, js, ds, max(ds)
     rows: Rows = []
-    for slot, s, u, v in left_pts:
-        bound = INF if s else ub
-        key = (slot, s)
-        first, stop = bisect_left(keys, key), bisect_right(keys, key)
-        start = bisect_left(us, u, first, stop)
+    for di, (slot, s, u, v) in zip(del_l, left_pts):
         row = []
-        for steps in (range(start, stop), range(start - 1, first - 1, -1)):
-            for m in steps:
-                g = abs(u - us[m])
-                if g > bound:
-                    break
-                c = max(g, abs(v - vs[m]))
-                if c <= bound:
-                    row.append((c, order[m]))
-        row.sort()
+        block = blocks.get((slot, s))
+        if block is not None:
+            us, vs, js, ds, top = block
+            bound = max(di, top)
+            start = bisect_left(us, u)
+            for steps in (range(start, len(us)), range(start - 1, -1, -1)):
+                for m in steps:
+                    g = abs(u - us[m])
+                    if g > bound:
+                        break
+                    c = max(g, abs(v - vs[m]))
+                    if c <= di or c <= ds[m]:
+                        row.append((c, js[m]))
+            row.sort()
         rows.append(row)
     return rows
 
@@ -310,8 +349,7 @@ def part_bottleneck(
     """
     del_l = [deletion_cost(g) for g in left]
     del_r = [deletion_cost(g) for g in right]
-    ub = max([d for d in del_l + del_r if d < INF], default=0.0)
-    rows = _rows(left, right, ub)
+    rows = _rows(left, right, del_l, del_r)
     if rows is None:
         return INF, ()
     return _slot_solve(left, right, rows, del_l, del_r)

@@ -228,6 +228,13 @@ def test_hom():
     assert bad.returncode == 2
 
 
+@pytest.mark.parametrize("literal", ["[0,1)\n", "[0,1)@0\n", "[0,1)\n@0"])
+def test_trailing_newline_in_a_literal_is_a_parse_error(literal):
+    out = run_cli("hom", literal, "[0,1)")
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+
+
 def test_gamma():
     out = run_cli("gamma", str(FIXTURES / "circle_f.gbc"))
     assert out.returncode == 0

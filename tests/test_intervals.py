@@ -97,6 +97,22 @@ def test_literal_errors():
         parse_graded_interval("[0,1]@x")
 
 
+def test_trailing_newline_is_an_error():
+    # ``$`` also matches before a final newline; every reader matches the
+    # whole token, as the degree rule always did
+    for tok in ("1\n", "1e3\n", "-0.5\n", "inf\n"):
+        with pytest.raises(ParseError) as exc:
+            parse_number(tok)
+        assert str(exc.value) == f"bad number {tok!r}"
+    for literal in ("[0,1)\n", "(0,inf)\n", "[x,1]\n", "[0,1)\n\n"):
+        with pytest.raises(ParseError) as exc:
+            interval_parts(literal)
+        assert str(exc.value) == f"bad interval literal {literal!r}"
+    with pytest.raises(ParseError) as exc:
+        parse_graded_interval("[0,1)@0\n")
+    assert str(exc.value) == "bad degree in '[0,1)@0\\n'"
+
+
 def test_number_formatting():
     assert fmt_number(1.0) == "1"
     assert fmt_number(-0.5) == "-0.5"

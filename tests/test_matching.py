@@ -16,12 +16,14 @@ from sheafdist import (
     convolve_interval,
     deletion_cost,
     distance_with_matching,
+    format_barcode,
     interpolate,
     pair_cost,
     parse_barcode,
     part_bottleneck,
 )
-from sheafdist.intervals import INF, Kind
+from sheafdist.intervals import INF, Kind, point
+from sheafdist.matching import _hopcroft_karp, _rows
 
 CIRCLE_F = "0 [-1,1]\n0 (-1,1)\n"
 CIRCLE_G = "0 [0,0]\n1 [0,0]\n"
@@ -281,14 +283,19 @@ def _jitter(rng: random.Random, g: GradedInterval) -> GradedInterval:
 
 
 def _random_slot(
-    rng: random.Random, side: str, n: int, unrelated: float = 0.25, span: float | None = None
+    rng: random.Random,
+    side: str,
+    n: int,
+    unrelated: float = 0.25,
+    span: float | None = None,
+    widths: tuple[float, float] = (0.5, 8),
 ):
     """Two sides of one slot: a central slot (open bars in degree 0,
     closed bars in degree 1) or an R or L slot in degree 0 with rays and
     lines, the right side a perturbation of the left or, with chance
     ``unrelated``, an unrelated slot of a different size.  Left ends are
     dyadic in [-6, 6] with widths 0.25-4 or, given ``span``, arbitrary
-    floats in [-span, span] with widths 0.5-8."""
+    floats in [-span, span] with widths drawn from ``widths``."""
     central = side == "central"
     bar = Interval.right_open if side == "R" else Interval.left_open
 
@@ -298,7 +305,7 @@ def _random_slot(
     left = []
     for _ in range(n):
         a = start()
-        w = dyadic(rng, 0.25, 4) if span is None else rng.uniform(0.5, 8)
+        w = dyadic(rng, 0.25, 4) if span is None else rng.uniform(*widths)
         u = rng.random()
         if central:
             iv, deg = (Interval.open(a, a + w), 0) if u < 0.5 else (Interval.closed(a, a + w), 1)
@@ -310,7 +317,7 @@ def _random_slot(
             iv, deg = rng.choice([Interval.open(a, INF), Interval.left_open(-INF, a), Interval.line()]), 0
         left.append(GradedInterval(iv, deg))
     if rng.random() < unrelated:  # often infinite
-        return left, _random_slot(rng, side, n + rng.choice((-1, 1)), span=span)[0]
+        return left, _random_slot(rng, side, n + rng.choice((-1, 1)), span=span, widths=widths)[0]
     right = []
     for g in left:
         if central and g.degree == 0 and rng.random() < 0.25:
@@ -425,3 +432,102 @@ def test_large_slot_needs_no_recursion():
         sys.setrecursionlimit(limit)
     assert d < INF
     _assert_optimal(left, right, d, pairs)
+
+
+def test_per_pair_bound_keeps_an_edge_below_the_dearer_deletion():
+    # the pair costs 4: more than deleting [3,6) (1.5), less than deleting
+    # [0,10) (5); a bound on the cheaper deletion would give 5
+    F, G = parse_barcode("0 [0,10)\n"), parse_barcode("0 [3,6)\n")
+    value, matching = distance_with_matching(F, G)
+    assert value == 4.0
+    assert [(str(l), str(r), c) for *_, l, r, c in matching.halfopen_pairs] == [
+        ("[0,10)@0", "[3,6)@0", 4.0)
+    ]
+    assert not matching.deletions
+
+
+def test_per_pair_bound_at_and_above_the_dearer_deletion():
+    a = GradedInterval(Interval.right_open(0, 4), 0)  # deletion 2
+    at = GradedInterval(Interval.right_open(2, 4), 0)  # deletion 1, pair cost 2
+    above = GradedInterval(Interval.right_open(2.5, 4.5), 0)  # deletion 1, pair cost 2.5
+    assert _rows([a], [at, above], [2.0], [1.0, 1.0]) == [[(2.0, 0)]]
+    assert _rows([at, above], [a], [1.0, 1.0], [2.0]) == [[(2.0, 0)], []]
+    value, pairs = part_bottleneck([a], [above])
+    assert value == 2.0
+    assert sorted(pairs, key=str) == sorted([(a, None, 2.0), (None, above, 1.0)], key=str)
+
+
+def test_rows_lists_exactly_the_edges_within_the_per_pair_bound(rng):
+    # every finite edge of an undeletable class, and exactly the class-0
+    # edges (i, j) with cost at most max(del_l[i], del_r[j]), which is at
+    # most ub, the dearest deletion; each row sorted by (cost, j)
+    for t in range(120):
+        side = ("central", "R", "L")[t % 3]
+        span, widths = ((None, (0.5, 8)), (50.0, (0.5, 8)), (50.0, (0.1, 20)))[t % 3]
+        left, right = _random_slot(rng, side, rng.randrange(1, 40), span=span, widths=widths)
+        del_l = [deletion_cost(g) for g in left]
+        del_r = [deletion_cost(g) for g in right]
+        ub = max([d for d in del_l + del_r if d < INF], default=0.0)
+        rows = _rows(left, right, del_l, del_r)
+        if rows is None:
+            classes = Counter(point(g)[:2] for g in left if point(g)[1])
+            assert classes != Counter(point(g)[:2] for g in right if point(g)[1])
+            continue
+        for i, row in enumerate(rows):
+            assert row == sorted(row)
+            want = []
+            for j, g in enumerate(right):
+                c = pair_cost(left[i], g)
+                if c < INF and c <= max(del_l[i], del_r[j]):
+                    want.append((c, j))
+                    assert point(g)[1] or c <= ub
+            assert row == sorted(want)
+
+
+def test_greedy_seed_that_blocks_is_augmented():
+    # left 0 greedily takes right 0, its cheapest edge, the only edge of
+    # left 1: Hopcroft-Karp must reroute left 0 to right 1
+    mate_l, mate_r = [-1, -1], [-1, -1]
+    _hopcroft_karp([[0, 1], [0]], [2, 1], 2, 2, mate_l, mate_r)
+    assert mate_l == [1, 0] and mate_r == [1, 0]
+    # the same through the solver: rays, so no deletion can help
+    left = [GradedInterval(Interval.right_open(a, INF), 0) for a in (0, 1)]
+    right = [GradedInterval(Interval.right_open(b, INF), 0) for b in (0.75, -1)]
+    value, pairs = part_bottleneck(left, right)
+    assert value == 1.0
+    assert sorted(pairs, key=str) == sorted(
+        [(left[0], right[1], 1.0), (left[1], right[0], 0.25)], key=str
+    )
+    _assert_optimal(left, right, value, pairs)
+
+
+def test_witness_is_deterministic_on_equal_inputs(rng):
+    # equal but separately built inputs give the same witness, bar for bar
+    for _ in range(40):
+        base = random_barcode(rng, max_bars=16)
+        text = format_barcode(base)
+        other = format_barcode(perturbed_barcode(rng, base) if rng.random() < 0.7 else random_barcode(rng, 16))
+        for g in (text, other):
+            first = distance_with_matching(parse_barcode(text), parse_barcode(g))
+            again = distance_with_matching(parse_barcode(text), parse_barcode(g))
+            assert repr(first) == repr(again)
+    for side in ("central", "R"):
+        left, right = _random_slot(random.Random(7), side, 200, unrelated=0, span=50.0)
+        first = part_bottleneck(left, right)
+        copies = ([GradedInterval(g.interval, g.degree) for g in bars] for bars in (left, right))
+        assert repr(part_bottleneck(*copies)) == repr(first)
+
+
+def test_part_bottleneck_optimal_over_wide_width_ranges():
+    # widths 0.1-20 over span 50: short bars meet long ones, so the
+    # per-pair bound drops many edges below ub
+    rng = random.Random(0xB0D)
+    outcomes = Counter()
+    for t in range(30):
+        side = ("R", "L", "central")[t % 3]
+        n = rng.randrange(5, 40) if t < 24 else 150
+        left, right = _random_slot(rng, side, n, unrelated=0.2, span=50.0, widths=(0.1, 20))
+        d, pairs = part_bottleneck(left, right)
+        _assert_optimal(left, right, d, pairs)
+        outcomes[side, d < INF] += 1
+    assert {k for k in outcomes if k[1]} == {("R", True), ("L", True), ("central", True)}
