@@ -7,7 +7,10 @@ non-finite ``--eps``, ``--t`` or ``--tol``, and a ``--tol`` or
 file that is not UTF-8 is a parse error.  The value of ``--eps``, ``--t``
 or ``--tol`` may be a separate argument in any float syntax, negative
 ones included (``--eps -1e-3``).  Options are spelled out in full: an
-abbreviation such as ``--ep`` is an unrecognized argument.
+abbreviation such as ``--ep`` is an unrecognized argument.  The
+commands that print ``.gbc`` text (``convolve``, ``interpolate``,
+``import-diagram``) print only bars that ``validate`` reads back under
+the same tolerance; any other bar is a parse error naming it.
 
 Start-up: at module level this imports only ``barcode``, ``intervals``
 and ``matching``, all that ``validate``, ``dist`` and ``match`` run.
@@ -118,6 +121,22 @@ def _load(path: str, tol: float) -> Barcode:
     return parse_barcode(_read(path), tol=tol)
 
 
+def _write_barcode(bars, tol: float, why, make=None) -> None:
+    """Print ``bars`` (``make(g)`` for each ``g`` when ``make`` is given)
+    as ``.gbc`` text that ``validate`` reads back under the same ``tol``.
+    Each bar is read back by ``parse_bar``; a bar that fails, or that
+    ``make`` refuses, is a ParseError whose message ``why(g)`` names it."""
+    out = []
+    for g in bars:
+        try:
+            h = g if make is None else make(g)
+            out.append(parse_bar(h.degree, str(h.interval), tol))
+        except ValueError:
+            raise ParseError(f"{why(g)} out of range: an endpoint reaches 2**1022 or the "
+                             f"width falls to the tolerance {tol!r} or below") from None
+    sys.stdout.write(format_barcode(Barcode(tuple(out))))
+
+
 def _run(args: argparse.Namespace) -> int:
     tol = _tolerance(args)
 
@@ -150,16 +169,8 @@ def _run(args: argparse.Namespace) -> int:
         from .convolve import convolve_interval
 
         eps = _finite("--eps", args.eps)
-        bars = []
-        for g in _load(args.barcode, tol):
-            try:  # print only bars that read back under the same --tol
-                h = convolve_interval(g, eps)
-                bars.append(parse_bar(h.degree, str(h.interval), tol))
-            except ValueError:
-                raise ParseError(f"--eps {fmt_number(eps)} takes {g} out of range: an endpoint "
-                                 "reaches 2**1022 or the width falls to the tolerance "
-                                 f"{tol!r} or below") from None
-        sys.stdout.write(format_barcode(Barcode(tuple(bars))))
+        _write_barcode(_load(args.barcode, tol), tol, lambda g: f"--eps {fmt_number(eps)} takes {g}",
+                       lambda g: convolve_interval(g, eps))
         return 0
 
     if args.command == "interpolate":
@@ -168,7 +179,8 @@ def _run(args: argparse.Namespace) -> int:
         t = _finite("--t", args.t)
         F, G = _load(args.left, tol), _load(args.right, tol)
         value, matching = distance_with_matching(F, G)
-        sys.stdout.write(format_barcode(interpolate(F, G, matching, t)))
+        _write_barcode(interpolate(F, G, matching, t), tol,
+                       lambda g: f"--t {fmt_number(t)} takes a bar to {g}, which is")
         return 0
 
     if args.command == "hom":
@@ -199,7 +211,7 @@ def _run(args: argparse.Namespace) -> int:
             bars = [g for d in diagrams for g in from_persistence(d, args.side)]
         except ValueError as exc:
             raise ParseError(f"{args.diagram}: {exc}") from None
-        sys.stdout.write(format_barcode(Barcode(tuple(bars))))
+        _write_barcode(bars, tol, lambda g: f"{args.diagram}: the bar {g} is")
         return 0
 
     raise AssertionError(f"unhandled command {args.command}")

@@ -8,27 +8,25 @@ deletion cost; central bars, rays and the line have none, so a central
 slot is a perfect-matching problem (a bijection) and a half-open slot a
 partial one.
 
-One solver serves every slot: the optimum is always one of the finitely
-many pairwise or deletion costs, so we search that candidate set for the
-least eps whose threshold graph (the edges of cost at most eps) has a
-perfect matching.  Each bar with a finite deletion cost gets one virtual
-diagonal copy on the other side, the classic square reduction, and
-copies meet each other for free; undeletable bars get none, which keeps
-a central slot's graph at n x n.  Feasibility is Hopcroft-Karp (SIAM J.
-Comput. 1973) run on explicit stacks, so no slot size meets Python's
-recursion limit, and the copy-to-copy block is handled without listing
-its edges.  Each vertex's edges are sorted by cost once per slot, so the
-graph at any eps is a prefix of each list.  No eps below the lower bound
-max over bars of min(cheapest pair cost, deletion cost) is feasible, so
-the search probes that bound alone first; it usually decides the slot,
-and only when it fails is the candidate set above it built, sorted and
-binary-searched.  Each probe starts from the matching of the last infeasible
-probe, whose edges all persist at a larger eps (the reuse of hera,
-Kerber, Morozov & Nigmetov, ACM JEA 2017), extended greedily before
-the first phase: each free vertex takes its cheapest free partner.  At
-the lb probe that greedy pass alone often finds the perfect matching.
-The feasible probe that sets the value supplies the witness.  No
-floating-point threshold is ever approximated.
+One solver serves every slot: the least eps whose threshold graph (the
+edges of cost at most eps) has a perfect matching.  Each bar with a
+finite deletion cost gets one virtual diagonal copy on the other side,
+the classic square reduction, and copies meet each other for free;
+undeletable bars get none, which keeps a central slot's graph at n x n.
+Each vertex's edges are sorted by cost once per slot, so the graph at
+any eps is a prefix of each list.  No eps below the lower bound lb, the
+max over bars of min(cheapest pair cost, deletion cost), is feasible,
+so Hopcroft-Karp (SIAM J. Comput. 1973) first finds a maximum matching
+at lb, after a greedy pass in which each free vertex takes its cheapest
+free partner; that matching is usually perfect.  Each vertex it leaves
+free then costs one augmenting path whose dearest edge is least, found
+by a search in rising order of eps (Derigs & Zimmermann, Computing
+1978): every matched edge stays within the optimum, so the eps of the
+last path is the value and the final matching the witness.  No
+candidate set is built or searched, and no floating-point threshold is
+ever approximated: the value is one of the listed costs.  Both searches
+run on explicit queues and stacks, so no slot size meets Python's
+recursion limit, and neither lists the copy-to-copy block.
 
 No slot builds its p x q cost matrix.  ``point`` also places each bar
 in the plane: a finite pair cost joins two bars exactly when they share
@@ -53,6 +51,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from collections import namedtuple
 from collections.abc import Sequence
+from heapq import heappop, heappush
 from itertools import islice
 
 from .barcode import Barcode, split_clr
@@ -80,6 +79,7 @@ def _hopcroft_karp(
     nbrs: list[list[int]], cnt: list[int], p: int, q: int, mate_l: list[int], mate_r: list[int]
 ) -> None:
     """Grow the matching ``mate_l``/``mate_r`` (-1 for free) to a maximum one.
+    ``_slot_solve`` calls it once per slot, at lb, on an empty matching.
 
     Left vertex ``u`` is joined to ``nbrs[u][:cnt[u]]``.  The left copies
     ``u >= p`` are also joined to every right copy ``v >= q``; that block
@@ -182,6 +182,66 @@ def _hopcroft_karp(
             raise AssertionError("Hopcroft-Karp phase augmented nothing")
 
 
+def _cheapest_path(
+    nbrs: list[list[int]],
+    ecost: list[list[float]],
+    p: int,
+    q: int,
+    mate_l: list[int],
+    mate_r: list[int],
+    eps: float,
+) -> float:
+    """Augment the matching along a path whose dearest edge is least, and
+    return ``max(eps, that edge's cost)``.
+
+    Every matched edge must cost at most ``eps``, so a path's price is its
+    dearest unmatched edge.  The search grows from every free left vertex
+    at once in rising order of eps: each reached left vertex takes the
+    edges of its sorted row up to eps from a pointer into the row, and a
+    heap holds the next dearer edge of each one; when no reached vertex
+    has an edge left within eps, eps rises to the cheapest edge on the
+    heap.  The first left copy reached takes every right copy at cost 0,
+    as in ``_hopcroft_karp``.  The first free right vertex reached ends the
+    search, and the path to it is flipped.  Ties are broken by vertex
+    index, so the result is deterministic.
+    """
+    size = len(mate_l)
+    pred = [-1] * size  # pred[v]: the left vertex that reached right vertex v
+    ptr = [0] * size
+    heap: list[tuple[float, int]] = []
+    queue = [u for u in range(size) if mate_l[u] == -1]
+    pooled = False
+    while True:
+        for u in queue:  # grows while it is read
+            costs, k = ecost[u], ptr[u]
+            stop = bisect_right(costs, eps, k)
+            targets = nbrs[u][k:stop]
+            if stop < len(costs):
+                heappush(heap, (costs[stop], u))
+            ptr[u] = stop
+            if u >= p and not pooled:
+                pooled = True
+                targets += range(q, size)
+            for v in targets:
+                if pred[v] == -1:
+                    pred[v] = u
+                    w = mate_r[v]
+                    if w == -1:
+                        while v != -1:  # flip the path back to its free root
+                            u = pred[v]
+                            w = mate_l[u]
+                            mate_l[u], mate_r[v] = v, u
+                            v = w
+                        return eps
+                    queue.append(w)
+        if not heap:  # a perfect matching exists, so a path must: a bug
+            raise AssertionError("no augmenting path in a feasible slot")
+        # every edge on the heap lies above the eps at which it was pushed,
+        # so the eps popped never falls
+        eps, u = heappop(heap)
+        queue = [u]
+
+
 Pairing = tuple[tuple[GradedInterval | None, GradedInterval | None, float], ...]
 Rows = list[list[tuple[float, int]]]
 
@@ -210,10 +270,14 @@ def _slot_solve(
     themselves, and a perfect matching can exist only when both sides
     have the same number of vertices.
 
-    The lower bound lb is probed alone, before any candidate is listed.
-    Only when lb is infeasible are the candidates above it built, sorted
-    and binary-searched, starting at their middle: the same probes, warm
-    starts and witness as a search over lb and every candidate above it.
+    One Hopcroft-Karp run finds a maximum matching at the lower bound lb;
+    it is perfect in most slots.  Then each vertex it leaves free costs
+    one ``_cheapest_path``, the augmenting-path method for bottleneck
+    assignment (Derigs & Zimmermann, Computing 1978).  Every matched edge
+    stays within the optimum d: the matching lies in the graph at d, which
+    has a perfect matching, so it has an augmenting path there (Berge),
+    and the cheapest path costs at most d.  So the last path's eps is d,
+    and the final matching is the witness.  No candidate set is built.
     """
     p, q = len(left), len(right)
     copy_l = [i for i in range(p) if del_l[i] < INF]  # right vertices q, q+1, ...
@@ -239,37 +303,20 @@ def _slot_solve(
     lb = max([c[0] if c else INF for c in ecost[:p]] + col_min)
     if lb == INF:
         return INF, ()
-    # lb alone, then (only if it fails) a binary search of the candidates
-    # above it; each probe starts from the matching of the last infeasible
-    # probe, whose edges all persist
-    warm_l, warm_r = [-1] * size, [-1] * size
-    best, witness = INF, None
-    cands, lo, hi = [lb], 0, 0
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        eps = cands[mid]
-        mate_l, mate_r = warm_l[:], warm_r[:]
-        _hopcroft_karp(nbrs, [bisect_right(c, eps) for c in ecost], p, q, mate_l, mate_r)
-        if -1 in mate_r:
-            warm_l, warm_r = mate_l, mate_r
-            lo = mid + 1
-            if eps == lb:  # lb failed: search the candidates above it
-                cands = sorted({c for row in ecost for c in row if c > lb})
-                lo, hi = 0, len(cands) - 1
-        else:
-            best, witness = eps, mate_r
-            hi = mid - 1
-    if witness is None:
-        return INF, ()
+    mate_l, mate_r = [-1] * size, [-1] * size
+    _hopcroft_karp(nbrs, [bisect_right(c, lb) for c in ecost], p, q, mate_l, mate_r)
+    eps = lb
+    for _ in range(mate_l.count(-1)):
+        eps = _cheapest_path(nbrs, ecost, p, q, mate_l, mate_r, eps)
     out: list[tuple[GradedInterval | None, GradedInterval | None, float]] = []
-    for j, i in enumerate(witness):
+    for j, i in enumerate(mate_r):
         if i < p and j < q:
             out.append((left[i], right[j], ecost[i][nbrs[i].index(j)]))
         elif i < p:  # left bar matched to its diagonal copy
             out.append((left[i], None, del_l[i]))
         elif j < q:  # right bar matched to its diagonal copy
             out.append((None, right[j], del_r[j]))
-    return best, tuple(out)
+    return eps, tuple(out)
 
 
 def _rows(

@@ -262,6 +262,34 @@ def test_import_diagram(tmp_path):
     assert out.stdout == "0 (-3,0]\n1 (-2,inf)\n"
 
 
+def _one_error_line(out, bar):
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+    assert bar in out.stderr
+
+
+def test_import_diagram_prints_only_bars_that_read_back(tmp_path):
+    # the width 1e-12 is at most the default tol: validate would refuse the bar
+    pdg = tmp_path / "t.pdg"
+    pdg.write_text("0 0 1e-12\n", encoding="utf-8")
+    _one_error_line(run_cli("import-diagram", str(pdg), "--side", "R"), "[0,1e-12)@0")
+    out = run_cli("import-diagram", str(pdg), "--side", "R", "--tol", "0")
+    assert out.returncode == 0 and out.stdout == "0 [0,1e-12)\n"
+    assert run_cli("validate", gbc(tmp_path, "t.gbc", out.stdout), "--tol", "0").stdout == "OK 1 bars\n"
+
+
+def test_interpolate_prints_only_bars_that_read_back(tmp_path):
+    # [0,1) shrinks to its midpoint on the way to the empty barcode: just
+    # before t = 0.5 its width is 1e-12, at most the default tol
+    f, g = gbc(tmp_path, "f.gbc", "0 [0,1)\n"), gbc(tmp_path, "g.gbc", "")
+    out = run_cli("interpolate", f, g, "--t", "0.4999999999995")
+    _one_error_line(out, "[0.4999999999995,0.5000000000005)@0")
+    assert "--t" in out.stderr
+    out = run_cli("interpolate", f, g, "--t", "0.4999999999995", "--tol", "0")
+    assert out.returncode == 0 and out.stdout == "0 [0.4999999999995,0.5000000000005)\n"
+    assert run_cli("validate", gbc(tmp_path, "u.gbc", out.stdout), "--tol", "0").stdout == "OK 1 bars\n"
+
+
 def test_import_diagram_line_is_not_an_l_bar(tmp_path):
     # the pair (-inf, inf) is the full line, an R bar: no L part holds it
     pdg = tmp_path / "d.pdg"

@@ -22,8 +22,9 @@ from sheafdist import (
     parse_barcode,
     part_bottleneck,
 )
+from sheafdist import matching
 from sheafdist.intervals import INF, Kind, point
-from sheafdist.matching import _hopcroft_karp, _rows
+from sheafdist.matching import _cheapest_path, _hopcroft_karp, _rows
 
 CIRCLE_F = "0 [-1,1]\n0 (-1,1)\n"
 CIRCLE_G = "0 [0,0]\n1 [0,0]\n"
@@ -368,7 +369,25 @@ def _assert_optimal(left, right, d, pairs):
         assert not perfect(below.max())
 
 
-def test_part_bottleneck_matches_assignment_oracle():
+@pytest.fixture
+def paths(monkeypatch):
+    """Each ``_cheapest_path`` call as ``(eps returned, left vertices that
+    changed mates, whether a left copy took a right copy)``: the last
+    shows a path through the copy pool."""
+    calls = []
+
+    def spy(nbrs, ecost, p, q, mate_l, mate_r, eps):
+        before = mate_l[:]
+        eps = _cheapest_path(nbrs, ecost, p, q, mate_l, mate_r, eps)
+        moved = [u for u, v in enumerate(mate_l) if v != before[u]]
+        calls.append((eps, len(moved), any(u >= p and mate_l[u] >= q for u in moved)))
+        return eps
+
+    monkeypatch.setattr(matching, "_cheapest_path", spy)
+    return calls
+
+
+def test_part_bottleneck_matches_assignment_oracle(paths):
     # past the brute-force limit: 24 slots of 10-60 bars, then central,
     # R and L slots of 100 and 300 bars, then the same off the dyadic
     # grid, spread like the benchmark's so that most half-open pairs cost
@@ -376,6 +395,7 @@ def test_part_bottleneck_matches_assignment_oracle():
     # closed bars at off-grid cross-degree costs
     rng = random.Random(0x0DD5)
     outcomes = Counter()
+    lb_failed = 0
     trials = [("central" if t % 2 else "R", 0, None) for t in range(24)]
     trials += [(side, n, None) for n in (100, 300) for side in ("central", "R", "L")]
     trials += [(side, n, 50.0) for n in (100, 300) for side in ("central", "R", "L")]
@@ -384,9 +404,13 @@ def test_part_bottleneck_matches_assignment_oracle():
             left, right = _random_slot(rng, side, n, unrelated=0, span=span)
         else:
             left, right = _random_slot(rng, side, rng.randrange(10, 61))
+        searched = len(paths)
         d, pairs = part_bottleneck(left, right)
         _assert_optimal(left, right, d, pairs)
         outcomes[side, n > 60, d < INF] += 1
+        lb_failed += len(paths) > searched
+    # in 20 of the 36 trials the lb probe fails and cheapest paths set the value
+    assert lb_failed >= 15
     assert {k for k in outcomes if not k[1]} == {
         ("central", False, True), ("central", False, False), ("R", False, True), ("R", False, False)
     }
@@ -501,7 +525,73 @@ def test_greedy_seed_that_blocks_is_augmented():
     _assert_optimal(left, right, value, pairs)
 
 
-def test_witness_is_deterministic_on_equal_inputs(rng):
+def _solve_slot(f_text, g_text):
+    """Solve one slot of at most 6 bars a side, given as ``.gbc`` texts,
+    and check the result with the assignment oracle and by enumeration."""
+    F, G = parse_barcode(f_text), parse_barcode(g_text)
+    d, pairs = part_bottleneck(F.bars, G.bars)
+    _assert_optimal(F.bars, G.bars, d, pairs)
+    assert bruteforce_distance(F, G) == d
+    return d, {(str(l), str(r), c) for l, r, c in pairs}
+
+
+def test_cheapest_path_reroutes_a_matched_pair(paths):
+    # the graph alone: left 0 and 1 both reach only right 0 at eps 1, and
+    # left 2 holds right 1; left 1's cheapest path takes right 1 at 10 and
+    # sends left 2 on to right 2
+    nbrs, ecost = [[0, 1, 2], [0, 1, 2], [1, 2, 0]], [[1, 12, 14], [1, 10, 12], [1, 1, 12]]
+    mate_l, mate_r = [0, -1, 1], [0, 2, -1]
+    assert _cheapest_path(nbrs, ecost, 3, 3, mate_l, mate_r, 1.0) == 10
+    assert mate_l == [0, 1, 2] and mate_r == [0, 1, 2]
+    # the same as long R bars, whose deletion (20) is dearer than the path
+    d, pairs = _solve_slot("0 [1,41)\n0 [-1,39)\n0 [12,52)\n", "0 [0,40)\n0 [11,51)\n0 [13,53)\n")
+    assert d == 10.0 and ("[1,41)@0", "[11,51)@0", 10.0) in pairs
+    [(eps, moved, pooled)] = paths
+    assert (eps, pooled) == (10.0, False) and moved >= 2  # three edges or more
+
+
+def test_cheapest_path_through_the_copy_pool(paths):
+    # at lb = 1, [3.5,6.5) holds [4,7) (0.5) and [4,8) is left free; the
+    # path [4,8)-[4,7) (1), [3.5,6.5) to its copy (1.5), then that copy's
+    # mate, the copy of [4,7), over to the free copy of [4,8) for free
+    d, pairs = _solve_slot("0 [3.5,6.5)\n0 [4,8)\n", "0 [4,7)\n0 [20,21)\n")
+    assert d == 1.5
+    assert pairs == {("[4,8)@0", "[4,7)@0", 1.0), ("[3.5,6.5)@0", "None", 1.5), ("None", "[20,21)@0", 0.5)}
+    assert paths == [(1.5, 3, True)]
+
+
+def test_cheapest_path_runs_once_per_free_vertex(paths):
+    # two far apart clusters of rays, each short of one pair at lb = 1:
+    # the cheaper path (5) comes first, then the dearer one sets the value
+    d, pairs = _solve_slot(
+        "".join(f"0 [{a},inf)\n" for a in (1, -1, 12, 101, 99, 107)),
+        "".join(f"0 [{a},inf)\n" for a in (0, 11, 13, 100, 106, 108)),
+    )
+    assert d == 10.0
+    assert {("[1,inf)@0", "[11,inf)@0", 10.0), ("[101,inf)@0", "[106,inf)@0", 5.0)} < pairs
+    assert [eps for eps, *_ in paths] == [5.0, 10.0]
+
+
+def test_cheapest_path_in_a_central_slot(paths):
+    # open bars in degree 0 and closed bars in degree 1: (5,6) and [4,5]
+    # both reach only [5,5] at lb = 1, so (5,6) pairs across with (20,21)
+    # at 15 and (21,22) moves on to [22,22]
+    d, pairs = _solve_slot("0 (5,6)\n1 [4,5]\n0 (21,22)\n", "1 [5,5]\n0 (20,21)\n1 [22,22]\n")
+    assert d == 15.0
+    assert pairs == {
+        ("(5,6)@0", "(20,21)@0", 15.0), ("[4,5]@1", "[5,5]@1", 1.0), ("(21,22)@0", "[22,22]@1", 1.0)
+    }
+    assert paths == [(15.0, 3, False)]
+
+
+def test_cheapest_path_finds_none_only_by_a_bug():
+    # no perfect matching: the count checks of _slot_solve rule this out
+    mate_l, mate_r = [0, -1], [0, -1]
+    with pytest.raises(AssertionError, match="no augmenting path"):
+        _cheapest_path([[0], [0]], [[1.0], [2.0]], 2, 2, mate_l, mate_r, 1.0)
+
+
+def test_witness_is_deterministic_on_equal_inputs(rng, paths):
     # equal but separately built inputs give the same witness, bar for bar
     for _ in range(40):
         base = random_barcode(rng, max_bars=16)
@@ -511,11 +601,18 @@ def test_witness_is_deterministic_on_equal_inputs(rng):
             first = distance_with_matching(parse_barcode(text), parse_barcode(g))
             again = distance_with_matching(parse_barcode(text), parse_barcode(g))
             assert repr(first) == repr(again)
+    # slots where the lb probe fails: the cheapest paths, and the ties among
+    # their edges, are taken in the same order on equal inputs
     for side in ("central", "R"):
-        left, right = _random_slot(random.Random(7), side, 200, unrelated=0, span=50.0)
+        left, right = _random_slot(random.Random(3), side, 200, unrelated=0, span=50.0)
+        del paths[:]
         first = part_bottleneck(left, right)
+        searched = [eps for eps, *_ in paths]
+        assert len(searched) >= 2
         copies = ([GradedInterval(g.interval, g.degree) for g in bars] for bars in (left, right))
+        del paths[:]
         assert repr(part_bottleneck(*copies)) == repr(first)
+        assert [eps for eps, *_ in paths] == searched
 
 
 def test_part_bottleneck_optimal_over_wide_width_ranges():
