@@ -9,11 +9,14 @@ and compactly supported), which are invariants of finite distance.
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from operator import attrgetter
 
 from .intervals import (
     _DEGREE,
+    _INTERVAL,
+    _LIMIT,
     DEFAULT_TOL,
     GradedInterval,
     Interval,
@@ -26,6 +29,9 @@ from .intervals import (
 )
 
 _BY_KEY = attrgetter("key")
+# a ``.gbc`` line of a degree and a literal, with ``[ \t]`` padding and an
+# optional comment: ``_DEGREE`` and ``_LITERAL``'s grammars in one match
+_LINE = re.compile(rf"[ \t]*(-?[0-9]+)[ \t]+{_INTERVAL}[ \t]*(?:#.*)?", re.ASCII).fullmatch
 
 
 class Barcode(_Frozen):
@@ -84,23 +90,48 @@ def parse_barcode(text: str, tol: float = DEFAULT_TOL) -> Barcode:
     ``#`` starts a comment.  Multiplicity is encoded by repeating lines.
     Raises ParseError (with line number) for malformed lines, empty
     intervals (up to ``tol``) and closed flags on infinite endpoints.
+
+    A line of a degree and a valid literal, padded with spaces or tabs
+    and perhaps commented, is read by one match of ``_LINE`` and the
+    checks of ``parse_bar``; any other line, and any such line those
+    checks refuse, goes through ``_read_line``, which names the error.
     """
     bars: list[GradedInterval] = []
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise ParseError(f"line {ln}: expected '<degree> <interval>', got {line!r}")
-        deg_tok, iv_tok = fields
-        if _DEGREE(deg_tok) is None:
-            raise ParseError(f"line {ln}: bad degree {deg_tok!r}")
-        try:
-            bars.append(parse_bar(int(deg_tok), iv_tok, tol))
-        except ValueError as exc:
-            raise ParseError(f"line {ln}: {exc}") from None
+        m = _LINE(raw)
+        if m is not None:
+            deg, lb, a, b, rb = m.groups()
+            lo, hi, lc, hc = float(a), float(b), lb == "[", rb == "]"
+            if ((abs(lo) < _LIMIT or a[-1] == "f") and (abs(hi) < _LIMIT or b[-1] == "f")
+                    and (hi - lo > tol or (lc and hc and hi >= lo))):
+                try:
+                    bars.append(GradedInterval(Interval(lo, hi, lc, hc), int(deg)))
+                    continue
+                except ValueError:
+                    pass
+        g = _read_line(ln, raw, tol)
+        if g is not None:
+            bars.append(g)
     return Barcode(tuple(bars))
+
+
+def _read_line(ln: int, raw: str, tol: float) -> GradedInterval | None:
+    """Line ``ln`` of a ``.gbc`` text, field by field: its bar, or
+    ``None`` when it is blank or a comment.  Raises ParseError naming the
+    line and what is wrong with it."""
+    line = raw.split("#", 1)[0].strip()
+    if not line:
+        return None
+    fields = line.split()
+    if len(fields) != 2:
+        raise ParseError(f"line {ln}: expected '<degree> <interval>', got {line!r}")
+    deg_tok, iv_tok = fields
+    if _DEGREE(deg_tok) is None:
+        raise ParseError(f"line {ln}: bad degree {deg_tok!r}")
+    try:
+        return parse_bar(int(deg_tok), iv_tok, tol)
+    except ValueError as exc:
+        raise ParseError(f"line {ln}: {exc}") from None
 
 
 def parse_bar(degree: int, literal: str, tol: float = DEFAULT_TOL) -> GradedInterval:
@@ -114,7 +145,12 @@ def parse_bar(degree: int, literal: str, tol: float = DEFAULT_TOL) -> GradedInte
 
 
 def format_barcode(b: Barcode) -> str:
-    """Canonical ``.gbc`` text; ``parse_barcode`` round-trips it exactly."""
+    """Canonical ``.gbc`` text.  ``parse_barcode`` under a ``tol`` reads it
+    back exactly when ``parse_bar`` admits every bar under that ``tol``.
+    ``Interval`` also takes bars that it refuses, an open bar of width at
+    most ``tol`` or a finite end at 2**1022 or beyond, and ``interpolate``
+    and ``from_persistence`` can build them; their text does not read
+    back (ROADMAP item 6: one admission rule for both sides)."""
     return "".join(f"{g.degree} {g.interval}\n" for g in b.bars)
 
 

@@ -4,9 +4,11 @@ Exit codes: 0 on success (an infinite distance is still success, printed
 as ``inf``), 1 on domain errors, 2 on I/O, parse and usage errors.  A
 non-finite ``--eps``, ``--t`` or ``--tol``, and a ``--tol`` or
 ``SHEAFDIST_TOL`` that is not a number >= 0, are usage errors; an input
-file that is not UTF-8 is a parse error.  The value of ``--eps``, ``--t``
-or ``--tol`` may be a separate argument in any float syntax, negative
-ones included (``--eps -1e-3``).  Options are spelled out in full: an
+file that is not UTF-8 is a parse error.  These numbers are read by the
+grammar of a ``.gbc`` file: ASCII decimals and ``[+-]inf``, so ``1_0``
+and digits of other scripts are usage errors.  The value of ``--eps``,
+``--t`` or ``--tol`` may be a separate argument, negative ones included
+(``--eps -1e-3``).  Options are spelled out in full: an
 abbreviation such as ``--ep`` is an unrecognized argument.  The
 commands that print ``.gbc`` text (``convolve``, ``interpolate``,
 ``import-diagram``) print only bars that ``validate`` reads back under
@@ -25,7 +27,7 @@ import os
 import sys
 
 from .barcode import Barcode, format_barcode, global_sections, parse_bar, parse_barcode
-from .intervals import DEFAULT_TOL, INF, ParseError, fmt_number, parse_graded_interval
+from .intervals import _NUMBER, DEFAULT_TOL, INF, ParseError, fmt_number, parse_graded_interval
 from .matching import distance_with_matching
 
 
@@ -33,7 +35,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--tol",
-        type=float,
         default=None,
         help="absolute comparison tolerance (default: $SHEAFDIST_TOL or 1e-9)",
     )
@@ -60,12 +61,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("convolve", "smooth a barcode, print .gbc")
     p.add_argument("barcode")
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", required=True)
 
     p = command("interpolate", "barcode at time t between two files")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", required=True)
 
     p = command("hom", "morphism dimension between graded bars")
     p.add_argument("source", help='graded interval literal, e.g. "[0,1]@0"')
@@ -86,7 +87,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _finite(name: str, x: float) -> float:
+def _is_number(tok: str) -> bool:
+    """Whether ``tok`` is a number of the ``.gbc`` grammar."""
+    return tok in ("inf", "+inf", "-inf") or _NUMBER(tok) is not None
+
+
+def _finite(name: str, tok: str) -> float:
+    """The value ``tok`` of ``name``, which must be a finite number."""
+    if not _is_number(tok):
+        raise ParseError(f"{name} must be a number, got {tok!r}")
+    x = float(tok)
     if not math.isfinite(x):
         raise ParseError(f"{name} must be a finite number, got {x}")
     return x
@@ -95,16 +105,13 @@ def _finite(name: str, x: float) -> float:
 def _tolerance(args: argparse.Namespace) -> float:
     env = os.environ.get("SHEAFDIST_TOL")
     if args.tol is not None:
-        name, tol = "--tol", args.tol
+        name, tok = "--tol", args.tol
     elif env:
-        name = "SHEAFDIST_TOL"
-        try:
-            tol = float(env)
-        except ValueError:
-            raise ParseError(f"SHEAFDIST_TOL must be a number, got {env!r}") from None
+        name, tok = "SHEAFDIST_TOL", env
     else:
         return DEFAULT_TOL
-    if _finite(name, tol) < 0:
+    tol = _finite(name, tok)
+    if tol < 0:
         raise ParseError(f"{name} must be >= 0, got {tol}")
     return tol
 
@@ -228,19 +235,11 @@ def _attach_numbers(argv: list[str]) -> list[str]:
     abbreviation, so the full names are the only ones to look for."""
     out: list[str] = []
     for tok in argv:
-        if out and out[-1] in _NUMBER_OPTIONS and tok.startswith("-") and _is_float(tok):
+        if out and out[-1] in _NUMBER_OPTIONS and tok.startswith("-") and _is_number(tok):
             out[-1] += "=" + tok
         else:
             out.append(tok)
     return out
-
-
-def _is_float(tok: str) -> bool:
-    try:
-        float(tok)
-    except ValueError:
-        return False
-    return True
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -123,24 +123,24 @@ def interpolate(F: Barcode, G: Barcode, matching: Matching, t: float) -> Barcode
     grow in as time runs out.  t = 0 and t = eps reproduce F and G
     exactly.
     """
-    eps = matching.achieved
+    central, halfopen, deletions, eps = matching
     if eps == INF:
         raise ValueError("cannot interpolate across an infinite distance")
     if not 0 <= t <= eps:
         raise ValueError(f"t={t} outside [0, {eps}]")
-    pairs = matching.central_pairs + matching.halfopen_pairs
-    src = [l for *_, l, _, _ in pairs]
-    dst = [r for *_, r, _ in pairs]
-    for _, _, origin, bar, _ in matching.deletions:
+    src = [l for _, l, _, _ in central]
+    src += [l for _, _, l, _, _ in halfopen]
+    dst = [r for _, _, r, _ in central]
+    dst += [r for _, _, _, r, _ in halfopen]
+    for _, _, origin, bar, _ in deletions:
         (src if origin == "left" else dst).append(bar)
     if Barcode(tuple(src)) != F or Barcode(tuple(dst)) != G:
         raise ValueError("the matching is not between these two barcodes")
-    bars = []
-    for *_, l, r, c in pairs:
-        bars.append(pair_path(l, r, min(t, c)))
-    for _, _, origin, bar, c in matching.deletions:
-        te = min(t, c) if origin == "left" else min(eps - t, c)
-        moved = pair_path(bar, None, te)
+    bars = [pair_path(l, r, c if c < t else t) for _, l, r, c in central]
+    bars += [pair_path(l, r, c if c < t else t) for _, _, l, r, c in halfopen]
+    for _, _, origin, bar, c in deletions:
+        te = eps - t if origin == "right" else t
+        moved = pair_path(bar, None, c if c < te else te)
         if moved is not None:
             bars.append(moved)
     return Barcode(tuple(bars))

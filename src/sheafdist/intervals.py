@@ -313,7 +313,8 @@ def classify(iv: Interval) -> Kind:
 # before a final newline
 _FINITE = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _NUMBER = re.compile(_FINITE, re.ASCII).fullmatch
-_LITERAL = re.compile(rf"([\[\(])({_FINITE}|[+-]?inf),({_FINITE}|[+-]?inf)([\]\)])", re.ASCII).fullmatch
+_INTERVAL = rf"([\[\(])({_FINITE}|[+-]?inf),({_FINITE}|[+-]?inf)([\]\)])"
+_LITERAL = re.compile(_INTERVAL, re.ASCII).fullmatch
 _DEGREE = re.compile(r"-?[0-9]+").fullmatch  # the one degree grammar of every reader
 _SHAPE = re.compile(r"([\[\(])([^,\s]+),([^,\s]+)([\]\)])").fullmatch
 _LIMIT = 2.0**1022  # 1e400 reads as inf; below 2**1022 no width overflows

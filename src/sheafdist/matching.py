@@ -13,20 +13,22 @@ edges of cost at most eps) has a perfect matching.  Each bar with a
 finite deletion cost gets one virtual diagonal copy on the other side,
 the classic square reduction, and copies meet each other for free;
 undeletable bars get none, which keeps a central slot's graph at n x n.
-Each vertex's edges are sorted by cost once per slot, so the graph at
-any eps is a prefix of each list.  No eps below the lower bound lb, the
-max over bars of min(cheapest pair cost, deletion cost), is feasible,
-so Hopcroft-Karp (SIAM J. Comput. 1973) first finds a maximum matching
-at lb, after a greedy pass in which each free vertex takes its cheapest
-free partner; that matching is usually perfect.  Each vertex it leaves
-free then costs one augmenting path whose dearest edge is least, found
-by a search in rising order of eps (Derigs & Zimmermann, Computing
-1978): every matched edge stays within the optimum, so the eps of the
-last path is the value and the final matching the witness.  No
-candidate set is built or searched, and no floating-point threshold is
-ever approximated: the value is one of the listed costs.  Both searches
-run on explicit queues and stacks, so no slot size meets Python's
-recursion limit, and neither lists the copy-to-copy block.
+One walk over the bars builds the graph (``_rows``): each left vertex's
+partners and costs as two parallel lists sorted by cost, its copy edge
+among them, so the graph at any eps is a prefix of each, and with them
+the lower bound lb, the max over bars of min(cheapest pair cost,
+deletion cost).  No eps below lb is feasible, so Hopcroft-Karp (SIAM
+J. Comput. 1973) first finds a maximum matching at lb, after a greedy
+pass in which each free vertex takes its cheapest free partner; that
+matching is usually perfect.  Each vertex it leaves free then costs one
+augmenting path whose dearest edge is least, found by a search in
+rising order of eps (Derigs & Zimmermann, Computing 1978): every
+matched edge stays within the optimum, so the eps of the last path is
+the value and the final matching the witness.  No candidate set is
+built or searched, and no floating-point threshold is ever
+approximated: the value is one of the listed costs.  Both searches run
+on explicit queues and stacks, so no slot size meets Python's recursion
+limit, and neither lists the copy-to-copy block.
 
 No slot builds its p x q cost matrix.  ``point`` also places each bar
 in the plane: a finite pair cost joins two bars exactly when they share
@@ -48,7 +50,7 @@ enumeration of partial matchings, purely as an oracle for the fast path.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Sequence
 from heapq import heappop, heappush
@@ -76,7 +78,12 @@ class Matching(namedtuple("Matching", "central_pairs halfopen_pairs deletions ac
 
 
 def _hopcroft_karp(
-    nbrs: list[list[int]], cnt: list[int], p: int, q: int, mate_l: list[int], mate_r: list[int]
+    nbrs: Sequence[Sequence[int]],
+    cnt: list[int],
+    p: int,
+    q: int,
+    mate_l: list[int],
+    mate_r: list[int],
 ) -> None:
     """Grow the matching ``mate_l``/``mate_r`` (-1 for free) to a maximum one.
     ``_slot_solve`` calls it once per slot, at lb, on an empty matching.
@@ -123,7 +130,7 @@ def _hopcroft_karp(
             targets = nbrs[u][: cnt[u]]
             if u >= p and not pooled:
                 pooled = True
-                targets += range(q, size)
+                targets = [*targets, *range(q, size)]
             for v in targets:
                 w = mate_r[v]
                 if w == -1:
@@ -183,8 +190,8 @@ def _hopcroft_karp(
 
 
 def _cheapest_path(
-    nbrs: list[list[int]],
-    ecost: list[list[float]],
+    nbrs: Sequence[Sequence[int]],
+    ecost: Sequence[Sequence[float]],
     p: int,
     q: int,
     mate_l: list[int],
@@ -221,7 +228,7 @@ def _cheapest_path(
             ptr[u] = stop
             if u >= p and not pooled:
                 pooled = True
-                targets += range(q, size)
+                targets = [*targets, *range(q, size)]
             for v in targets:
                 if pred[v] == -1:
                     pred[v] = u
@@ -243,64 +250,44 @@ def _cheapest_path(
 
 
 Pairing = tuple[tuple[GradedInterval | None, GradedInterval | None, float], ...]
-Rows = list[list[tuple[float, int]]]
 
 
 def _slot_solve(
     left: Sequence[GradedInterval],
     right: Sequence[GradedInterval],
-    rows: Rows,
+    nbrs: list[tuple[int, ...]],
+    ecost: list[tuple[float, ...]],
+    lb: float,
     del_l: list[float],
     del_r: list[float],
 ) -> tuple[float, Pairing]:
     """Square reduction: a bar with a finite deletion cost gets a diagonal
     copy on the other side, and copies meet each other for free.
 
-    ``rows[i]`` holds the finite edges ``(cost, j)`` of left bar ``i``,
-    sorted; the copies' edges are added to ``rows`` in place.  It may
-    leave out edges dearer than some eps at which the edges kept already
-    admit a perfect matching: below that eps nothing is left out, and
-    from it on the slot is feasible either way.  It may also leave out
-    an edge ``(i, j)`` dearer than both ``del_l[i]`` and ``del_r[j]``: a
-    perfect matching that uses it stays perfect, and no dearer, with the
-    two copy edges and a free copy-to-copy edge in its place, and the
-    cheapest edge at each bar, which sets lb, is still listed.  A finite
-    pair cost never joins a deletable bar to an undeletable one, so the
-    undeletable bars (central bars, rays, the line) must pair off among
-    themselves, and a perfect matching can exist only when both sides
-    have the same number of vertices.
+    ``nbrs``, ``ecost`` and ``lb`` are what ``_rows`` returns: left vertex
+    ``u`` has the listed edges to ``nbrs[u]`` at ``ecost[u]``, cheapest
+    first, its own copy edge included, and no eps below ``lb`` is
+    feasible.  The lists may leave out edges dearer than some eps at
+    which the edges kept already admit a perfect matching: below that
+    eps nothing is left out, and from it on the slot is feasible either
+    way.  They may also leave out an edge ``(i, j)`` dearer than both
+    ``del_l[i]`` and ``del_r[j]``: a perfect matching that uses it stays
+    perfect, and no dearer, with the two copy edges and a free
+    copy-to-copy edge in its place, and the cheapest edge at each bar,
+    which sets lb, is still listed.
 
-    One Hopcroft-Karp run finds a maximum matching at the lower bound lb;
-    it is perfect in most slots.  Then each vertex it leaves free costs
-    one ``_cheapest_path``, the augmenting-path method for bottleneck
+    One Hopcroft-Karp run finds a maximum matching at lb; it is perfect
+    in most slots.  Then each vertex it leaves free costs one
+    ``_cheapest_path``, the augmenting-path method for bottleneck
     assignment (Derigs & Zimmermann, Computing 1978).  Every matched edge
     stays within the optimum d: the matching lies in the graph at d, which
     has a perfect matching, so it has an augmenting path there (Berge),
     and the cheapest path costs at most d.  So the last path's eps is d,
     and the final matching is the witness.  No candidate set is built.
     """
-    p, q = len(left), len(right)
-    copy_l = [i for i in range(p) if del_l[i] < INF]  # right vertices q, q+1, ...
-    copy_r = [j for j in range(q) if del_r[j] < INF]  # left vertices p, p+1, ...
-    size = p + len(copy_r)
-    if size != q + len(copy_l):
-        return INF, ()
+    p, q, size = len(left), len(right), len(nbrs)
     if size == 0:
         return 0.0, ()
-    # listed edges of each left vertex, cheapest first (ties by vertex):
-    # the graph at eps keeps a bisect prefix of each list
-    for k, i in enumerate(copy_l):
-        insort(rows[i], (del_l[i], q + k))
-    rows += [[(del_r[j], j)] for j in copy_r]
-    nbrs = [[j for _, j in row] for row in rows]
-    ecost = [[c for c, _ in row] for row in rows]
-    # every bar needs a partner or its copy, so no eps below lb is feasible
-    col_min = [INF] * q
-    for row in rows:
-        for c, j in row:
-            if j < q and c < col_min[j]:
-                col_min[j] = c
-    lb = max([c[0] if c else INF for c in ecost[:p]] + col_min)
     if lb == INF:
         return INF, ()
     mate_l, mate_r = [-1] * size, [-1] * size
@@ -324,9 +311,22 @@ def _rows(
     right: Sequence[GradedInterval],
     del_l: list[float],
     del_r: list[float],
-) -> Rows | None:
-    """Sorted edges ``(cost, j)`` of the bars, or ``None`` when a class of
-    undeletable bars has unequal sides.
+) -> tuple[list[tuple[int, ...]], list[tuple[float, ...]], float] | None:
+    """The slot graph of ``_slot_solve``, built in one walk: ``(nbrs,
+    ecost, lb)``, or ``None`` when no perfect matching can exist because
+    a class of undeletable bars, or the vertex count, differs between
+    the sides.
+
+    Left vertices are the left bars, then the copies of the deletable
+    right bars in index order; right vertices are the right bars, then
+    the copies of the deletable left bars (``q``, ``q + 1``, ...).
+    ``nbrs[u]`` and ``ecost[u]`` hold the listed edges of left vertex
+    ``u``, sorted by cost and then vertex, so the graph at any eps keeps
+    a bisect prefix of each: a left bar's copy edge ``(del_l[i], q + k)``
+    among its pair edges, a right bar's copy only its edge to that bar,
+    at ``del_r[j]``.  ``lb`` is the max over bars of their cheapest
+    listed edge, own deletion included: every bar needs a partner or its
+    copy, so no eps below it is feasible.
 
     A finite pair cost joins two bars exactly when they share a
     ``point`` slot and class, and it is the L-infinity distance of their
@@ -339,7 +339,9 @@ def _rows(
     per-pair bound (see ``_slot_solve``), so a left bar walks only up to
     the larger of its own deletion cost and the dearest one in its
     block.  Undeletable bars have infinite deletion costs and keep every
-    edge of their class.
+    edge of their class.  A finite pair cost never joins a deletable bar
+    to an undeletable one, so the undeletable bars must pair off inside
+    their slot and class.
     """
     blocks: dict = {}
     for j, g in enumerate(right):
@@ -358,25 +360,57 @@ def _rows(
         us, vs, js = zip(*block)
         ds = [del_r[j] for j in js]
         blocks[k] = us, vs, js, ds, max(ds)
-    rows: Rows = []
+    q = len(right)
+    nbrs: list[tuple[int, ...]] = []
+    ecost: list[tuple[float, ...]] = []
+    col = [INF] * q  # col[j]: the cheapest listed edge of right bar j
+    lb = -INF
+    vertex = q  # the next left copy's right vertex
     for di, (slot, s, u, v) in zip(del_l, left_pts):
         row = []
+        if di < INF:
+            row.append((di, vertex))
+            vertex += 1
         block = blocks.get((slot, s))
         if block is not None:
             us, vs, js, ds, top = block
-            bound = max(di, top)
+            bound = di if di > top else top
             start = bisect_left(us, u)
             for steps in (range(start, len(us)), range(start - 1, -1, -1)):
                 for m in steps:
                     g = abs(u - us[m])
                     if g > bound:
                         break
-                    c = max(g, abs(v - vs[m]))
+                    h = abs(v - vs[m])
+                    c = h if h > g else g
                     if c <= di or c <= ds[m]:
-                        row.append((c, js[m]))
-            row.sort()
-        rows.append(row)
-    return rows
+                        j = js[m]
+                        row.append((c, j))
+                        if c < col[j]:
+                            col[j] = c
+        if not row:
+            nbrs.append(())
+            ecost.append(())
+            lb = INF
+            continue
+        row.sort()
+        cs, ns = zip(*row)
+        nbrs.append(ns)
+        ecost.append(cs)
+        if cs[0] > lb:
+            lb = cs[0]
+    for j, dj in enumerate(del_r):
+        c = col[j]
+        if dj < c:  # its copy edge, cheaper than every listed one
+            c = dj
+        if c > lb:
+            lb = c
+        if dj < INF:
+            nbrs.append((j,))
+            ecost.append((dj,))
+    if len(nbrs) != vertex:  # more left vertices than right ones, or fewer
+        return None
+    return nbrs, ecost, lb
 
 
 def part_bottleneck(
@@ -396,10 +430,10 @@ def part_bottleneck(
     """
     del_l = [deletion_cost(g) for g in left]
     del_r = [deletion_cost(g) for g in right]
-    rows = _rows(left, right, del_l, del_r)
-    if rows is None:
+    graph = _rows(left, right, del_l, del_r)
+    if graph is None:
         return INF, ()
-    return _slot_solve(left, right, rows, del_l, del_r)
+    return _slot_solve(left, right, *graph, del_l, del_r)
 
 
 def _slots(F: Barcode, G: Barcode):

@@ -1,4 +1,7 @@
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_barcode
 from sheafdist import (
@@ -13,7 +16,8 @@ from sheafdist import (
     parse_graded_interval,
     split_clr,
 )
-from sheafdist.intervals import INF
+from sheafdist.barcode import parse_bar
+from sheafdist.intervals import _DEGREE, DEFAULT_TOL, INF
 
 CIRCLE_F = "0 [-1,1]\n0 (-1,1)\n"
 
@@ -76,6 +80,108 @@ def test_degree_grammar():
         assert parse_barcode(f"{tok} [0,1)").bars[0].degree == degree
         assert parse_graded_interval(f"[0,1)@{tok}").degree == degree
         assert parse_diagrams(f"{tok} 0 1")[0].degree == degree
+
+
+def _reference_parse(text: str, tol: float = DEFAULT_TOL) -> Barcode:
+    """The field-by-field line reader ``parse_barcode`` had before it read
+    a line in one match, kept as the reference for the one that does."""
+    bars = []
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        if len(fields) != 2:
+            raise ParseError(f"line {ln}: expected '<degree> <interval>', got {line!r}")
+        deg_tok, iv_tok = fields
+        if _DEGREE(deg_tok) is None:
+            raise ParseError(f"line {ln}: bad degree {deg_tok!r}")
+        try:
+            bars.append(parse_bar(int(deg_tok), iv_tok, tol))
+        except ValueError as exc:
+            raise ParseError(f"line {ln}: {exc}") from None
+    return Barcode(tuple(bars))
+
+
+_PADS = st.text(st.sampled_from(" \t\xa0\x0b\u3000"), max_size=3)
+
+
+def _tokens(*pools: list[str]):
+    """A token from one of ``pools``, each pool as likely as the next."""
+    return st.sampled_from(pools).flatmap(st.sampled_from)
+
+
+_DEGREES = _tokens(["0", "-1", "12", "007", "-0"], ["0"], ["+1", "1_0", "\u0661", "x", ""])
+_END_POOLS = (
+    ["0", "1", "-2", "0.5", ".5", "1.", "-1e-3", "1E2", "inf", "+inf", "-inf"],
+    # a finite value must be below 2**1022, 4.4942328371557898e307
+    ["4.49423283715578e307", "-4.4942328371557898e307", "5e307", "-5e307", "1e400", "-1e400"],
+    ["1_0", "\u0661", "nan", "0x1", ""],
+)
+_ENDS = _tokens(_END_POOLS[0], *_END_POOLS)
+_NEAR_TOL = [0.0, 1e-9, math.nextafter(1e-9, INF), math.nextafter(1e-9, 0.0), 5e-10, 2e-9]
+
+
+@st.composite
+def _literals(draw) -> str:
+    lb, rb = draw(st.sampled_from("[(")), draw(st.sampled_from("])"))
+    if draw(st.booleans()):  # a width just above, at or below tol
+        lo = draw(st.sampled_from([0.0, 1.0, -3.5, 1e6]))
+        a, b = repr(lo), repr(lo + draw(st.sampled_from(_NEAR_TOL)))
+    else:
+        a, b = draw(_ENDS), draw(_ENDS)
+    return f"{lb}{a},{b}{rb}"
+
+
+@st.composite
+def _gbc_lines(draw) -> str:
+    kind = draw(st.integers(0, 19))
+    if kind == 0:
+        return draw(_PADS)
+    if kind == 1:
+        return draw(_PADS) + "# " + draw(_literals())
+    line = draw(_PADS) + draw(_DEGREES) + draw(_PADS.filter(bool) | st.just(" "))
+    line += draw(_literals()) + draw(_PADS)
+    if kind == 2:
+        line += " " + draw(_literals())  # a third field
+    return line + draw(st.sampled_from(["", "#", "# c", "#x#y", "#\u0661"]))
+
+
+def _assert_reads_as_reference(text: str, tol: float) -> None:
+    """``parse_barcode`` gives the reference's barcode, float bits
+    included, or raises a ParseError with the same message."""
+    try:
+        want = _reference_parse(text, tol)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            parse_barcode(text, tol)
+        assert str(got.value) == str(exc)
+    else:
+        assert repr(parse_barcode(text, tol)) == repr(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(_gbc_lines(), st.sampled_from(["\n", "\r\n", "\r"])), max_size=4),
+    st.sampled_from([0.0, 1e-9]),
+)
+def test_parse_barcode_matches_the_line_by_line_reader(lines, tol):
+    _assert_reads_as_reference("".join(line + end for line, end in lines), tol)
+
+
+def test_parse_barcode_matches_the_line_by_line_reader_on_every_literal():
+    # each pair of end tokens and flags on its own line, and every width
+    # near tol: the checks a single line match must still make
+    ends = [tok for pool in _END_POOLS for tok in pool] + [repr(w) for w in _NEAR_TOL]
+    for tol in (0.0, 1e-9):
+        for lb in "[(":
+            for rb in "])":
+                for a in ends:
+                    for b in ends:
+                        _assert_reads_as_reference(f"0 {lb}{a},{b}{rb}\n", tol)
+                for lo in (0.0, 1.0, -3.5, 1e6):
+                    for w in _NEAR_TOL:
+                        _assert_reads_as_reference(f"\t-1 {lb}{lo!r},{lo + w!r}{rb} # c\r\n", tol)
 
 
 def test_parse_tolerance_rejects_sub_tol_open_bars():

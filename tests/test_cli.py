@@ -189,8 +189,10 @@ def test_convolve_reads_back_under_the_given_tol(tmp_path):
     assert run_cli("validate", b).returncode == 2
 
 
-@pytest.mark.parametrize("value", ["-1e-3", "-1E-3", "-.1e-2", "-0.001", "-1e-0_3"])
+@pytest.mark.parametrize("value", ["-1e-3", "-1E-3", "-.1e-2", "-0.001"])
 def test_negative_values_in_any_float_syntax(tmp_path, value):
+    # any spelling the number grammar of a .gbc file takes; float()'s
+    # others, such as -1e-0_3, are usage errors (test_bad_numbers_are_usage_errors)
     a = gbc(tmp_path, "a.gbc", "0 (0,1)\n0 [0,1)\n")
     attached = run_cli("convolve", a, f"--eps={value}")
     assert attached.returncode == 0 and attached.stdout == "0 (-0.001,1.001)\n0 [0.001,1.001)\n"
@@ -324,6 +326,14 @@ def test_tol_flag_and_env(tmp_path):
         (("convolve", "{f}", "--eps", "-inf"), None),
         (("interpolate", "{f}", "{f}", "--t", "-inf"), None),
         (("validate", "{f}", "--tol", "-inf"), None),
+        # the number grammar of a .gbc file, not float(): once 10 and 1
+        (("convolve", "{f}", "--eps", "1_0"), None),
+        (("convolve", "{f}", "--eps", "\u0661"), None),
+        (("interpolate", "{f}", "{f}", "--t", "1_0"), None),
+        (("validate", "{f}", "--tol", "1_0"), None),
+        (("validate", "{f}"), {"SHEAFDIST_TOL": "1_0"}),
+        (("validate", "{f}"), {"SHEAFDIST_TOL": "\u0661"}),
+        (("convolve", "{f}", "--eps=-1e-0_3"), None),
     ],
 )
 def test_bad_numbers_are_usage_errors(args, env):

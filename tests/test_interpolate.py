@@ -5,6 +5,7 @@ from sheafdist import (
     Barcode,
     GradedInterval,
     Interval,
+    Matching,
     distance_with_matching,
     interpolate,
     pair_path,
@@ -97,6 +98,19 @@ def test_interpolate_errors():
         interpolate(F, stale, m, 0.5)
     with pytest.raises(ValueError, match="not between"):
         interpolate(stale, Gb, m, 0.5)
+
+
+def test_stale_matching_is_refused_before_any_bar_moves():
+    # the pair [0,1) -> [0,1] has no finite path: pair_path would raise
+    # "no finite path" if the multiset check did not run first
+    a, b = G(Interval.right_open(0, 1)), G(Interval.closed(0, 1))
+    stale = Matching((), (("R", 0, a, b, 1.0),), (), 1.0)
+    with pytest.raises(ValueError, match="no finite path"):
+        pair_path(a, b, 0.5)
+    for F, Gb in [(Barcode((a,)), parse_barcode("0 [0,2)\n")), (Barcode(), Barcode((b,)))]:
+        with pytest.raises(ValueError) as exc:
+            interpolate(F, Gb, stale, 0.5)
+        assert str(exc.value) == "the matching is not between these two barcodes"
 
 
 def test_endpoint_recovery_exact(rng):

@@ -474,17 +474,31 @@ def test_per_pair_bound_at_and_above_the_dearer_deletion():
     a = GradedInterval(Interval.right_open(0, 4), 0)  # deletion 2
     at = GradedInterval(Interval.right_open(2, 4), 0)  # deletion 1, pair cost 2
     above = GradedInterval(Interval.right_open(2.5, 4.5), 0)  # deletion 1, pair cost 2.5
-    assert _rows([a], [at, above], [2.0], [1.0, 1.0]) == [[(2.0, 0)]]
-    assert _rows([at, above], [a], [1.0, 1.0], [2.0]) == [[(2.0, 0)], []]
+    # right vertex 2 is the copy of a; left vertex 1 the copy of at
+    assert _edges(_rows([a], [at, above], [2.0], [1.0, 1.0])) == (
+        [[(2.0, 0), (2.0, 2)], [(1.0, 0)], [(1.0, 1)]], 2.0
+    )
+    # right vertices 1 and 2 are the copies of at and above; left vertex 2 the copy of a
+    assert _edges(_rows([at, above], [a], [1.0, 1.0], [2.0])) == (
+        [[(1.0, 1), (2.0, 0)], [(1.0, 2)], [(2.0, 0)]], 2.0
+    )
     value, pairs = part_bottleneck([a], [above])
     assert value == 2.0
     assert sorted(pairs, key=str) == sorted([(a, None, 2.0), (None, above, 1.0)], key=str)
 
 
+def _edges(graph):
+    """``_rows``'s result as each left vertex's ``(cost, j)`` edges, and lb."""
+    nbrs, ecost, lb = graph
+    return [list(zip(c, n)) for c, n in zip(ecost, nbrs)], lb
+
+
 def test_rows_lists_exactly_the_edges_within_the_per_pair_bound(rng):
     # every finite edge of an undeletable class, and exactly the class-0
     # edges (i, j) with cost at most max(del_l[i], del_r[j]), which is at
-    # most ub, the dearest deletion; each row sorted by (cost, j)
+    # most ub, the dearest deletion; each row sorted by (cost, j), a
+    # bar's copy edge included, and lb the max over bars of the cheaper
+    # of their best partner and their deletion
     for t in range(120):
         side = ("central", "R", "L")[t % 3]
         span, widths = ((None, (0.5, 8)), (50.0, (0.5, 8)), (50.0, (0.1, 20)))[t % 3]
@@ -492,12 +506,17 @@ def test_rows_lists_exactly_the_edges_within_the_per_pair_bound(rng):
         del_l = [deletion_cost(g) for g in left]
         del_r = [deletion_cost(g) for g in right]
         ub = max([d for d in del_l + del_r if d < INF], default=0.0)
-        rows = _rows(left, right, del_l, del_r)
-        if rows is None:
+        graph = _rows(left, right, del_l, del_r)
+        if graph is None:
             classes = Counter(point(g)[:2] for g in left if point(g)[1])
             assert classes != Counter(point(g)[:2] for g in right if point(g)[1])
             continue
-        for i, row in enumerate(rows):
+        rows, lb = _edges(graph)
+        q = len(right)
+        copy_l = [i for i in range(len(left)) if del_l[i] < INF]
+        copy_r = [j for j in range(q) if del_r[j] < INF]
+        assert len(rows) == len(left) + len(copy_r)
+        for i, row in enumerate(rows[: len(left)]):
             assert row == sorted(row)
             want = []
             for j, g in enumerate(right):
@@ -505,7 +524,13 @@ def test_rows_lists_exactly_the_edges_within_the_per_pair_bound(rng):
                 if c < INF and c <= max(del_l[i], del_r[j]):
                     want.append((c, j))
                     assert point(g)[1] or c <= ub
+            if i in copy_l:
+                want.append((del_l[i], q + copy_l.index(i)))
             assert row == sorted(want)
+        assert rows[len(left) :] == [[(del_r[j], j)] for j in copy_r]
+        best_l = [min([pair_cost(g, h) for h in right] + [d]) for g, d in zip(left, del_l)]
+        best_r = [min([pair_cost(g, h) for g in left] + [d]) for h, d in zip(right, del_r)]
+        assert lb == max(best_l + best_r)
 
 
 def test_greedy_seed_that_blocks_is_augmented():
