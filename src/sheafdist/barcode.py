@@ -26,11 +26,12 @@ from .intervals import (
     _tgt_shape,
     interval_parts,
     point,
+    readable,
 )
 
 _BY_KEY = attrgetter("key")
 # a ``.gbc`` line of a degree and a literal, with ``[ \t]`` padding and an
-# optional comment: ``_DEGREE`` and ``_LITERAL``'s grammars in one match
+# optional comment: the grammars of ``_DEGREE`` and ``_INTERVAL`` in one match
 _LINE = re.compile(rf"[ \t]*(-?[0-9]+)[ \t]+{_INTERVAL}[ \t]*(?:#.*)?", re.ASCII).fullmatch
 
 
@@ -139,18 +140,18 @@ def parse_bar(degree: int, literal: str, tol: float = DEFAULT_TOL) -> GradedInte
     ``degree``.  A bar with an open end and a width of at most ``tol`` is
     empty.  Raises ValueError (ParseError for the literal itself)."""
     lo, hi, lc, hc = interval_parts(literal)
-    if hi - lo <= tol and not (lc and hc and hi >= lo):
+    if not readable(lo, hi, lc, hc, tol):
         raise ParseError(f"empty interval {literal!r}")
     return GradedInterval(Interval(lo, hi, lc, hc), degree)
 
 
 def format_barcode(b: Barcode) -> str:
-    """Canonical ``.gbc`` text.  ``parse_barcode`` under a ``tol`` reads it
-    back exactly when ``parse_bar`` admits every bar under that ``tol``.
-    ``Interval`` also takes bars that it refuses, an open bar of width at
-    most ``tol`` or a finite end at 2**1022 or beyond, and ``interpolate``
-    and ``from_persistence`` can build them; their text does not read
-    back (ROADMAP item 6: one admission rule for both sides)."""
+    """Canonical ``.gbc`` text, which ``parse_barcode`` reads back exactly
+    at ``tol=0``: every end is below 2**1022 and printed by ``repr`` or
+    as an integer.  At ``tol > 0`` it reads back exactly when no bar with
+    an open end is ``tol``-narrow, a width of at most ``tol``
+    (``readable``); ``interpolate`` and ``from_persistence`` can build
+    such bars, and the command line refuses to print them."""
     return "".join(f"{g.degree} {g.interval}\n" for g in b.bars)
 
 

@@ -26,8 +26,9 @@ import math
 import os
 import sys
 
-from .barcode import Barcode, format_barcode, global_sections, parse_bar, parse_barcode
+from .barcode import Barcode, format_barcode, global_sections, parse_barcode
 from .intervals import _NUMBER, DEFAULT_TOL, INF, ParseError, fmt_number, parse_graded_interval
+from .intervals import readable
 from .matching import distance_with_matching
 
 
@@ -87,14 +88,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _is_number(tok: str) -> bool:
-    """Whether ``tok`` is a number of the ``.gbc`` grammar."""
-    return tok in ("inf", "+inf", "-inf") or _NUMBER(tok) is not None
-
-
-def _finite(name: str, tok: str) -> float:
-    """The value ``tok`` of ``name``, which must be a finite number."""
-    if not _is_number(tok):
+def _finite(name: str, tok: str | list) -> float:
+    """The value ``tok`` of ``name``, a finite number of the ``.gbc`` grammar
+    (argparse hands over ``--tol=--`` as ``[]``)."""
+    tok = tok if isinstance(tok, str) else "--"
+    if tok not in ("inf", "+inf", "-inf") and _NUMBER(tok) is None:
         raise ParseError(f"{name} must be a number, got {tok!r}")
     x = float(tok)
     if not math.isfinite(x):
@@ -131,16 +129,18 @@ def _load(path: str, tol: float) -> Barcode:
 def _write_barcode(bars, tol: float, why, make=None) -> None:
     """Print ``bars`` (``make(g)`` for each ``g`` when ``make`` is given)
     as ``.gbc`` text that ``validate`` reads back under the same ``tol``.
-    Each bar is read back by ``parse_bar``; a bar that fails, or that
-    ``make`` refuses, is a ParseError whose message ``why(g)`` names it."""
+    A bar that ``readable`` refuses, or that ``make`` refuses, is a
+    ParseError whose message ``why(g)`` names it."""
     out = []
     for g in bars:
         try:
             h = g if make is None else make(g)
-            out.append(parse_bar(h.degree, str(h.interval), tol))
         except ValueError:
+            h = None
+        if h is None or not readable(*h.interval, tol):
             raise ParseError(f"{why(g)} out of range: an endpoint reaches 2**1022 or the "
-                             f"width falls to the tolerance {tol!r} or below") from None
+                             f"width falls to the tolerance {tol!r} or below")
+        out.append(h)
     sys.stdout.write(format_barcode(Barcode(tuple(out))))
 
 
@@ -230,12 +230,12 @@ _NUMBER_OPTIONS = ("--eps", "--t", "--tol")
 def _attach_numbers(argv: list[str]) -> list[str]:
     """``--eps -1e-3`` as ``--eps=-1e-3``, likewise for ``--t`` and
     ``--tol``.  argparse reads a separate value that starts with ``-`` as
-    an option unless it is a plain decimal, so ``-1e-3`` or ``-inf``
-    would end in "expected one argument".  No parser takes an
-    abbreviation, so the full names are the only ones to look for."""
+    an option unless it is a plain decimal, so ``-1e-3``, ``-inf`` or a bad
+    ``-1_0`` would end in a usage dump, not ``_finite``'s one line; ``--x``
+    stays an option.  No parser takes an abbreviation."""
     out: list[str] = []
     for tok in argv:
-        if out and out[-1] in _NUMBER_OPTIONS and tok.startswith("-") and _is_number(tok):
+        if out and out[-1] in _NUMBER_OPTIONS and tok[:1] == "-" and tok[:2] != "--":
             out[-1] += "=" + tok
         else:
             out.append(tok)

@@ -71,7 +71,8 @@ def stalk_type(gi: GradedInterval, eps: float, x: float) -> dict[int, int]:
     (closed window for eps >= 0, open window one degree down for
     eps < 0) and reads off the local contribution: a compact piece sits
     at relative degree 0, an open piece at relative degree 1, a
-    half-open piece contributes nothing.
+    half-open piece contributes nothing.  A window out of range is a
+    ValueError.
     """
     if eps >= 0:
         window = Interval(x - eps, x + eps, True, True)

@@ -84,12 +84,10 @@ def pair_path(
         # shrink to the centre point, then grow onto the closed target
         r = source.interval.width / 2.0
         mid = source.interval.center
-        if t < r:
-            return GradedInterval(
-                Interval.open(source.interval.lo + t, source.interval.hi - t),
-                source.degree,
-            )
-        theta = (t - r) / (c - r) if c > r else 1.0
+        lo, hi = source.interval.lo + t, source.interval.hi - t
+        if t < r and lo < hi:  # round-off can close the gap just before r
+            return GradedInterval(Interval.open(lo, hi), source.degree)
+        theta = max(t - r, 0.0) / (c - r) if c > r else 1.0
         return GradedInterval(
             Interval.closed(
                 _lerp(mid, target.interval.lo, theta),
@@ -100,17 +98,16 @@ def pair_path(
     # closed source, open target: the reverse movie
     r = target.interval.width / 2.0
     mid = target.interval.center
-    if t <= c - r:
-        theta = t / (c - r) if c > r else 1.0
-        return GradedInterval(
-            Interval.closed(
-                _lerp(source.interval.lo, mid, theta),
-                _lerp(source.interval.hi, mid, theta),
-            ),
-            source.degree,
-        )
     rad = t - (c - r)
-    return GradedInterval(Interval.open(mid - rad, mid + rad), target.degree)
+    if rad > 0 and mid - rad < mid + rad:  # round-off can close the gap just after c - r
+        return GradedInterval(Interval.open(mid - rad, mid + rad), target.degree)
+    if rad >= 0:  # the centre point: x + (mid - x) need not round to mid
+        return GradedInterval(Interval.point(mid), source.degree)
+    theta = t / (c - r)
+    return GradedInterval(
+        Interval.closed(_lerp(source.interval.lo, mid, theta), _lerp(source.interval.hi, mid, theta)),
+        source.degree,
+    )
 
 
 def interpolate(F: Barcode, G: Barcode, matching: Matching, t: float) -> Barcode:
@@ -121,7 +118,8 @@ def interpolate(F: Barcode, G: Barcode, matching: Matching, t: float) -> Barcode
     otherwise, for instance for a matching computed for other barcodes).
     Pairs that finish early stay at their target; deleted bars from G
     grow in as time runs out.  t = 0 and t = eps reproduce F and G
-    exactly.
+    exactly.  A ``_lerp`` that rounds onto 2**1022, which only ends within
+    one ulp of it could meet, would be ``Interval``'s ValueError.
     """
     central, halfopen, deletions, eps = matching
     if eps == INF:

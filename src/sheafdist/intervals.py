@@ -3,7 +3,9 @@
 Endpoints live in the extended reals. ``-inf`` and ``inf`` are honest
 sentinels (``math.inf``), never the result of overflow, and an infinite
 endpoint is always stored with an open flag: ``[2, inf)`` is fine,
-``[2, inf]`` is not constructible.
+``[2, inf]`` is not constructible.  A finite endpoint lies below
+``2**1022`` (``_LIMIT``), so no width, midpoint or cost overflows.
+``readable`` is the tolerance half of the rule that admits a bar.
 
 ``point`` holds the CLR rule that every other module reads: a bar's
 slot, shape class and plane point, from its flags, infinities and degree.
@@ -30,6 +32,8 @@ INF = math.inf
 
 #: default absolute tolerance for comparisons that are tolerance-aware
 DEFAULT_TOL = 1e-9
+
+_LIMIT = 2.0**1022  # every finite end is below it: no difference of two ends overflows
 
 
 class ParseError(ValueError):
@@ -64,7 +68,9 @@ class Interval(namedtuple("Interval", "lo hi lo_closed hi_closed")):
 
     ``lo_closed`` / ``hi_closed`` record whether each endpoint belongs
     to the interval.  Valid states: ``lo < hi``, or ``lo == hi`` finite
-    with both flags closed (a single point).
+    with both flags closed (a single point); a finite end is below
+    ``2**1022`` in magnitude, so every cost is finite and the text of
+    every bar reads back exactly.  Anything else is a ValueError.
 
     A named tuple: it unpacks as ``lo, hi, lo_closed, hi_closed`` and
     compares equal to (and orders like) the plain tuple of its fields;
@@ -75,7 +81,7 @@ class Interval(namedtuple("Interval", "lo hi lo_closed hi_closed")):
     __slots__ = ()
 
     def __new__(cls, lo: float, hi: float, lo_closed: bool, hi_closed: bool) -> "Interval":
-        if not -INF < lo < hi < INF:  # bounded and nonempty: every check holds
+        if not -_LIMIT < lo < hi < _LIMIT:  # bounded, nonempty, in range: every check holds
             if math.isnan(lo) or math.isnan(hi):
                 raise ValueError("NaN endpoint")
             if lo == INF or hi == -INF:
@@ -88,6 +94,8 @@ class Interval(namedtuple("Interval", "lo hi lo_closed hi_closed")):
                 raise ValueError(f"empty interval: lo={lo} > hi={hi}")
             if lo == hi and not (lo_closed and hi_closed):
                 raise ValueError("empty interval: equal endpoints need both flags closed")
+            if _LIMIT <= abs(lo) < INF or _LIMIT <= abs(hi) < INF:
+                raise ValueError("endpoint out of range: a finite end must be below 2**1022")
         return tuple.__new__(cls, (lo, hi, lo_closed, hi_closed))
 
     @classmethod
@@ -314,10 +322,8 @@ def classify(iv: Interval) -> Kind:
 _FINITE = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _NUMBER = re.compile(_FINITE, re.ASCII).fullmatch
 _INTERVAL = rf"([\[\(])({_FINITE}|[+-]?inf),({_FINITE}|[+-]?inf)([\]\)])"
-_LITERAL = re.compile(_INTERVAL, re.ASCII).fullmatch
 _DEGREE = re.compile(r"-?[0-9]+").fullmatch  # the one degree grammar of every reader
 _SHAPE = re.compile(r"([\[\(])([^,\s]+),([^,\s]+)([\]\)])").fullmatch
-_LIMIT = 2.0**1022  # 1e400 reads as inf; below 2**1022 no width overflows
 
 
 def parse_number(tok: str) -> float:
@@ -344,24 +350,19 @@ def fmt_number(x: float) -> str:
 
 
 def interval_parts(text: str) -> tuple[float, float, bool, bool]:
-    """Split an interval literal like ``[-1,2.5)`` into raw parts.
-
-    A valid literal is read by one match of the number grammar and the
-    range check (an end reads as infinite only from ``inf``); any other
-    text goes through ``parse_number`` on each end, which names the
-    error."""
-    m = _LITERAL(text)
-    if m is not None:
-        lb, a, b, rb = m.groups()
-        lo, hi = float(a), float(b)
-        if (abs(lo) < _LIMIT or a[-1] == "f") and (abs(hi) < _LIMIT or b[-1] == "f"):
-            return lo, hi, lb == "[", rb == "]"
+    """Split an interval literal like ``[-1,2.5)`` into raw parts;
+    ``parse_number`` reads each end and names any error."""
     m = _SHAPE(text)
     if m is None:
         raise ParseError(f"bad interval literal {text!r}")
-    lo = parse_number(m.group(2))
-    hi = parse_number(m.group(3))
-    return lo, hi, m.group(1) == "[", m.group(4) == "]"
+    lb, a, b, rb = m.groups()
+    return parse_number(a), parse_number(b), lb == "[", rb == "]"
+
+
+def readable(lo: float, hi: float, lo_closed: bool, hi_closed: bool, tol: float) -> bool:
+    """Whether the bar with these parts reads back under ``tol``: one with
+    an open end must be wider than ``tol``.  ``Interval`` holds the rest."""
+    return hi - lo > tol or (lo_closed and hi_closed and hi >= lo)
 
 
 def parse_interval(text: str) -> Interval:

@@ -6,7 +6,9 @@ max over slots, attained by a concrete matching that
 ``distance_with_matching`` returns.  In a slot, unmatched bars pay their
 deletion cost; central bars, rays and the line have none, so a central
 slot is a perfect-matching problem (a bijection) and a half-open slot a
-partial one.
+partial one.  Every cost within a shape class is finite (``Interval``
+keeps ends below 2**1022), so a slot's distance is infinite exactly when
+a class of undeletable bars differs in size between the sides.
 
 One solver serves every slot: the least eps whose threshold graph (the
 edges of cost at most eps) has a perfect matching.  Each bar with a
@@ -267,10 +269,10 @@ def _slot_solve(
     ``nbrs``, ``ecost`` and ``lb`` are what ``_rows`` returns: left vertex
     ``u`` has the listed edges to ``nbrs[u]`` at ``ecost[u]``, cheapest
     first, its own copy edge included, and no eps below ``lb`` is
-    feasible.  The lists may leave out edges dearer than some eps at
-    which the edges kept already admit a perfect matching: below that
-    eps nothing is left out, and from it on the slot is feasible either
-    way.  They may also leave out an edge ``(i, j)`` dearer than both
+    feasible, and finite.  The lists may leave out edges dearer than some
+    eps at which the edges kept already admit a perfect matching: below
+    that eps nothing is left out, and from it on the slot is feasible
+    either way.  They may also leave out an edge ``(i, j)`` dearer than both
     ``del_l[i]`` and ``del_r[j]``: a perfect matching that uses it stays
     perfect, and no dearer, with the two copy edges and a free
     copy-to-copy edge in its place, and the cheapest edge at each bar,
@@ -288,8 +290,6 @@ def _slot_solve(
     p, q, size = len(left), len(right), len(nbrs)
     if size == 0:
         return 0.0, ()
-    if lb == INF:
-        return INF, ()
     mate_l, mate_r = [-1] * size, [-1] * size
     _hopcroft_karp(nbrs, [bisect_right(c, lb) for c in ecost], p, q, mate_l, mate_r)
     eps = lb
@@ -314,8 +314,10 @@ def _rows(
 ) -> tuple[list[tuple[int, ...]], list[tuple[float, ...]], float] | None:
     """The slot graph of ``_slot_solve``, built in one walk: ``(nbrs,
     ecost, lb)``, or ``None`` when no perfect matching can exist because
-    a class of undeletable bars, or the vertex count, differs between
-    the sides.
+    a class of undeletable bars differs in size between the sides.  Else
+    the sides have equal vertex counts and no row is empty, as every cost
+    within a class is finite: a deletable bar has its copy, an undeletable
+    one an edge to each bar of its class.
 
     Left vertices are the left bars, then the copies of the deletable
     right bars in index order; right vertices are the right bars, then
@@ -388,11 +390,6 @@ def _rows(
                         row.append((c, j))
                         if c < col[j]:
                             col[j] = c
-        if not row:
-            nbrs.append(())
-            ecost.append(())
-            lb = INF
-            continue
         row.sort()
         cs, ns = zip(*row)
         nbrs.append(ns)
@@ -408,8 +405,6 @@ def _rows(
         if dj < INF:
             nbrs.append((j,))
             ecost.append((dj,))
-    if len(nbrs) != vertex:  # more left vertices than right ones, or fewer
-        return None
     return nbrs, ecost, lb
 
 

@@ -64,8 +64,8 @@ def to_persistence(split: CLRSplit, side: str, degree: int) -> PersistenceDiagra
 
 def from_persistence(diagram: PersistenceDiagram, side: str) -> tuple[GradedInterval, ...]:
     """Inverse of ``to_persistence``; returns the slot's bars.  A pair
-    with no bar on ``side`` (``(-inf, inf)``, the full line, on L) is a
-    ``ValueError``."""
+    with no bar on ``side`` (``(-inf, inf)``, the full line, on L), or
+    with a finite end of magnitude 2**1022 or more, is a ``ValueError``."""
     bars = []
     for birth, death in diagram.pairs:
         if side == "R":

@@ -1,16 +1,21 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import random_barcode
+from conftest import perturbed_barcode, random_barcode
 from sheafdist import (
     Barcode,
     GradedInterval,
     Interval,
     ParseError,
+    PersistenceDiagram,
+    convolve_barcode,
+    distance_with_matching,
     format_barcode,
+    from_persistence,
     global_sections,
+    interpolate,
     parse_barcode,
     parse_diagrams,
     parse_graded_interval,
@@ -195,6 +200,80 @@ def test_format_parse_round_trip(rng):
     for _ in range(200):
         b = random_barcode(rng)
         assert parse_barcode(format_barcode(b)) == b
+
+
+# every barcode the library builds reads back exactly at tol 0: its ends
+# are below 2**1022 (``Interval``) and printed exactly (``fmt_number``)
+EDGE = math.nextafter(2.0**1022, 0)
+_VALUES = (
+    st.floats(-EDGE, EDGE)  # off the grid, subnormals and -0.0 included
+    | st.floats(allow_nan=False, allow_infinity=False)  # out of range too: no bar
+    | st.integers(-96, 96).map(lambda k: k / 16)  # the grid of ``conftest``
+    | st.sampled_from([EDGE, -EDGE, 1e15, 1e16 + 2, 0.1, 1 / 3, 5e-324, 1e-300])
+)
+_IN_RANGE = _VALUES.filter(lambda x: abs(x) <= EDGE)
+_SHAPES = [
+    lambda a, b: (a, b, True, True), lambda a, b: (a, b, False, False),
+    lambda a, b: (a, b, True, False), lambda a, b: (a, b, False, True),
+    lambda a, b: (a, INF, True, False), lambda a, b: (a, INF, False, False),
+    lambda a, b: (-INF, b, False, False), lambda a, b: (-INF, b, False, True),
+    lambda a, b: (-INF, INF, False, False), lambda a, b: (a, a, True, True),
+]
+
+
+@st.composite
+def _any_bar(draw) -> GradedInterval:
+    a, b = sorted((draw(_VALUES), draw(_VALUES)))
+    try:  # any bar that ``Interval`` takes
+        iv = Interval(*draw(st.sampled_from(_SHAPES))(a, b))
+    except ValueError:
+        assume(False)
+    return GradedInterval(iv, draw(st.integers(-3, 3)))
+
+
+def _assert_reads_back(b: Barcode) -> None:
+    assert parse_barcode(format_barcode(b), tol=0) == b
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_any_bar(), max_size=8))
+def test_any_barcode_reads_back_at_tol_zero(bars):
+    _assert_reads_back(Barcode(tuple(bars)))
+
+
+def _scaled(b: Barcode, s: float) -> Barcode:
+    return Barcode(tuple(GradedInterval(Interval(g.interval.lo * s, g.interval.hi * s,
+                                                 g.interval.lo_closed, g.interval.hi_closed),
+                                        g.degree) for g in b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.randoms(use_true_random=False),
+    st.sampled_from([1.0, 2.0**-40, 1 / 3, 0.1, math.pi, 1e-7, 1e290, EDGE / 16]),
+    st.floats(-3, 3),
+    st.lists(st.tuples(_IN_RANGE | st.just(-INF), _IN_RANGE | st.just(INF)), max_size=6),
+)
+def test_library_outputs_read_back_at_tol_zero(rng, scale, eps, pairs):
+    # grid barcodes at a finite distance, scaled off the grid or up to the
+    # edge of the range (grid ends are at most 12 in magnitude), both ways round
+    F = random_barcode(rng, max_bars=8)
+    F, G = _scaled(F, scale), _scaled(perturbed_barcode(rng, F), scale)
+    for A, B in ((F, G), (G, F)):
+        d, m = distance_with_matching(A, B)
+        for k in range(9):
+            _assert_reads_back(interpolate(A, B, m, d * k / 8))
+        _assert_reads_back(interpolate(A, B, m, rng.uniform(0, d)))
+    try:
+        smoothed = convolve_barcode(F, eps * scale)
+    except ValueError as exc:  # a result end at 2**1022 or beyond
+        assert "2**1022 or beyond" in str(exc)
+    else:
+        _assert_reads_back(smoothed)
+    pairs = [(birth, death) for birth, death in pairs if birth < death] + [(0.0, INF)]
+    for side in ("R", "L"):  # no L bar is the line
+        kept = tuple(p for p in pairs if side == "R" or p != (-INF, INF))
+        _assert_reads_back(Barcode(from_persistence(PersistenceDiagram(1, kept), side)))
 
 
 def test_format_is_canonical():

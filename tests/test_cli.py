@@ -1,6 +1,8 @@
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -334,6 +336,11 @@ def test_tol_flag_and_env(tmp_path):
         (("validate", "{f}"), {"SHEAFDIST_TOL": "1_0"}),
         (("validate", "{f}"), {"SHEAFDIST_TOL": "\u0661"}),
         (("convolve", "{f}", "--eps=-1e-0_3"), None),
+        # a bad negative value as a separate argument: once a usage dump
+        (("convolve", "{f}", "--eps", "-1_0"), None),
+        (("convolve", "{f}", "--eps", "-nan"), None),
+        (("interpolate", "{f}", "{f}", "--t", "-1_0"), None),
+        (("validate", "{f}", "--tol", "-nan"), None),
     ],
 )
 def test_bad_numbers_are_usage_errors(args, env):
@@ -342,3 +349,77 @@ def test_bad_numbers_are_usage_errors(args, env):
     assert out.returncode == 2
     assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
     assert out.stdout == ""
+
+
+_FUZZ_NUMBERS = [
+    "0", "0.5", "-0.5", "1e-3", "-1e-3", "7", "1e16", "-1e16", "4.4e307", "-4.4e307", "1e308",
+    "-1.7e308", "1e400", "inf", "-inf", "+inf", "nan", "-nan", "1_0", "-1_0", "١", "0x1",
+    "", "-", "--", "-x", "1e", ".", "0.4999999999995", "1e-12", "-1e-12", "5e-324",
+]
+_FUZZ_LITERALS = [
+    "[0,1)", "(0,1]", "[0,1]", "(0,1)", "[1,1]", "[1,1)", "(0,inf)", "[0,inf]", "(-inf,inf)",
+    "[-4e307,4e307]", "[0,1e400)", "(-1e308,0)", "[x,1]", "[0,1", "0,1]", "[,]", "[0, 1]",
+    "[١,2)", "[nan,1)", "(-inf,-inf)", "[4.4e307,4.4e307]",
+]
+_FUZZ_DEGREES = ["0", "1", "-1", "+1", "1_0", "١", "x", "", "007"]
+
+
+def _fuzz_gbc(rng) -> str:
+    lines = []
+    for _ in range(rng.randrange(0, 6)):
+        if rng.random() < 0.85:
+            lines.append(f"{rng.choice(_FUZZ_DEGREES[:3])} {rng.choice(_FUZZ_LITERALS[:10])}")
+        else:
+            lines.append(f"{rng.choice(_FUZZ_DEGREES)} {rng.choice(_FUZZ_LITERALS)}")
+    return "\n".join(lines) + rng.choice(["", "\n", "\r\n", "# c\n"])
+
+
+def _fuzz_pdg(rng) -> str:
+    return "".join(f"{rng.choice(_FUZZ_DEGREES[:3])} {rng.choice(_FUZZ_NUMBERS[:14])} "
+                   f"{rng.choice(_FUZZ_NUMBERS[:14] if rng.random() < 0.9 else _FUZZ_NUMBERS)}\n"
+                   for _ in range(rng.randrange(0, 4)))
+
+
+def test_cli_fuzz_ends_in_an_exit_code(tmp_path, capsys, monkeypatch):
+    # in process: every call returns 0, 1 or 2, or argparse exits with 2;
+    # no other exception, and so no traceback, gets out of main
+    from sheafdist.cli import main
+
+    rng = random.Random(0xF022)
+    files = []
+    for k in range(12):
+        files.append(gbc(tmp_path, f"{k}.gbc", _fuzz_gbc(rng)))
+        files.append(gbc(tmp_path, f"{k}.pdg", _fuzz_pdg(rng)))
+    (tmp_path / "bytes.gbc").write_bytes(b"0 [0,1)\n\xff\n")
+    files += [str(tmp_path / "bytes.gbc"), str(tmp_path / "missing.gbc")]
+    num = lambda: rng.choice(_FUZZ_NUMBERS) if rng.random() < 0.8 else repr(rng.uniform(-9, 9))
+    commands = [
+        lambda: ["validate", rng.choice(files)],
+        lambda: ["dist", rng.choice(files), rng.choice(files)],
+        lambda: ["match", rng.choice(files), rng.choice(files)],
+        lambda: ["convolve", rng.choice(files), *rng.choice([["--eps", num()], [f"--eps={num()}"]])],
+        lambda: ["interpolate", rng.choice(files), rng.choice(files), "--t", num()],
+        lambda: ["hom", rng.choice(_FUZZ_LITERALS) + rng.choice(["", "@0", "@1", "@+1", "@x"]),
+                 rng.choice(_FUZZ_LITERALS)],
+        lambda: ["gamma", rng.choice(files)] + (["--compact"] if rng.random() < 0.5 else []),
+        lambda: ["component", rng.choice(files), rng.choice(files)],
+        lambda: ["import-diagram", rng.choice(files), "--side", rng.choice(["R", "L", "C"])],
+        lambda: [rng.choice(["", "frobnicate", "--eps", "-h"])],
+    ]
+    outcomes = Counter()
+    for _ in range(2000):
+        argv = rng.choice(commands)()
+        if rng.random() < 0.3:
+            argv += ["--tol", num()] if rng.random() < 0.8 else [f"--tol={num()}"]
+        if rng.random() < 0.05:
+            monkeypatch.setenv("SHEAFDIST_TOL", num())
+        else:
+            monkeypatch.delenv("SHEAFDIST_TOL", raising=False)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage errors and --help
+            code = f"exit {exc.code}"
+        assert code in (0, 1, 2, "exit 0", "exit 2"), argv
+        outcomes[code] += 1
+        capsys.readouterr()
+    assert set(outcomes) >= {0, 1, 2, "exit 2"}, outcomes

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from conftest import perturbed_barcode, random_barcode
@@ -49,6 +51,25 @@ def test_pair_path_crosses_collapse():
     # reversed orientation walks the same bars backwards
     assert pair_path(dst, src, c - 0.5) == G(Interval.open(0.5, 1.5), 0)
     assert pair_path(dst, src, c - 1.0) == G(Interval.point(1), 1)
+
+
+def test_pair_path_round_off_at_the_collapse_takes_the_centre_point():
+    # an ulp before the collapse, (1000,1000.5) shrunk by t would be open
+    # with ends that round onto one value, and so would the open bar an ulp
+    # after it on the way back: the path is at its centre point
+    src, dst = G(Interval.open(1000, 1000.5), 0), G(Interval.closed(1000, 1001), 1)
+    t = math.nextafter(0.25, 0)
+    assert pair_path(src, dst, t) == G(Interval.point(1000.25), 1)
+    assert pair_path(dst, src, math.nextafter(0.75, 1)) == G(Interval.point(1000.25), 1)
+    assert pair_path(dst, src, 0.75) == G(Interval.point(1000.25), 1)
+    # at the collapse a shrinking closed bar is the centre point exactly, not
+    # x + (mid - x) with its rounding: here once a reversed bar, a ValueError
+    F = parse_barcode("1 [-4.2210699996141525e+299,4.4942328371557893e+307]\n")
+    H = parse_barcode("0 (-7.214844075832685e+299,-7.214843888934097e+299)\n")
+    d, m = distance_with_matching(F, H)
+    mid = H.bars[0].interval.center
+    assert interpolate(F, H, m, d - H.bars[0].interval.width / 2) == Barcode(
+        (G(Interval.point(mid), 1),))
 
 
 def test_pair_path_cost_splits_exactly(rng):

@@ -179,7 +179,7 @@ def test_cached_key_and_point(rng):
 
 
 # ---------------------------------------------------------------------
-# literals: one match for a valid literal, the same errors otherwise
+# literals: ``parse_number`` reads each end and names any error
 # ---------------------------------------------------------------------
 
 JUST_UNDER = math.nextafter(2.0**1022, 0)  # the largest finite value the reader takes

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from collections import Counter
@@ -21,6 +22,7 @@ from sheafdist import (
     pair_cost,
     parse_barcode,
     part_bottleneck,
+    same_component,
 )
 from sheafdist import matching
 from sheafdist.intervals import INF, Kind, point
@@ -653,3 +655,35 @@ def test_part_bottleneck_optimal_over_wide_width_ranges():
         _assert_optimal(left, right, d, pairs)
         outcomes[side, d < INF] += 1
     assert {k for k in outcomes if k[1]} == {("R", True), ("L", True), ("central", True)}
+
+
+def test_bars_at_the_range_edge_have_finite_costs():
+    # ends one ulp below 2**1022, in every class: every width, midpoint and
+    # cost stays finite (two ends differ by less than 2**1023), so each
+    # bounded half-open bar can be deleted and each class matches within itself
+    E = math.nextafter(2.0**1022, 0)
+    pairs = [  # (a bar of F, a bar of G) per class, far apart
+        (Interval.right_open(-E, E), Interval.right_open(0, E)),  # bounded R
+        (Interval.left_open(-E, E), Interval.left_open(-E, 0)),  # bounded L
+        (Interval.right_open(-E, INF), Interval.right_open(E, INF)),  # R ray to inf
+        (Interval.open(-INF, -E), Interval.open(-INF, E)),  # R ray to -inf
+        (Interval.open(-E, INF), Interval.open(E, INF)),  # L ray to inf
+        (Interval.left_open(-INF, -E), Interval.left_open(-INF, E)),  # L ray to -inf
+        (Interval.line(), Interval.line()),
+        (Interval.open(-E, E), Interval.open(E / 2, E)),  # central open
+        (Interval.closed(-E, E), Interval.point(E)),  # central closed
+    ]
+    cross = (GradedInterval(Interval.open(-E, E), 0), GradedInterval(Interval.point(-E), 1))
+    bars = [(GradedInterval(f, 0), GradedInterval(g, 0)) for f, g in pairs] + [cross]
+    assert all(pair_cost(f, g) < INF for f, g in bars)
+    assert all(deletion_cost(h) < INF for pair in bars[:2] for h in pair)
+    rng = random.Random(1022)
+    for k in range(60):
+        chosen = bars if k == 0 else rng.sample(bars, rng.randrange(1, len(bars) + 1))
+        F = Barcode(tuple(f for f, _ in chosen))
+        G = Barcode(tuple(g for _, g in chosen))
+        d = distance_with_matching(F, G)[0]
+        assert d < INF and d == bruteforce_distance(F, G)
+    assert distance_with_matching(Barcode((bars[0][0],)), Barcode())[0] == E
+    for f, g in bars[2:4]:
+        assert same_component(Barcode((f,)), Barcode((g,)))

@@ -151,6 +151,11 @@ INTERVAL_ERRORS = [
     ((0, INF, False, True), "closed flag on infinite endpoint"),
     ((2, 1, True, True), "empty interval: lo=2 > hi=1"),
     ((0, 0, True, False), "empty interval: equal endpoints need both flags closed"),
+    # every finite end below 2**1022, so no width, midpoint or cost overflows
+    ((0, 2**1022, True, False), "endpoint out of range: a finite end must be below 2**1022"),
+    ((-1.7e308, 1.7e308, True, False), "endpoint out of range: a finite end must be below 2**1022"),
+    ((5e307, INF, True, False), "endpoint out of range: a finite end must be below 2**1022"),
+    ((-INF, -5e307, False, False), "endpoint out of range: a finite end must be below 2**1022"),
 ]
 
 
