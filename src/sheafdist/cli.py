@@ -8,11 +8,13 @@ file that is not UTF-8 is a parse error.  These numbers are read by the
 grammar of a ``.gbc`` file: ASCII decimals and ``[+-]inf``, so ``1_0``
 and digits of other scripts are usage errors.  The value of ``--eps``,
 ``--t`` or ``--tol`` may be a separate argument, negative ones included
-(``--eps -1e-3``).  Options are spelled out in full: an
-abbreviation such as ``--ep`` is an unrecognized argument.  The
-commands that print ``.gbc`` text (``convolve``, ``interpolate``,
-``import-diagram``) print only bars that ``validate`` reads back under
-the same tolerance; any other bar is a parse error naming it.
+(``--eps -1e-3``).  A value that argparse hands over as ``[]``, as it
+reads ``--side=--`` or a second ``--``, is a usage error.
+Options are spelled out in full: an abbreviation such as ``--ep`` is an
+unrecognized argument.  The commands that print ``.gbc`` text
+(``convolve``, ``interpolate``, ``import-diagram``) print only bars that
+``validate`` reads back under the same tolerance; any other bar is a
+parse error naming it.
 
 Start-up: at module level this imports only ``barcode``, ``intervals``
 and ``matching``, all that ``validate``, ``dist`` and ``match`` run.
@@ -22,6 +24,7 @@ Every other command imports its own module in its branch of ``_run``.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -32,6 +35,7 @@ from .intervals import readable
 from .matching import distance_with_matching
 
 
+@functools.cache  # built once per process: in-process callers run main many times
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -88,10 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _finite(name: str, tok: str | list) -> float:
-    """The value ``tok`` of ``name``, a finite number of the ``.gbc`` grammar
-    (argparse hands over ``--tol=--`` as ``[]``)."""
-    tok = tok if isinstance(tok, str) else "--"
+def _finite(name: str, tok: str) -> float:
+    """The value ``tok`` of ``name``, a finite number of the ``.gbc`` grammar."""
     if tok not in ("inf", "+inf", "-inf") and _NUMBER(tok) is None:
         raise ParseError(f"{name} must be a number, got {tok!r}")
     x = float(tok)
@@ -245,6 +247,14 @@ def _attach_numbers(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser().parse_args(_attach_numbers(argv))
+    # argparse hands over an attached ``--`` (``--side=--``), or a second
+    # one among the positionals, as [], past ``choices``; refuse it before
+    # any file is read
+    for dest, value in vars(args).items():
+        if value == []:
+            name = f"--{dest}" if f"--{dest}=--" in argv else dest
+            print(f"error: argument {name}: expected a value, got '--'", file=sys.stderr)
+            return 2
     try:
         return _run(args)
     except (ParseError, OSError) as exc:

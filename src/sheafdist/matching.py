@@ -19,15 +19,16 @@ One walk over the bars builds the graph (``_rows``): each left vertex's
 partners and costs as two parallel lists sorted by cost, its copy edge
 among them, so the graph at any eps is a prefix of each, and with them
 the lower bound lb, the max over bars of min(cheapest pair cost,
-deletion cost).  No eps below lb is feasible, so Hopcroft-Karp (SIAM
-J. Comput. 1973) first finds a maximum matching at lb, after a greedy
-pass in which each free vertex takes its cheapest free partner; that
-matching is usually perfect.  Each vertex it leaves free then costs one
-augmenting path whose dearest edge is least, found by a search in
-rising order of eps (Derigs & Zimmermann, Computing 1978): every
-matched edge stays within the optimum, so the eps of the last path is
-the value and the final matching the witness.  No candidate set is
-built or searched, and no floating-point threshold is ever
+deletion cost).  No eps below lb is feasible, so a maximum matching
+is first found at lb: a greedy pass in which each free vertex takes its
+cheapest free partner, then rounds of augmenting-path DFS from the free
+vertices (Kuhn, Naval Res. Logist. Q. 1955) until a round grows
+nothing; that matching is usually perfect.  Each vertex it leaves free
+then costs one augmenting path whose dearest edge is least, found by a
+search in rising order of eps (Derigs & Zimmermann, Computing 1978):
+every matched edge stays within the optimum, so the eps of the last
+path is the value and the final matching the witness.  No candidate set
+is built or searched, and no floating-point threshold is ever
 approximated: the value is one of the listed costs.  Both searches run
 on explicit queues and stacks, so no slot size meets Python's recursion
 limit, and neither lists the copy-to-copy block.
@@ -79,7 +80,7 @@ class Matching(namedtuple("Matching", "central_pairs halfopen_pairs deletions ac
         return Matching((), (), (), INF)
 
 
-def _hopcroft_karp(
+def _max_matching(
     nbrs: Sequence[Sequence[int]],
     cnt: list[int],
     p: int,
@@ -94,13 +95,18 @@ def _hopcroft_karp(
     ``u >= p`` are also joined to every right copy ``v >= q``; that block
     is never listed.  A greedy pass first gives each free left vertex, in
     index order, the first free right vertex of its prefix (its cheapest
-    edge), then each free left copy the next free right copy; the phases
-    augment what it leaves.  In a phase's BFS only the first left copy
-    reached scans the right copies, and in its DFS the left copies of one
-    layer share one pointer into them: a right copy tried from layer k is
-    useless to every other vertex of layer k.  Both searches run on
-    explicit queues and stacks, and vertices and edges are visited in a
-    fixed order, so the result is deterministic.
+    edge), then each free left copy the next free right copy.  Rounds of
+    the augmenting-path method (Kuhn, Naval Res. Logist. Q. 1955) grow
+    what it leaves.  A round is one pass over the free left vertices in
+    index order, each the root of a DFS that steps to a right vertex that
+    is free, or whose mate is not yet ``seen`` in the round, and flips
+    the path at a free one.  A right vertex once stepped to keeps a seen
+    mate for the rest of the round, so the left copies share one pointer
+    into the right copies.  A round that grows nothing ran on an unchanged
+    matching, so its marks prove that no augmenting path is left; every
+    other round grows the matching.  The DFS runs on an explicit stack,
+    and vertices and edges are visited in a fixed order, so the result is
+    deterministic.
     """
     size = len(mate_l)
     for u in range(size):
@@ -114,81 +120,50 @@ def _hopcroft_karp(
     for u, v in zip((u for u in range(p, size) if mate_l[u] == -1), free):
         mate_l[u] = v
         mate_r[v] = u
-    while True:
-        roots = [u for u in range(size) if mate_l[u] == -1]
-        if not roots:
-            return
-        # BFS layers; ``last`` is the first layer that sees a free right vertex
-        dist = [-1] * size
-        for u in roots:
-            dist[u] = 0
-        last = size
-        pooled = False
-        queue = roots[:]
-        for u in queue:  # grows while it is read
-            d = dist[u]
-            if d >= last:
-                break
-            targets = nbrs[u][: cnt[u]]
-            if u >= p and not pooled:
-                pooled = True
-                targets = [*targets, *range(q, size)]
-            for v in targets:
-                w = mate_r[v]
-                if w == -1:
-                    last = d
-                elif dist[w] == -1:
-                    dist[w] = d + 1
-                    queue.append(w)
-        if last == size:
-            return
-        # DFS for vertex-disjoint shortest augmenting paths: from layer d < last
-        # step to a right vertex whose mate is in layer d + 1; at layer last
-        # take a free right vertex
+    while -1 in mate_l:
+        seen = [False] * size
         ptr = [0] * size
-        pool = [q] * (last + 1)
+        pool = q  # the next right copy any left copy of this round tries
         grown = False
-        for root in roots:
+        for root in [u for u in range(size) if mate_l[u] == -1]:
+            seen[root] = True
             stack = [root]
             path: list[int] = []  # path[k]: right vertex from stack[k] to stack[k + 1]
             while stack:
                 u = stack[-1]
-                d = dist[u]
                 edges, k, end = nbrs[u], ptr[u], cnt[u]
                 v = -1
                 while k < end:
                     w = mate_r[edges[k]]
                     k += 1
-                    if (d < last and dist[w] == d + 1) if w != -1 else d == last:
+                    if w == -1 or not seen[w]:
                         v = edges[k - 1]
                         break
                 ptr[u] = k
                 if v == -1 and u >= p:
-                    k = pool[d]
-                    while k < size:
-                        w = mate_r[k]
-                        k += 1
-                        if (d < last and dist[w] == d + 1) if w != -1 else d == last:
-                            v = k - 1
+                    while pool < size:
+                        w = mate_r[pool]
+                        pool += 1
+                        if w == -1 or not seen[w]:
+                            v = pool - 1
                             break
-                    pool[d] = k
-                if v == -1:  # dead end for the rest of the phase
-                    dist[u] = -1
+                if v == -1:  # dead end for the rest of the round
                     stack.pop()
                     if path:
                         path.pop()
-                elif mate_r[v] == -1:
-                    path.append(v)
+                    continue
+                path.append(v)
+                w = mate_r[v]
+                if w == -1:
                     for x, y in zip(stack, path):
                         mate_l[x] = y
                         mate_r[y] = x
                     grown = True
                     break
-                else:
-                    path.append(v)
-                    stack.append(mate_r[v])
-        if not grown:  # the BFS saw a path the DFS cannot take: a bug, not a hang
-            raise AssertionError("Hopcroft-Karp phase augmented nothing")
+                seen[w] = True
+                stack.append(w)
+        if not grown:
+            return
 
 
 def _cheapest_path(
@@ -210,7 +185,7 @@ def _cheapest_path(
     heap holds the next dearer edge of each one; when no reached vertex
     has an edge left within eps, eps rises to the cheapest edge on the
     heap.  The first left copy reached takes every right copy at cost 0,
-    as in ``_hopcroft_karp``.  The first free right vertex reached ends the
+    as in ``_max_matching``.  The first free right vertex reached ends the
     search, and the path to it is flipped.  Ties are broken by vertex
     index, so the result is deterministic.
     """
@@ -278,8 +253,9 @@ def _slot_solve(
     copy-to-copy edge in its place, and the cheapest edge at each bar,
     which sets lb, is still listed.
 
-    One Hopcroft-Karp run finds a maximum matching at lb; it is perfect
-    in most slots.  Then each vertex it leaves free costs one
+    One ``_max_matching`` run, a greedy pass and then Kuhn's rounds of
+    augmenting paths, finds a maximum matching at lb; it is perfect in
+    most slots.  Then each vertex it leaves free costs one
     ``_cheapest_path``, the augmenting-path method for bottleneck
     assignment (Derigs & Zimmermann, Computing 1978).  Every matched edge
     stays within the optimum d: the matching lies in the graph at d, which
@@ -291,7 +267,7 @@ def _slot_solve(
     if size == 0:
         return 0.0, ()
     mate_l, mate_r = [-1] * size, [-1] * size
-    _hopcroft_karp(nbrs, [bisect_right(c, lb) for c in ecost], p, q, mate_l, mate_r)
+    _max_matching(nbrs, [bisect_right(c, lb) for c in ecost], p, q, mate_l, mate_r)
     eps = lb
     for _ in range(mate_l.count(-1)):
         eps = _cheapest_path(nbrs, ecost, p, q, mate_l, mate_r, eps)

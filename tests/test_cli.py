@@ -351,6 +351,32 @@ def test_bad_numbers_are_usage_errors(args, env):
     assert out.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        (("import-diagram", "{d}", "--side=--"), "--side"),  # once "got []"
+        (("import-diagram", "{e}", "--side=--"), "--side"),  # once exit 0, no output
+        (("import-diagram", "{m}", "--side=--"), "--side"),  # before the file is read
+        (("convolve", "{f}", "--eps=--"), "--eps"),
+        (("interpolate", "{f}", "{f}", "--t=--"), "--t"),
+        (("validate", "{f}", "--tol=--"), "--tol"),
+        (("dist", "{f}", "--", "--"), None),  # once a traceback
+        (("hom", "[0,1]@0", "--", "--"), None),
+    ],
+)
+def test_an_attached_double_dash_is_a_usage_error(tmp_path, args, name):
+    # argparse reads ``--x=--``, and a second ``--``, as the value [] (newer
+    # versions as "--", which its own checks refuse): one error line
+    # naming the option, or argparse's usage error
+    d, e = gbc(tmp_path, "d.pdg", "0 0 1\n"), gbc(tmp_path, "e.pdg", "")
+    f, m = str(FIXTURES / "circle_f.gbc"), str(tmp_path / "missing.pdg")
+    out = run_cli(*(a.format(d=d, e=e, f=f, m=m) for a in args))
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.count("\n") == 1 or out.stderr.startswith("usage: ")
+    assert "error: " in out.stderr
+    assert name is None or name in out.stderr.splitlines()[-1]
+
+
 _FUZZ_NUMBERS = [
     "0", "0.5", "-0.5", "1e-3", "-1e-3", "7", "1e16", "-1e16", "4.4e307", "-4.4e307", "1e308",
     "-1.7e308", "1e400", "inf", "-inf", "+inf", "nan", "-nan", "1_0", "-1_0", "١", "0x1",

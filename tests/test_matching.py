@@ -26,7 +26,7 @@ from sheafdist import (
 )
 from sheafdist import matching
 from sheafdist.intervals import INF, Kind, point
-from sheafdist.matching import _cheapest_path, _hopcroft_karp, _rows
+from sheafdist.matching import _cheapest_path, _max_matching, _rows
 
 CIRCLE_F = "0 [-1,1]\n0 (-1,1)\n"
 CIRCLE_G = "0 [0,0]\n1 [0,0]\n"
@@ -537,9 +537,9 @@ def test_rows_lists_exactly_the_edges_within_the_per_pair_bound(rng):
 
 def test_greedy_seed_that_blocks_is_augmented():
     # left 0 greedily takes right 0, its cheapest edge, the only edge of
-    # left 1: Hopcroft-Karp must reroute left 0 to right 1
+    # left 1: the matcher must reroute left 0 to right 1
     mate_l, mate_r = [-1, -1], [-1, -1]
-    _hopcroft_karp([[0, 1], [0]], [2, 1], 2, 2, mate_l, mate_r)
+    _max_matching([[0, 1], [0]], [2, 1], 2, 2, mate_l, mate_r)
     assert mate_l == [1, 0] and mate_r == [1, 0]
     # the same through the solver: rays, so no deletion can help
     left = [GradedInterval(Interval.right_open(a, INF), 0) for a in (0, 1)]
@@ -550,6 +550,64 @@ def test_greedy_seed_that_blocks_is_augmented():
         [(left[0], right[1], 1.0), (left[1], right[0], 0.25)], key=str
     )
     _assert_optimal(left, right, value, pairs)
+
+
+def _random_graph(rng, p, q, copies_l, copies_r):
+    """Rows in ``_max_matching``'s form: ``p`` left bars, ``copies_r``
+    left copies, ``q`` right bars and ``copies_l`` right copies; each row
+    lists some right vertices in random order, a left copy at most its
+    own bar, and ``cnt`` keeps a random prefix of each."""
+    size = p + copies_r
+    assert size == q + copies_l
+    nbrs, cnt = [], []
+    for u in range(size):
+        if u < p:
+            row = rng.sample(range(size), rng.randrange(0, min(size, 6) + 1))
+        else:
+            row = [rng.randrange(q)] if q else []
+        nbrs.append(tuple(row))
+        cnt.append(rng.randrange(len(row) + 1))
+    return nbrs, cnt
+
+
+def _chain(n):
+    """Left ``i`` lists right ``i + 1`` first, then right ``i``: the greedy
+    pass gives every left vertex its neighbour's partner, and the last one
+    needs an augmenting path through the whole chain."""
+    nbrs = [(i + 1, i) for i in range(n - 1)] + [(n - 1,)]
+    return nbrs, [len(row) for row in nbrs]
+
+
+def test_max_matching_is_maximum_against_scipy():
+    sparse = pytest.importorskip("scipy.sparse")
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    rng = random.Random(1955)
+    graphs = [(*_chain(n), n, n) for n in (2, 3, 50, 3000)]
+    for _ in range(300):
+        p, q = rng.randrange(0, 12), rng.randrange(0, 12)
+        copies_l = rng.randrange(0, p + 1)
+        copies_r = q + copies_l - p
+        if copies_r < 0 or copies_r > q:
+            continue
+        graphs.append((*_random_graph(rng, p, q, copies_l, copies_r), p, q))
+    for nbrs, cnt, p, q in graphs:
+        size = len(nbrs)
+        mate_l, mate_r = [-1] * size, [-1] * size
+        _max_matching(nbrs, cnt, p, q, mate_l, mate_r)
+        # the explicit graph: the listed prefixes and the copy-to-copy block
+        edges = {(u, v) for u in range(size) for v in nbrs[u][: cnt[u]]}
+        edges |= {(u, v) for u in range(p, size) for v in range(q, size)}
+        rows, cols = zip(*sorted(edges)) if edges else ((), ())
+        graph = sparse.csr_matrix(([1] * len(rows), (rows, cols)), shape=(size, size))
+        want = csgraph.maximum_bipartite_matching(graph, perm_type="column")
+        assert size - mate_l.count(-1) == sum(1 for v in want if v != -1)
+        for u, v in enumerate(mate_l):
+            if v != -1:
+                assert (u, v) in edges and mate_r[v] == u
+        assert mate_r.count(-1) == mate_l.count(-1)
+        again_l, again_r = [-1] * size, [-1] * size
+        _max_matching([list(row) for row in nbrs], cnt[:], p, q, again_l, again_r)
+        assert (again_l, again_r) == (mate_l, mate_r)
 
 
 def _solve_slot(f_text, g_text):
