@@ -10,28 +10,30 @@ partial one.  Every cost within a shape class is finite (``Interval``
 keeps ends below 2**1022), so a slot's distance is infinite exactly when
 a class of undeletable bars differs in size between the sides.
 
-One solver serves every slot: the least eps whose threshold graph (the
-edges of cost at most eps) has a perfect matching.  Each bar with a
-finite deletion cost gets one virtual diagonal copy on the other side,
-the classic square reduction, and copies meet each other for free;
-undeletable bars get none, which keeps a central slot's graph at n x n.
-One walk over the bars builds the graph (``_rows``): each left vertex's
-partners and costs as two parallel lists sorted by cost, its copy edge
-among them, so the graph at any eps is a prefix of each, and with them
-the lower bound lb, the max over bars of min(cheapest pair cost,
-deletion cost).  No eps below lb is feasible, so a maximum matching
-is first found at lb: a greedy pass in which each free vertex takes its
-cheapest free partner, then rounds of augmenting-path DFS from the free
-vertices (Kuhn, Naval Res. Logist. Q. 1955) until a round grows
-nothing; that matching is usually perfect.  Each vertex it leaves free
-then costs one augmenting path whose dearest edge is least, found by a
-search in rising order of eps (Derigs & Zimmermann, Computing 1978):
-every matched edge stays within the optimum, so the eps of the last
-path is the value and the final matching the witness.  No candidate set
-is built or searched, and no floating-point threshold is ever
-approximated: the value is one of the listed costs.  Both searches run
-on explicit queues and stacks, so no slot size meets Python's recursion
-limit, and neither lists the copy-to-copy block.
+One graph per barcode pair serves every slot (``part_bottleneck``), and
+in it each slot solves for its own value: the least eps whose threshold
+graph (the edges of cost at most eps) has a perfect matching.  Each bar
+with a finite deletion cost gets one virtual diagonal copy on the other
+side, the classic square reduction, and the copies of a slot meet each
+other for free; undeletable bars get none, which keeps a central slot's
+graph at n x n.  The vertices are numbered slot by slot, and no edge,
+copy-to-copy ones included, joins two slots.  One walk over the bars
+builds the graph (``_rows``): each left vertex's partners and costs as
+two parallel lists sorted by cost, its copy edge among them, so the graph
+at any eps is a prefix of each, and each slot's lower bound lb, the max
+over its bars of min(cheapest pair cost, deletion cost).  A maximum
+matching is first found with each slot at its lb: a greedy pass, then
+rounds of augmenting-path DFS (Kuhn, Naval Res. Logist. Q. 1955); it is
+usually perfect.  Each vertex it leaves free then costs one augmenting
+path in its slot whose dearest edge is least, found by a search in
+rising order of eps from the slot's lb (Derigs & Zimmermann, Computing
+1978): every matched edge stays within the slot's optimum, so a slot's
+last path sets its value, the max over slots is the distance, and the
+final matching is a witness whose part in each slot costs that slot's
+own value.  No candidate set is built or searched, and no floating-point
+threshold is ever approximated: each value is one of the listed costs.
+Both searches run on explicit queues and stacks, so no slot size meets
+Python's recursion limit, and neither lists a copy-to-copy block.
 
 No slot builds its p x q cost matrix.  ``point`` also places each bar
 in the plane: a finite pair cost joins two bars exactly when they share
@@ -83,121 +85,138 @@ class Matching(namedtuple("Matching", "central_pairs halfopen_pairs deletions ac
 def _max_matching(
     nbrs: Sequence[Sequence[int]],
     cnt: list[int],
-    p: int,
-    q: int,
+    slots: Sequence[tuple[int, int, int, int]],
     mate_l: list[int],
     mate_r: list[int],
-) -> None:
-    """Grow the matching ``mate_l``/``mate_r`` (-1 for free) to a maximum one.
-    ``_slot_solve`` calls it once per slot, at lb, on an empty matching.
+) -> list[int]:
+    """Grow the empty matching ``mate_l``/``mate_r`` (-1 for free) to a
+    maximum one, and return the indices of the slots left with a free
+    left vertex, in order.
 
-    Left vertex ``u`` is joined to ``nbrs[u][:cnt[u]]``.  The left copies
-    ``u >= p`` are also joined to every right copy ``v >= q``; that block
-    is never listed.  A greedy pass first gives each free left vertex, in
-    index order, the first free right vertex of its prefix (its cheapest
-    edge), then each free left copy the next free right copy.  Rounds of
-    the augmenting-path method (Kuhn, Naval Res. Logist. Q. 1955) grow
-    what it leaves.  A round is one pass over the free left vertices in
+    Slot ``(lo, p, q, hi)`` holds the left and the right vertices ``lo``
+    to ``hi - 1``: left bars below ``p``, left copies from it on, right
+    bars below ``q``, right copies from it on.  Left vertex ``u`` is
+    joined to ``nbrs[u][:cnt[u]]``, inside its slot, and a left copy also
+    to every right copy of its slot; that block is never listed.  A greedy
+    pass gives each left vertex, in index order, the first free right
+    vertex of its prefix (its cheapest edge), or, for a left copy, the
+    next free right copy of its slot.  Rounds of the augmenting-path method
+    (Kuhn, Naval Res. Logist. Q. 1955) grow each slot the pass leaves
+    short.  A round is one pass over the slot's free left vertices in
     index order, each the root of a DFS that steps to a right vertex that
-    is free, or whose mate is not yet ``seen`` in the round, and flips
-    the path at a free one.  A right vertex once stepped to keeps a seen
-    mate for the rest of the round, so the left copies share one pointer
-    into the right copies.  A round that grows nothing ran on an unchanged
-    matching, so its marks prove that no augmenting path is left; every
-    other round grows the matching.  The DFS runs on an explicit stack,
-    and vertices and edges are visited in a fixed order, so the result is
-    deterministic.
+    is free, or whose mate is not yet ``seen`` in the round, and flips the
+    path at a free one.  A right vertex once stepped to keeps a seen mate
+    for the rest of the round, so the left copies of a slot share one
+    pointer into its right copies.  A round that grows nothing ran on an
+    unchanged matching, so its marks prove that the slot has no augmenting
+    path left; no other slot is touched by it.  The DFS runs on an
+    explicit stack, and vertices and edges are visited in a fixed order,
+    so the result is deterministic.
     """
-    size = len(mate_l)
-    for u in range(size):
-        if mate_l[u] == -1:
+    short = []
+    for k, (lo, p, q, hi) in enumerate(slots):
+        pool = q  # the next right copy a left copy may take
+        for u in range(lo, hi):
             for v in islice(nbrs[u], cnt[u]):
                 if mate_r[v] == -1:
-                    mate_l[u] = v
-                    mate_r[v] = u
                     break
-    free = [v for v in range(q, size) if mate_r[v] == -1]
-    for u, v in zip((u for u in range(p, size) if mate_l[u] == -1), free):
-        mate_l[u] = v
-        mate_r[v] = u
-    while -1 in mate_l:
+            else:  # no free edge: a left copy takes a free right copy
+                while u >= p and pool < hi and mate_r[pool] != -1:
+                    pool += 1
+                if u < p or pool == hi:
+                    if not short or short[-1] != k:
+                        short.append(k)
+                    continue
+                v = pool
+                pool += 1
+            mate_l[u] = v
+            mate_r[v] = u
+    size = len(mate_l)
+    rounds = short
+    while rounds:
         seen = [False] * size
         ptr = [0] * size
-        pool = q  # the next right copy any left copy of this round tries
-        grown = False
-        for root in [u for u in range(size) if mate_l[u] == -1]:
-            seen[root] = True
-            stack = [root]
-            path: list[int] = []  # path[k]: right vertex from stack[k] to stack[k + 1]
-            while stack:
-                u = stack[-1]
-                edges, k, end = nbrs[u], ptr[u], cnt[u]
-                v = -1
-                while k < end:
-                    w = mate_r[edges[k]]
-                    k += 1
-                    if w == -1 or not seen[w]:
-                        v = edges[k - 1]
-                        break
-                ptr[u] = k
-                if v == -1 and u >= p:
-                    while pool < size:
-                        w = mate_r[pool]
-                        pool += 1
+        grown = []
+        for k in rounds:
+            lo, p, q, hi = slots[k]
+            roots = [u for u in range(lo, hi) if mate_l[u] == -1]
+            pool = q  # the next right copy any left copy of this slot tries
+            found = 0
+            for root in roots:
+                seen[root] = True
+                stack = [root]
+                path: list[int] = []  # path[i]: right vertex from stack[i] to stack[i + 1]
+                while stack:
+                    u = stack[-1]
+                    edges, i, end = nbrs[u], ptr[u], cnt[u]
+                    v = -1
+                    while i < end:
+                        w = mate_r[edges[i]]
+                        i += 1
                         if w == -1 or not seen[w]:
-                            v = pool - 1
+                            v = edges[i - 1]
                             break
-                if v == -1:  # dead end for the rest of the round
-                    stack.pop()
-                    if path:
-                        path.pop()
-                    continue
-                path.append(v)
-                w = mate_r[v]
-                if w == -1:
-                    for x, y in zip(stack, path):
-                        mate_l[x] = y
-                        mate_r[y] = x
-                    grown = True
-                    break
-                seen[w] = True
-                stack.append(w)
-        if not grown:
-            return
+                    ptr[u] = i
+                    if v == -1 and u >= p:
+                        while pool < hi:
+                            w = mate_r[pool]
+                            pool += 1
+                            if w == -1 or not seen[w]:
+                                v = pool - 1
+                                break
+                    if v == -1:  # dead end for the rest of the round
+                        stack.pop()
+                        if path:
+                            path.pop()
+                        continue
+                    path.append(v)
+                    w = mate_r[v]
+                    if w == -1:
+                        for x, y in zip(stack, path):
+                            mate_l[x] = y
+                            mate_r[y] = x
+                        found += 1
+                        break
+                    seen[w] = True
+                    stack.append(w)
+            if 0 < found < len(roots):  # grown, and still short
+                grown.append(k)
+        rounds = grown
+    return [k for k in short if -1 in mate_l[slots[k][0] : slots[k][3]]]
 
 
 def _cheapest_path(
     nbrs: Sequence[Sequence[int]],
     ecost: Sequence[Sequence[float]],
-    p: int,
-    q: int,
+    slot: tuple[int, int, int, int],
     mate_l: list[int],
     mate_r: list[int],
     eps: float,
 ) -> float:
-    """Augment the matching along a path whose dearest edge is least, and
-    return ``max(eps, that edge's cost)``.
+    """Augment the matching along a path in ``slot`` (``(lo, p, q, hi)`` as
+    in ``_max_matching``) whose dearest edge is least, and return
+    ``max(eps, that edge's cost)``.
 
     Every matched edge must cost at most ``eps``, so a path's price is its
     dearest unmatched edge.  The search grows from every free left vertex
-    at once in rising order of eps: each reached left vertex takes the
-    edges of its sorted row up to eps from a pointer into the row, and a
-    heap holds the next dearer edge of each one; when no reached vertex
-    has an edge left within eps, eps rises to the cheapest edge on the
-    heap.  The first left copy reached takes every right copy at cost 0,
-    as in ``_max_matching``.  The first free right vertex reached ends the
-    search, and the path to it is flipped.  Ties are broken by vertex
-    index, so the result is deterministic.
+    of the slot at once in rising order of eps: each reached left vertex
+    takes the edges of its sorted row up to eps from a pointer into the
+    row, and a heap holds the next dearer edge of each one; when no reached
+    vertex has an edge left within eps, eps rises to the cheapest edge on
+    the heap.  The first left copy reached takes every right copy of the
+    slot at cost 0.  The first free right vertex reached ends the search,
+    and the path to it is flipped.  Ties are broken by vertex index, so the
+    result is deterministic.  The search keeps only what it reaches.
     """
-    size = len(mate_l)
-    pred = [-1] * size  # pred[v]: the left vertex that reached right vertex v
-    ptr = [0] * size
+    lo, p, q, hi = slot
+    pred: dict[int, int] = {}  # pred[v]: the left vertex that reached right vertex v
+    ptr: dict[int, int] = {}
     heap: list[tuple[float, int]] = []
-    queue = [u for u in range(size) if mate_l[u] == -1]
+    queue = [u for u in range(lo, hi) if mate_l[u] == -1]
     pooled = False
     while True:
         for u in queue:  # grows while it is read
-            costs, k = ecost[u], ptr[u]
+            costs, k = ecost[u], ptr.get(u, 0)
             stop = bisect_right(costs, eps, k)
             targets = nbrs[u][k:stop]
             if stop < len(costs):
@@ -205,9 +224,9 @@ def _cheapest_path(
             ptr[u] = stop
             if u >= p and not pooled:
                 pooled = True
-                targets = [*targets, *range(q, size)]
+                targets = [*targets, *range(q, hi)]
             for v in targets:
-                if pred[v] == -1:
+                if v not in pred:
                     pred[v] = u
                     w = mate_r[v]
                     if w == -1:
@@ -227,161 +246,125 @@ def _cheapest_path(
 
 
 Pairing = tuple[tuple[GradedInterval | None, GradedInterval | None, float], ...]
+Bars = list[GradedInterval | None]
 
-
-def _slot_solve(
-    left: Sequence[GradedInterval],
-    right: Sequence[GradedInterval],
-    nbrs: list[tuple[int, ...]],
-    ecost: list[tuple[float, ...]],
-    lb: float,
-    del_l: list[float],
-    del_r: list[float],
-) -> tuple[float, Pairing]:
-    """Square reduction: a bar with a finite deletion cost gets a diagonal
-    copy on the other side, and copies meet each other for free.
-
-    ``nbrs``, ``ecost`` and ``lb`` are what ``_rows`` returns: left vertex
-    ``u`` has the listed edges to ``nbrs[u]`` at ``ecost[u]``, cheapest
-    first, its own copy edge included, and no eps below ``lb`` is
-    feasible, and finite.  The lists may leave out edges dearer than some
-    eps at which the edges kept already admit a perfect matching: below
-    that eps nothing is left out, and from it on the slot is feasible
-    either way.  They may also leave out an edge ``(i, j)`` dearer than both
-    ``del_l[i]`` and ``del_r[j]``: a perfect matching that uses it stays
-    perfect, and no dearer, with the two copy edges and a free
-    copy-to-copy edge in its place, and the cheapest edge at each bar,
-    which sets lb, is still listed.
-
-    One ``_max_matching`` run, a greedy pass and then Kuhn's rounds of
-    augmenting paths, finds a maximum matching at lb; it is perfect in
-    most slots.  Then each vertex it leaves free costs one
-    ``_cheapest_path``, the augmenting-path method for bottleneck
-    assignment (Derigs & Zimmermann, Computing 1978).  Every matched edge
-    stays within the optimum d: the matching lies in the graph at d, which
-    has a perfect matching, so it has an augmenting path there (Berge),
-    and the cheapest path costs at most d.  So the last path's eps is d,
-    and the final matching is the witness.  No candidate set is built.
-    """
-    p, q, size = len(left), len(right), len(nbrs)
-    if size == 0:
-        return 0.0, ()
-    mate_l, mate_r = [-1] * size, [-1] * size
-    _max_matching(nbrs, [bisect_right(c, lb) for c in ecost], p, q, mate_l, mate_r)
-    eps = lb
-    for _ in range(mate_l.count(-1)):
-        eps = _cheapest_path(nbrs, ecost, p, q, mate_l, mate_r, eps)
-    out: list[tuple[GradedInterval | None, GradedInterval | None, float]] = []
-    for j, i in enumerate(mate_r):
-        if i < p and j < q:
-            out.append((left[i], right[j], ecost[i][nbrs[i].index(j)]))
-        elif i < p:  # left bar matched to its diagonal copy
-            out.append((left[i], None, del_l[i]))
-        elif j < q:  # right bar matched to its diagonal copy
-            out.append((None, right[j], del_r[j]))
-    return eps, tuple(out)
+_SIDES = {"central": 0, "R": 1, "L": 2}  # the order of slots: central, R, L
 
 
 def _rows(
-    left: Sequence[GradedInterval],
-    right: Sequence[GradedInterval],
-    del_l: list[float],
-    del_r: list[float],
-) -> tuple[list[tuple[int, ...]], list[tuple[float, ...]], float] | None:
-    """The slot graph of ``_slot_solve``, built in one walk: ``(nbrs,
-    ecost, lb)``, or ``None`` when no perfect matching can exist because
-    a class of undeletable bars differs in size between the sides.  Else
-    the sides have equal vertex counts and no row is empty, as every cost
-    within a class is finite: a deletable bar has its copy, an undeletable
-    one an edge to each bar of its class.
+    left: Sequence[GradedInterval], right: Sequence[GradedInterval]
+) -> tuple[list[tuple[int, ...]], list[tuple[float, ...]], list[tuple[int, int, int, int]],
+           list[float], Bars, Bars] | None:
+    """The graph of ``part_bottleneck``, built in one walk over the bars:
+    ``(nbrs, ecost, slots, lbs, bar_l, bar_r)``, or ``None`` when a class
+    of undeletable bars differs in size between the sides.  Else no row is
+    empty, as every cost within a class is finite: a deletable bar has its
+    copy, an undeletable one an edge to each bar of its class.
 
-    Left vertices are the left bars, then the copies of the deletable
-    right bars in index order; right vertices are the right bars, then
-    the copies of the deletable left bars (``q``, ``q + 1``, ...).
-    ``nbrs[u]`` and ``ecost[u]`` hold the listed edges of left vertex
-    ``u``, sorted by cost and then vertex, so the graph at any eps keeps
-    a bisect prefix of each: a left bar's copy edge ``(del_l[i], q + k)``
-    among its pair edges, a right bar's copy only its edge to that bar,
-    at ``del_r[j]``.  ``lb`` is the max over bars of their cheapest
-    listed edge, own deletion included: every bar needs a partner or its
-    copy, so no eps below it is feasible.
+    ``slots`` holds each slot's ``(lo, p, q, hi)``, central indices first,
+    then R and L degrees, each ascending, and ``lbs`` its lower bound.  Its
+    left vertices are its left bars, in the order given, then the copies of
+    its deletable right bars; its right vertices are its right bars, then
+    the copies of its deletable left bars.  ``bar_l`` and ``bar_r`` give
+    each vertex's bar, ``None`` for a copy.  ``nbrs[u]`` and ``ecost[u]``
+    hold the listed edges of left vertex ``u``, sorted by cost and then
+    vertex, so the graph at any eps keeps a bisect prefix of each: a left
+    bar's copy edge at its deletion cost among its pair edges, a right
+    bar's copy only its edge to that bar.  A slot's lb is the max over its
+    bars of their cheapest listed edge, own deletion included: every bar
+    needs a partner or its copy, so no eps below it is feasible.
 
-    A finite pair cost joins two bars exactly when they share a
-    ``point`` slot and class, and it is the L-infinity distance of their
-    points.  The right bars are grouped once into blocks by slot and
-    class, each sorted by point, and each left bar at ``(u, v)`` looks
-    up its block, bisects to ``u`` and walks outward while
-    ``abs(u - us[m])`` alone is within its bound, an exact stop as
-    rounded subtraction is monotone.  An edge ``(i, j)`` is listed only
-    when its cost is at most ``max(del_l[i], del_r[j])``, hera's
-    per-pair bound (see ``_slot_solve``), so a left bar walks only up to
-    the larger of its own deletion cost and the dearest one in its
-    block.  Undeletable bars have infinite deletion costs and keep every
-    edge of their class.  A finite pair cost never joins a deletable bar
-    to an undeletable one, so the undeletable bars must pair off inside
-    their slot and class.
+    A left bar at ``(u, v)`` bisects to ``u`` in the block of its slot and
+    class and walks outward while ``abs(u - us[m])`` alone is within the
+    larger of its own deletion cost and the dearest one in the block: an
+    edge dearer than both of its bars' deletion costs is not listed.
     """
-    blocks: dict = {}
-    for j, g in enumerate(right):
-        slot, s, u, v = point(g)
-        blocks.setdefault((slot, s), []).append((u, v, j))
-    left_pts = [point(g) for g in left]
-    # undeletable bars must pair off inside their slot and class
-    need: dict = {}
-    for slot, s, _, _ in left_pts:
-        if s:
-            need[slot, s] = need.get((slot, s), 0) + 1
-    if need != {k: len(block) for k, block in blocks.items() if k[1]}:
+    groups: dict = {}  # slot -> its left bars, their points, its right bars, theirs
+    need: dict = {}  # undeletable bars per slot and class, left minus right
+    for k, sign, bars in ((0, 1, left), (2, -1, right)):
+        for g in bars:
+            pt = point(g)
+            group = groups.get(pt[0])
+            if group is None:
+                group = groups[pt[0]] = ([], [], [], [])
+            group[k].append(g)
+            group[k + 1].append(pt)
+            if pt[1]:
+                key = pt[:2]
+                need[key] = need.get(key, 0) + sign
+    if any(need.values()):
         return None
-    for k, block in blocks.items():
-        block.sort()
-        us, vs, js = zip(*block)
-        ds = [del_r[j] for j in js]
-        blocks[k] = us, vs, js, ds, max(ds)
-    q = len(right)
     nbrs: list[tuple[int, ...]] = []
     ecost: list[tuple[float, ...]] = []
-    col = [INF] * q  # col[j]: the cheapest listed edge of right bar j
-    lb = -INF
-    vertex = q  # the next left copy's right vertex
-    for di, (slot, s, u, v) in zip(del_l, left_pts):
-        row = []
-        if di < INF:
-            row.append((di, vertex))
-            vertex += 1
-        block = blocks.get((slot, s))
-        if block is not None:
-            us, vs, js, ds, top = block
-            bound = di if di > top else top
-            start = bisect_left(us, u)
-            for steps in (range(start, len(us)), range(start - 1, -1, -1)):
-                for m in steps:
-                    g = abs(u - us[m])
-                    if g > bound:
-                        break
-                    h = abs(v - vs[m])
-                    c = h if h > g else g
-                    if c <= di or c <= ds[m]:
-                        j = js[m]
-                        row.append((c, j))
-                        if c < col[j]:
-                            col[j] = c
-        row.sort()
-        cs, ns = zip(*row)
-        nbrs.append(ns)
-        ecost.append(cs)
-        if cs[0] > lb:
-            lb = cs[0]
-    for j, dj in enumerate(del_r):
-        c = col[j]
-        if dj < c:  # its copy edge, cheaper than every listed one
-            c = dj
-        if c > lb:
-            lb = c
-        if dj < INF:
-            nbrs.append((j,))
-            ecost.append((dj,))
-    return nbrs, ecost, lb
+    slots: list[tuple[int, int, int, int]] = []
+    lbs: list[float] = []
+    bar_l: Bars = []
+    bar_r: Bars = []
+    col = [INF] * (len(left) + len(right))  # col[j]: the cheapest listed edge of right bar j
+    for slot in sorted(groups, key=lambda slot: (_SIDES[slot[0]], slot[1])):
+        ls, lpts, rs, rpts = groups[slot]
+        lo = len(nbrs)
+        blocks: dict = {}
+        dr = []  # the deletion cost of each right bar
+        for j, (_, s, u, v) in enumerate(rpts, lo):
+            d = INF if s else (v - u) / 2.0
+            dr.append(d)
+            block = blocks.get(s)
+            if block is None:
+                blocks[s] = [(u, v, j, d)]
+            else:
+                block.append((u, v, j, d))
+        for s, block in blocks.items():
+            block.sort()
+            us, vs, js, ds = zip(*block)
+            blocks[s] = us, vs, js, ds, max(ds)
+        lb = -INF
+        vertex = lo + len(rs)  # the next left copy's right vertex
+        for _, s, u, v in lpts:
+            if s:
+                di, row = INF, []
+            else:
+                di = (v - u) / 2.0
+                row = [(di, vertex)]
+                vertex += 1
+            block = blocks.get(s)
+            if block is not None:
+                us, vs, js, ds, top = block
+                bound = di if di > top else top
+                start = bisect_left(us, u)
+                for steps in (range(start, len(us)), range(start - 1, -1, -1)):
+                    for m in steps:
+                        g = abs(u - us[m])
+                        if g > bound:
+                            break
+                        h = abs(v - vs[m])
+                        c = h if h > g else g
+                        if c <= di or c <= ds[m]:
+                            j = js[m]
+                            row.append((c, j))
+                            if c < col[j]:
+                                col[j] = c
+            row.sort()
+            cs, ns = zip(*row)
+            nbrs.append(ns)
+            ecost.append(cs)
+            if cs[0] > lb:
+                lb = cs[0]
+        for j, dj in enumerate(dr, lo):
+            c = col[j]
+            if dj < c:  # its copy edge, cheaper than every listed one
+                c = dj
+            if c > lb:
+                lb = c
+            if dj < INF:
+                nbrs.append((j,))
+                ecost.append((dj,))
+        hi = len(nbrs)
+        slots.append((lo, lo + len(ls), lo + len(rs), hi))
+        lbs.append(lb)
+        bar_l += ls + [None] * (hi - lo - len(ls))
+        bar_r += rs + [None] * (hi - lo - len(rs))
+    return nbrs, ecost, slots, lbs, bar_l, bar_r
 
 
 def part_bottleneck(
@@ -390,21 +373,49 @@ def part_bottleneck(
 ) -> tuple[float, Pairing]:
     """Bottleneck value and an optimal matching of two lists of bars.
 
-    The bars may come from any mix of slots.  No finite edge joins two
-    ``point`` slots or shape classes, so the value is the max over them
-    and the witness their union.  Central bars cannot be deleted, so a
-    central slot comes out as a bijection (or ``inf`` when the sizes
-    differ).  The sides are read in the order given
-    (``distance_with_matching`` passes one slot at a time, in key
-    order); another order can change only which of several equally
-    optimal witnesses comes back.
+    The bars may come from any mix of slots.  One graph (``_rows``) holds
+    them all, and each slot solves in it at its own lb, with its own copy
+    pool and its own cheapest paths, so the value is the max over slots and
+    the witness's part in each slot costs that slot's own value.  Central
+    bars cannot be deleted, so a central slot comes out as a bijection (or
+    ``inf`` when the sizes differ).  The witness comes out slot by slot,
+    central indices first, then R and L degrees, each ascending; within a
+    slot, each right bar with its partner or deleted, then each deleted
+    left bar.  Within a slot the bars are read in the order given; another
+    order can change only which of several equally optimal witnesses comes
+    back.
+
+    The rows leave out an edge ``(i, j)`` dearer than both bars' deletion
+    costs: a perfect matching that uses it stays perfect, and no dearer,
+    with the two copy edges and a free copy-to-copy edge in its place, and
+    the cheapest edge at each bar, which sets lb, is still listed.  One
+    ``_max_matching`` run finds a maximum matching with each slot at its
+    lb; it is perfect in most slots.  Then each vertex it leaves free costs
+    one ``_cheapest_path`` in its slot (Derigs & Zimmermann, Computing
+    1978), from the slot's lb up.  Every matched edge stays within the
+    slot's optimum d: the matching lies in the graph at d, which has a
+    perfect matching, so it has an augmenting path there (Berge), and the
+    cheapest path costs at most d.  So the eps of a slot's last path is d.
     """
-    del_l = [deletion_cost(g) for g in left]
-    del_r = [deletion_cost(g) for g in right]
-    graph = _rows(left, right, del_l, del_r)
+    graph = _rows(left, right)
     if graph is None:
         return INF, ()
-    return _slot_solve(left, right, *graph, del_l, del_r)
+    nbrs, ecost, slots, lbs, bar_l, bar_r = graph
+    cnt = [bisect_right(c, lb) for (lo, _, _, hi), lb in zip(slots, lbs) for c in ecost[lo:hi]]
+    mate_l, mate_r = [-1] * len(nbrs), [-1] * len(nbrs)
+    value = max(lbs, default=0.0)
+    for k in _max_matching(nbrs, cnt, slots, mate_l, mate_r):
+        lo, _, _, hi = slot = slots[k]
+        eps = lbs[k]
+        for _ in range(mate_l[lo:hi].count(-1)):
+            eps = _cheapest_path(nbrs, ecost, slot, mate_l, mate_r, eps)
+        value = max(value, eps)
+    out: list[tuple[GradedInterval | None, GradedInterval | None, float]] = []
+    for v, (u, r) in enumerate(zip(mate_r, bar_r)):
+        l = bar_l[u]
+        if l is not None or r is not None:  # not two copies
+            out.append((l, r, ecost[u][nbrs[u].index(v)]))
+    return value, tuple(out)
 
 
 def _slots(F: Barcode, G: Barcode):
@@ -423,33 +434,28 @@ def _slots(F: Barcode, G: Barcode):
 def distance_with_matching(F: Barcode, G: Barcode) -> tuple[float, Matching]:
     """Bottleneck distance together with an optimal matching.
 
-    Returns ``(inf, Matching.infeasible())`` when no finite matching
-    exists (for instance when a central slot has mismatched sizes).
-    The result is deterministic: equal inputs give identical matchings.
+    One ``part_bottleneck`` call solves every slot; each witness entry
+    goes to ``central_pairs``, ``halfopen_pairs`` or ``deletions`` by the
+    slot of its bars.  Returns ``(inf, Matching.infeasible())`` when no
+    finite matching exists (for instance when a central slot has
+    mismatched sizes).  The result is deterministic: equal inputs give
+    identical matchings.
     """
-    central_pairs = []
-    halfopen_pairs = []
-    deletions = []
-    achieved = 0.0
-    for kind, fs, gs in _slots(F, G):
-        value, pairs = part_bottleneck(fs, gs)
-        if value == INF:
-            return INF, Matching.infeasible()
-        achieved = max(achieved, value)
-        side, j = kind
-        for l, r, c in pairs:
-            if side == "central":
-                central_pairs.append((j, l, r, c))
-            elif l is not None and r is not None:
-                halfopen_pairs.append((side, j, l, r, c))
-            elif l is not None:
-                deletions.append((side, j, "left", l, c))
-            else:
-                deletions.append((side, j, "right", r, c))
-
-    return achieved, Matching(
-        tuple(central_pairs), tuple(halfopen_pairs), tuple(deletions), achieved
-    )
+    value, pairs = part_bottleneck(F.bars, G.bars)
+    if value == INF:
+        return INF, Matching.infeasible()
+    central_pairs, halfopen_pairs, deletions = [], [], []
+    for l, r, c in pairs:
+        side, j = point(r if l is None else l)[0]
+        if side == "central":
+            central_pairs.append((j, l, r, c))
+        elif l is not None and r is not None:
+            halfopen_pairs.append((side, j, l, r, c))
+        elif l is not None:
+            deletions.append((side, j, "left", l, c))
+        else:
+            deletions.append((side, j, "right", r, c))
+    return value, Matching(tuple(central_pairs), tuple(halfopen_pairs), tuple(deletions), value)
 
 
 # ---------------------------------------------------------------------

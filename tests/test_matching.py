@@ -6,11 +6,12 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dyadic, perturbed_barcode, random_barcode
+from conftest import dyadic, perturbed_barcode, random_barcode, random_interval
 from sheafdist import (
     Barcode,
     GradedInterval,
     Interval,
+    Matching,
     bruteforce_distance,
     classify,
     convolve_barcode,
@@ -254,6 +255,95 @@ def test_geodesic_bounds_off_grid(pair, frac):
     assert distance_with_matching(U, G)[0] <= eps - t + 1e-9
 
 
+def test_part_bottleneck_witness_is_optimal_in_every_slot():
+    # one call over whole barcodes: each slot's part of the witness costs
+    # that slot's own value, not just at most the value of the pair
+    rng = random.Random(11)
+    finite = 0
+    for k in range(1000):
+        F = random_barcode(rng, max_bars=12)
+        G = perturbed_barcode(rng, F) if k % 4 else random_barcode(rng, max_bars=12)
+        value, pairs = part_bottleneck(F.bars, G.bars)
+        alone = {kind: part_bottleneck(fs, gs)[0] for kind, fs, gs in matching._slots(F, G)}
+        assert value == max(alone.values(), default=0.0)
+        if value == INF:
+            assert pairs == ()
+            continue
+        finite += 1
+        worst = dict.fromkeys(alone, 0.0)
+        for l, r, c in pairs:
+            slot = point(r if l is None else l)[0]
+            worst[slot] = max(worst[slot], c)
+        assert worst == alone
+    assert finite >= 700
+
+
+def _slot_by_slot(F: Barcode, G: Barcode):
+    """``distance_with_matching`` as one ``part_bottleneck`` per slot, each
+    witness entry routed by its slot: the oracle for the one-call solve."""
+    central_pairs, halfopen_pairs, deletions = [], [], []
+    achieved = 0.0
+    for (side, j), fs, gs in matching._slots(F, G):
+        value, pairs = part_bottleneck(fs, gs)
+        if value == INF:
+            return INF, Matching.infeasible()
+        achieved = max(achieved, value)
+        for l, r, c in pairs:
+            if side == "central":
+                central_pairs.append((j, l, r, c))
+            elif l is not None and r is not None:
+                halfopen_pairs.append((side, j, l, r, c))
+            elif l is not None:
+                deletions.append((side, j, "left", l, c))
+            else:
+                deletions.append((side, j, "right", r, c))
+    return achieved, Matching(tuple(central_pairs), tuple(halfopen_pairs), tuple(deletions), achieved)
+
+
+def _assert_same_as_slot_by_slot(F: Barcode, G: Barcode) -> float:
+    value, m = distance_with_matching(F, G)
+    want_value, want = _slot_by_slot(F, G)
+    assert value.hex() == want_value.hex()
+    assert repr(m) == repr(want)
+    return value
+
+
+def _many_slot_barcode(rng: random.Random, degrees: int) -> Barcode:
+    """0-4 bars of random shapes in each of ``degrees`` degrees: central,
+    R and L slots of one to a few bars each, rays and lines among them."""
+    return Barcode(tuple(
+        GradedInterval(random_interval(rng), degree)
+        for degree in range(degrees) for _ in range(rng.randrange(5))
+    ))
+
+
+def test_same_result_as_slot_by_slot():
+    rng = random.Random(0x5107)
+    values = []
+    for k in range(2100):
+        kind = k % 7
+        if kind < 2:
+            F, G = random_barcode(rng), random_barcode(rng)
+        elif kind < 5:
+            F = random_barcode(rng, max_bars=(6, 16, 30)[kind - 2])
+            G = perturbed_barcode(rng, F)
+        else:
+            F = _many_slot_barcode(rng, rng.randrange(5, 25))
+            G = perturbed_barcode(rng, F)
+            if kind == 6 and G.bars:  # a dropped central bar or ray is infinite
+                drop = rng.randrange(len(G.bars))
+                G = Barcode(G.bars[:drop] + G.bars[drop + 1 :])
+        values.append(_assert_same_as_slot_by_slot(F, G))
+    assert 300 <= values.count(INF) <= 1800
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_float_barcodes(max_bars=12).flatmap(
+    lambda F: st.tuples(st.just(F), st.one_of(_moved(F), _float_barcodes(max_bars=12)))))
+def test_same_result_as_slot_by_slot_off_grid(pair):
+    _assert_same_as_slot_by_slot(*pair)
+
+
 def test_determinism(rng):
     for _ in range(40):
         A = random_barcode(rng, max_bars=5)
@@ -378,9 +468,10 @@ def paths(monkeypatch):
     shows a path through the copy pool."""
     calls = []
 
-    def spy(nbrs, ecost, p, q, mate_l, mate_r, eps):
+    def spy(nbrs, ecost, slot, mate_l, mate_r, eps):
+        _, p, q, _ = slot
         before = mate_l[:]
-        eps = _cheapest_path(nbrs, ecost, p, q, mate_l, mate_r, eps)
+        eps = _cheapest_path(nbrs, ecost, slot, mate_l, mate_r, eps)
         moved = [u for u, v in enumerate(mate_l) if v != before[u]]
         calls.append((eps, len(moved), any(u >= p and mate_l[u] >= q for u in moved)))
         return eps
@@ -477,11 +568,11 @@ def test_per_pair_bound_at_and_above_the_dearer_deletion():
     at = GradedInterval(Interval.right_open(2, 4), 0)  # deletion 1, pair cost 2
     above = GradedInterval(Interval.right_open(2.5, 4.5), 0)  # deletion 1, pair cost 2.5
     # right vertex 2 is the copy of a; left vertex 1 the copy of at
-    assert _edges(_rows([a], [at, above], [2.0], [1.0, 1.0])) == (
+    assert _edges(_rows([a], [at, above])) == (
         [[(2.0, 0), (2.0, 2)], [(1.0, 0)], [(1.0, 1)]], 2.0
     )
     # right vertices 1 and 2 are the copies of at and above; left vertex 2 the copy of a
-    assert _edges(_rows([at, above], [a], [1.0, 1.0], [2.0])) == (
+    assert _edges(_rows([at, above], [a])) == (
         [[(1.0, 1), (2.0, 0)], [(1.0, 2)], [(2.0, 0)]], 2.0
     )
     value, pairs = part_bottleneck([a], [above])
@@ -490,8 +581,9 @@ def test_per_pair_bound_at_and_above_the_dearer_deletion():
 
 
 def _edges(graph):
-    """``_rows``'s result as each left vertex's ``(cost, j)`` edges, and lb."""
-    nbrs, ecost, lb = graph
+    """``_rows``'s result as each left vertex's ``(cost, j)`` edges, and
+    the lb of its one slot."""
+    nbrs, ecost, _, [lb], *_ = graph
     return [list(zip(c, n)) for c, n in zip(ecost, nbrs)], lb
 
 
@@ -500,46 +592,58 @@ def test_rows_lists_exactly_the_edges_within_the_per_pair_bound(rng):
     # edges (i, j) with cost at most max(del_l[i], del_r[j]), which is at
     # most ub, the dearest deletion; each row sorted by (cost, j), a
     # bar's copy edge included, and lb the max over bars of the cheaper
-    # of their best partner and their deletion
+    # of their best partner and their deletion; slot by slot, as the
+    # lines of an L trial lie in the R slot of their degree
     for t in range(120):
         side = ("central", "R", "L")[t % 3]
         span, widths = ((None, (0.5, 8)), (50.0, (0.5, 8)), (50.0, (0.1, 20)))[t % 3]
         left, right = _random_slot(rng, side, rng.randrange(1, 40), span=span, widths=widths)
-        del_l = [deletion_cost(g) for g in left]
-        del_r = [deletion_cost(g) for g in right]
-        ub = max([d for d in del_l + del_r if d < INF], default=0.0)
-        graph = _rows(left, right, del_l, del_r)
+        ub = max([d for d in map(deletion_cost, left + right) if d < INF], default=0.0)
+        graph = _rows(left, right)
         if graph is None:
             classes = Counter(point(g)[:2] for g in left if point(g)[1])
             assert classes != Counter(point(g)[:2] for g in right if point(g)[1])
             continue
-        rows, lb = _edges(graph)
-        q = len(right)
-        copy_l = [i for i in range(len(left)) if del_l[i] < INF]
-        copy_r = [j for j in range(q) if del_r[j] < INF]
-        assert len(rows) == len(left) + len(copy_r)
-        for i, row in enumerate(rows[: len(left)]):
-            assert row == sorted(row)
-            want = []
-            for j, g in enumerate(right):
-                c = pair_cost(left[i], g)
-                if c < INF and c <= max(del_l[i], del_r[j]):
-                    want.append((c, j))
-                    assert point(g)[1] or c <= ub
-            if i in copy_l:
-                want.append((del_l[i], q + copy_l.index(i)))
-            assert row == sorted(want)
-        assert rows[len(left) :] == [[(del_r[j], j)] for j in copy_r]
-        best_l = [min([pair_cost(g, h) for h in right] + [d]) for g, d in zip(left, del_l)]
-        best_r = [min([pair_cost(g, h) for g in left] + [d]) for h, d in zip(right, del_r)]
-        assert lb == max(best_l + best_r)
+        nbrs, ecost, slots, lbs, *_ = graph
+        keys = [kind for kind, *_ in matching._slots(Barcode(tuple(left)), Barcode(tuple(right)))]
+        assert [lo for lo, *_ in slots] == [0] + [hi for *_, hi in slots[:-1]]
+        assert len(slots) == len(keys) and slots[-1][3] == len(nbrs)
+        for (lo, _, _, hi), lb, key in zip(slots, lbs, keys):
+            rows = [[(c, j - lo) for c, j in zip(ecost[u], nbrs[u])] for u in range(lo, hi)]
+            _assert_slot_rows([g for g in left if point(g)[0] == key],
+                              [g for g in right if point(g)[0] == key], rows, lb, ub)
+
+
+def _assert_slot_rows(left, right, rows, lb, ub):
+    """The rows and lb of one slot's bars, numbered from 0 within it."""
+    del_l = [deletion_cost(g) for g in left]
+    del_r = [deletion_cost(g) for g in right]
+    q = len(right)
+    copy_l = [i for i in range(len(left)) if del_l[i] < INF]
+    copy_r = [j for j in range(q) if del_r[j] < INF]
+    assert len(rows) == len(left) + len(copy_r)
+    for i, row in enumerate(rows[: len(left)]):
+        assert row == sorted(row)
+        want = []
+        for j, g in enumerate(right):
+            c = pair_cost(left[i], g)
+            if c < INF and c <= max(del_l[i], del_r[j]):
+                want.append((c, j))
+                assert point(g)[1] or c <= ub
+        if i in copy_l:
+            want.append((del_l[i], q + copy_l.index(i)))
+        assert row == sorted(want)
+    assert rows[len(left) :] == [[(del_r[j], j)] for j in copy_r]
+    best_l = [min([pair_cost(g, h) for h in right] + [d]) for g, d in zip(left, del_l)]
+    best_r = [min([pair_cost(g, h) for g in left] + [d]) for h, d in zip(right, del_r)]
+    assert lb == max(best_l + best_r)
 
 
 def test_greedy_seed_that_blocks_is_augmented():
     # left 0 greedily takes right 0, its cheapest edge, the only edge of
     # left 1: the matcher must reroute left 0 to right 1
     mate_l, mate_r = [-1, -1], [-1, -1]
-    _max_matching([[0, 1], [0]], [2, 1], 2, 2, mate_l, mate_r)
+    _max_matching([[0, 1], [0]], [2, 1], [(0, 2, 2, 2)], mate_l, mate_r)
     assert mate_l == [1, 0] and mate_r == [1, 0]
     # the same through the solver: rays, so no deletion can help
     left = [GradedInterval(Interval.right_open(a, INF), 0) for a in (0, 1)]
@@ -593,7 +697,7 @@ def test_max_matching_is_maximum_against_scipy():
     for nbrs, cnt, p, q in graphs:
         size = len(nbrs)
         mate_l, mate_r = [-1] * size, [-1] * size
-        _max_matching(nbrs, cnt, p, q, mate_l, mate_r)
+        _max_matching(nbrs, cnt, [(0, p, q, size)], mate_l, mate_r)
         # the explicit graph: the listed prefixes and the copy-to-copy block
         edges = {(u, v) for u in range(size) for v in nbrs[u][: cnt[u]]}
         edges |= {(u, v) for u in range(p, size) for v in range(q, size)}
@@ -606,8 +710,50 @@ def test_max_matching_is_maximum_against_scipy():
                 assert (u, v) in edges and mate_r[v] == u
         assert mate_r.count(-1) == mate_l.count(-1)
         again_l, again_r = [-1] * size, [-1] * size
-        _max_matching([list(row) for row in nbrs], cnt[:], p, q, again_l, again_r)
+        _max_matching([list(row) for row in nbrs], cnt[:], [(0, p, q, size)], again_l, again_r)
         assert (again_l, again_r) == (mate_l, mate_r)
+
+
+def test_max_matching_keeps_each_slot_to_its_own_pool():
+    sparse = pytest.importorskip("scipy.sparse")
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    # a left copy of slot 0 with no edge at lb, and a free right copy in
+    # slot 1: a shared pool would join them
+    mate_l, mate_r = [-1, -1], [-1, -1]
+    short = _max_matching([(0,), (1,)], [0, 0], [(0, 0, 1, 1), (1, 2, 1, 2)], mate_l, mate_r)
+    assert (mate_l, mate_r, short) == ([-1, -1], [-1, -1], [0, 1])
+    # graphs of 2-5 slots, each drawn as one graph of the test above
+    rng = random.Random(1978)
+    for _ in range(200):
+        nbrs, cnt, slots = [], [], []
+        count = rng.randrange(2, 6)
+        while len(slots) < count:
+            p, q = rng.randrange(0, 8), rng.randrange(0, 8)
+            copies_l = rng.randrange(0, p + 1)
+            copies_r = q + copies_l - p
+            if p + copies_r == 0 or copies_r < 0 or copies_r > q:
+                continue
+            rows, prefix = _random_graph(rng, p, q, copies_l, copies_r)
+            lo = len(nbrs)
+            nbrs += [tuple(lo + v for v in row) for row in rows]
+            cnt += prefix
+            slots.append((lo, lo + p, lo + q, len(nbrs)))
+        size = len(nbrs)
+        mate_l, mate_r = [-1] * size, [-1] * size
+        short = _max_matching(nbrs, cnt, slots, mate_l, mate_r)
+        # the explicit graph: the listed prefixes and each slot's own copy block
+        edges = {(u, v) for u in range(size) for v in nbrs[u][: cnt[u]]}
+        for lo, p, q, hi in slots:
+            edges |= {(u, v) for u in range(p, hi) for v in range(q, hi)}
+        rows, cols = zip(*sorted(edges)) if edges else ((), ())
+        graph = sparse.csr_matrix(([1] * len(rows), (rows, cols)), shape=(size, size))
+        want = csgraph.maximum_bipartite_matching(graph, perm_type="column")
+        assert size - mate_l.count(-1) == sum(1 for v in want if v != -1)
+        home = [k for k, (lo, _, _, hi) in enumerate(slots) for _ in range(lo, hi)]
+        for u, v in enumerate(mate_l):
+            if v != -1:
+                assert (u, v) in edges and mate_r[v] == u and home[u] == home[v]
+        assert short == [k for k, (lo, _, _, hi) in enumerate(slots) if -1 in mate_l[lo:hi]]
 
 
 def _solve_slot(f_text, g_text):
@@ -626,13 +772,26 @@ def test_cheapest_path_reroutes_a_matched_pair(paths):
     # sends left 2 on to right 2
     nbrs, ecost = [[0, 1, 2], [0, 1, 2], [1, 2, 0]], [[1, 12, 14], [1, 10, 12], [1, 1, 12]]
     mate_l, mate_r = [0, -1, 1], [0, 2, -1]
-    assert _cheapest_path(nbrs, ecost, 3, 3, mate_l, mate_r, 1.0) == 10
+    assert _cheapest_path(nbrs, ecost, (0, 3, 3, 3), mate_l, mate_r, 1.0) == 10
     assert mate_l == [0, 1, 2] and mate_r == [0, 1, 2]
     # the same as long R bars, whose deletion (20) is dearer than the path
     d, pairs = _solve_slot("0 [1,41)\n0 [-1,39)\n0 [12,52)\n", "0 [0,40)\n0 [11,51)\n0 [13,53)\n")
     assert d == 10.0 and ("[1,41)@0", "[11,51)@0", 10.0) in pairs
     [(eps, moved, pooled)] = paths
     assert (eps, pooled) == (10.0, False) and moved >= 2  # three edges or more
+
+
+def test_cheapest_path_stays_in_its_slot():
+    # slot 0: left bar 0 (deletion 1) holds its copy, right vertex 1, and
+    # the left copy 1 of right bar 0 (deletion 3) is free; slot 1: left
+    # bar 2 and its copy, right vertex 2, both free.  Within slot 0 the
+    # cheapest path costs 2: left copy 1 takes the copy pool's right
+    # vertex 1, and left bar 0 moves on to right bar 0.  A pool shared
+    # with slot 1 would end the path at right vertex 2 for free.
+    nbrs, ecost = [(1, 0), (0,), (2,)], [(1.0, 2.0), (3.0,), (0.5,)]
+    mate_l, mate_r = [1, -1, -1], [-1, 0, -1]
+    assert _cheapest_path(nbrs, ecost, (0, 1, 1, 2), mate_l, mate_r, 1.0) == 2.0
+    assert mate_l == [0, 1, -1] and mate_r == [0, 1, -1]
 
 
 def test_cheapest_path_through_the_copy_pool(paths):
@@ -670,10 +829,10 @@ def test_cheapest_path_in_a_central_slot(paths):
 
 
 def test_cheapest_path_finds_none_only_by_a_bug():
-    # no perfect matching: the count checks of _slot_solve rule this out
+    # no perfect matching: the count check of _rows rules this out
     mate_l, mate_r = [0, -1], [0, -1]
     with pytest.raises(AssertionError, match="no augmenting path"):
-        _cheapest_path([[0], [0]], [[1.0], [2.0]], 2, 2, mate_l, mate_r, 1.0)
+        _cheapest_path([[0], [0]], [[1.0], [2.0]], (0, 2, 2, 2), mate_l, mate_r, 1.0)
 
 
 def test_witness_is_deterministic_on_equal_inputs(rng, paths):
