@@ -24,9 +24,8 @@ from .intervals import (
     _Frozen,
     _src_shape,
     _tgt_shape,
-    interval_parts,
+    parse_interval,
     point,
-    readable,
 )
 
 _BY_KEY = attrgetter("key")
@@ -69,7 +68,11 @@ class Barcode(_Frozen):
         return iter(self.bars)
 
     def approx_eq(self, other: "Barcode", tol: float = DEFAULT_TOL) -> bool:
-        """Multiset equality with endpoint tolerance (degrees and flags exact)."""
+        """Bar-by-bar equality in canonical order, ends up to ``tol``
+        (degrees and flags exact).  A sufficient test of multiset equality
+        up to ``tol``, not an order-free one: bars that pair up within
+        ``tol`` only in another order, such as ``[0,1)`` and ``[5e-10,2)``
+        against ``[6e-10,1)`` and ``[0,2)``, are not ``approx_eq``."""
         if len(self) != len(other):
             return False
         return all(
@@ -83,19 +86,22 @@ class Barcode(_Frozen):
 # ---------------------------------------------------------------------
 
 
-def parse_barcode(text: str, tol: float = DEFAULT_TOL) -> Barcode:
+def parse_barcode(text: str) -> Barcode:
     """Parse the ``.gbc`` format.
 
     Each non-blank line is ``<degree> <interval>`` with no interior
     spaces inside the interval, e.g. ``0 [-1,1]`` or ``1 (0,inf)``.
     ``#`` starts a comment.  Multiplicity is encoded by repeating lines.
-    Raises ParseError (with line number) for malformed lines, empty
-    intervals (up to ``tol``) and closed flags on infinite endpoints.
+    A line reads as exactly the bar ``Interval`` builds from its literal,
+    so a bar of any positive width is kept; a line ``Interval`` refuses
+    (an empty interval, a closed flag on an infinite end, a finite end of
+    magnitude 2**1022 or more) or that is malformed is a ParseError
+    naming the line and the literal or number at fault.
 
     A line of a degree and a valid literal, padded with spaces or tabs
-    and perhaps commented, is read by one match of ``_LINE`` and the
-    checks of ``parse_bar``; any other line, and any such line those
-    checks refuse, goes through ``_read_line``, which names the error.
+    and perhaps commented, is read by one match of ``_LINE``; any other
+    line, and any such line ``Interval`` refuses, goes through
+    ``_read_line``, which names the error.
     """
     bars: list[GradedInterval] = []
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -103,20 +109,20 @@ def parse_barcode(text: str, tol: float = DEFAULT_TOL) -> Barcode:
         if m is not None:
             deg, lb, a, b, rb = m.groups()
             lo, hi, lc, hc = float(a), float(b), lb == "[", rb == "]"
-            if ((abs(lo) < _LIMIT or a[-1] == "f") and (abs(hi) < _LIMIT or b[-1] == "f")
-                    and (hi - lo > tol or (lc and hc and hi >= lo))):
+            # a finite literal that float reads as an infinity is out of range
+            if (abs(lo) < _LIMIT or a[-1] == "f") and (abs(hi) < _LIMIT or b[-1] == "f"):
                 try:
                     bars.append(GradedInterval(Interval(lo, hi, lc, hc), int(deg)))
                     continue
                 except ValueError:
                     pass
-        g = _read_line(ln, raw, tol)
+        g = _read_line(ln, raw)
         if g is not None:
             bars.append(g)
     return Barcode(tuple(bars))
 
 
-def _read_line(ln: int, raw: str, tol: float) -> GradedInterval | None:
+def _read_line(ln: int, raw: str) -> GradedInterval | None:
     """Line ``ln`` of a ``.gbc`` text, field by field: its bar, or
     ``None`` when it is blank or a comment.  Raises ParseError naming the
     line and what is wrong with it."""
@@ -130,28 +136,15 @@ def _read_line(ln: int, raw: str, tol: float) -> GradedInterval | None:
     if _DEGREE(deg_tok) is None:
         raise ParseError(f"line {ln}: bad degree {deg_tok!r}")
     try:
-        return parse_bar(int(deg_tok), iv_tok, tol)
-    except ValueError as exc:
+        return GradedInterval(parse_interval(iv_tok), int(deg_tok))
+    except ParseError as exc:
         raise ParseError(f"line {ln}: {exc}") from None
 
 
-def parse_bar(degree: int, literal: str, tol: float = DEFAULT_TOL) -> GradedInterval:
-    """One bar as ``parse_barcode`` reads it: the interval ``literal`` in
-    ``degree``.  A bar with an open end and a width of at most ``tol`` is
-    empty.  Raises ValueError (ParseError for the literal itself)."""
-    lo, hi, lc, hc = interval_parts(literal)
-    if not readable(lo, hi, lc, hc, tol):
-        raise ParseError(f"empty interval {literal!r}")
-    return GradedInterval(Interval(lo, hi, lc, hc), degree)
-
-
 def format_barcode(b: Barcode) -> str:
-    """Canonical ``.gbc`` text, which ``parse_barcode`` reads back exactly
-    at ``tol=0``: every end is below 2**1022 and printed by ``repr`` or
-    as an integer.  At ``tol > 0`` it reads back exactly when no bar with
-    an open end is ``tol``-narrow, a width of at most ``tol``
-    (``readable``); ``interpolate`` and ``from_persistence`` can build
-    such bars, and the command line refuses to print them."""
+    """Canonical ``.gbc`` text, which ``parse_barcode`` reads back
+    exactly: every bar is one ``Interval`` admits, and every end is below
+    2**1022 and printed by ``repr`` or as an integer."""
     return "".join(f"{g.degree} {g.interval}\n" for g in b.bars)
 
 

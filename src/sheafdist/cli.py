@@ -2,19 +2,18 @@
 
 Exit codes: 0 on success (an infinite distance is still success, printed
 as ``inf``), 1 on domain errors, 2 on I/O, parse and usage errors.  A
-non-finite ``--eps``, ``--t`` or ``--tol``, and a ``--tol`` or
-``SHEAFDIST_TOL`` that is not a number >= 0, are usage errors; an input
-file that is not UTF-8 is a parse error.  These numbers are read by the
-grammar of a ``.gbc`` file: ASCII decimals and ``[+-]inf``, so ``1_0``
-and digits of other scripts are usage errors.  The value of ``--eps``,
-``--t`` or ``--tol`` may be a separate argument, negative ones included
-(``--eps -1e-3``).  A value that argparse hands over as ``[]``, as it
-reads ``--side=--`` or a second ``--``, is a usage error.
+non-finite ``--eps`` or ``--t`` is a usage error; an input file that is
+not UTF-8 is a parse error.  These numbers are read by the grammar of a
+``.gbc`` file: ASCII decimals and ``[+-]inf``, so ``1_0`` and digits of
+other scripts are usage errors.  The value of ``--eps`` or ``--t`` may
+be a separate argument, negative ones included (``--eps -1e-3``).  A
+value that argparse hands over as ``[]``, as it reads ``--side=--`` or a
+second ``--``, is a usage error.
 Options are spelled out in full: an abbreviation such as ``--ep`` is an
 unrecognized argument.  The commands that print ``.gbc`` text
-(``convolve``, ``interpolate``, ``import-diagram``) print only bars that
-``validate`` reads back under the same tolerance; any other bar is a
-parse error naming it.
+(``convolve``, ``interpolate``, ``import-diagram``) print bars that
+``validate`` reads back exactly; a ``convolve`` result that is no bar is
+a parse error naming ``--eps`` and the bar.
 
 Start-up: at module level this imports only ``barcode``, ``intervals``
 and ``matching``, all that ``validate``, ``dist`` and ``match`` run.
@@ -26,23 +25,15 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import sys
 
 from .barcode import Barcode, format_barcode, global_sections, parse_barcode
-from .intervals import _NUMBER, DEFAULT_TOL, INF, ParseError, fmt_number, parse_graded_interval
-from .intervals import readable
+from .intervals import _NUMBER, INF, ParseError, fmt_number, parse_graded_interval
 from .matching import distance_with_matching
 
 
 @functools.cache  # built once per process: in-process callers run main many times
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--tol",
-        default=None,
-        help="absolute comparison tolerance (default: $SHEAFDIST_TOL or 1e-9)",
-    )
     parser = argparse.ArgumentParser(
         prog="sheafdist",
         description="graded barcodes on the line: distances, matchings, smoothing",
@@ -51,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, help: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, parents=[common], allow_abbrev=False, help=help)
+        return sub.add_parser(name, allow_abbrev=False, help=help)
 
     p = command("validate", "check a .gbc file")
     p.add_argument("barcode")
@@ -102,20 +93,6 @@ def _finite(name: str, tok: str) -> float:
     return x
 
 
-def _tolerance(args: argparse.Namespace) -> float:
-    env = os.environ.get("SHEAFDIST_TOL")
-    if args.tol is not None:
-        name, tok = "--tol", args.tol
-    elif env:
-        name, tok = "SHEAFDIST_TOL", env
-    else:
-        return DEFAULT_TOL
-    tol = _finite(name, tok)
-    if tol < 0:
-        raise ParseError(f"{name} must be >= 0, got {tol}")
-    return tol
-
-
 def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -124,43 +101,23 @@ def _read(path: str) -> str:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def _load(path: str, tol: float) -> Barcode:
-    return parse_barcode(_read(path), tol=tol)
-
-
-def _write_barcode(bars, tol: float, why, make=None) -> None:
-    """Print ``bars`` (``make(g)`` for each ``g`` when ``make`` is given)
-    as ``.gbc`` text that ``validate`` reads back under the same ``tol``.
-    A bar that ``readable`` refuses, or that ``make`` refuses, is a
-    ParseError whose message ``why(g)`` names it."""
-    out = []
-    for g in bars:
-        try:
-            h = g if make is None else make(g)
-        except ValueError:
-            h = None
-        if h is None or not readable(*h.interval, tol):
-            raise ParseError(f"{why(g)} out of range: an endpoint reaches 2**1022 or the "
-                             f"width falls to the tolerance {tol!r} or below")
-        out.append(h)
-    sys.stdout.write(format_barcode(Barcode(tuple(out))))
+def _load(path: str) -> Barcode:
+    return parse_barcode(_read(path))
 
 
 def _run(args: argparse.Namespace) -> int:
-    tol = _tolerance(args)
-
     if args.command == "validate":
-        b = _load(args.barcode, tol)
+        b = _load(args.barcode)
         print(f"OK {len(b)} bars")
         return 0
 
     if args.command == "dist":
-        value, _ = distance_with_matching(_load(args.left, tol), _load(args.right, tol))
+        value, _ = distance_with_matching(_load(args.left), _load(args.right))
         print(fmt_number(value))
         return 0
 
     if args.command == "match":
-        value, matching = distance_with_matching(_load(args.left, tol), _load(args.right, tol))
+        value, matching = distance_with_matching(_load(args.left), _load(args.right))
         print(fmt_number(value))
         if value == INF:
             return 0
@@ -178,18 +135,23 @@ def _run(args: argparse.Namespace) -> int:
         from .convolve import convolve_interval
 
         eps = _finite("--eps", args.eps)
-        _write_barcode(_load(args.barcode, tol), tol, lambda g: f"--eps {fmt_number(eps)} takes {g}",
-                       lambda g: convolve_interval(g, eps))
+        out = []
+        for g in _load(args.barcode):
+            try:
+                out.append(convolve_interval(g, eps))
+            except ValueError:
+                raise ParseError(f"--eps {fmt_number(eps)} takes {g} out of range: an endpoint "
+                                 "reaches 2**1022 or rounding empties the bar") from None
+        sys.stdout.write(format_barcode(Barcode(tuple(out))))
         return 0
 
     if args.command == "interpolate":
         from .interpolate import interpolate
 
         t = _finite("--t", args.t)
-        F, G = _load(args.left, tol), _load(args.right, tol)
+        F, G = _load(args.left), _load(args.right)
         value, matching = distance_with_matching(F, G)
-        _write_barcode(interpolate(F, G, matching, t), tol,
-                       lambda g: f"--t {fmt_number(t)} takes a bar to {g}, which is")
+        sys.stdout.write(format_barcode(interpolate(F, G, matching, t)))
         return 0
 
     if args.command == "hom":
@@ -201,7 +163,7 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "gamma":
-        dims = global_sections(_load(args.barcode, tol), compact_support=args.compact)
+        dims = global_sections(_load(args.barcode), compact_support=args.compact)
         for degree, dim in dims.items():
             print(f"{degree} {dim}")
         return 0
@@ -209,7 +171,7 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "component":
         from .interpolate import same_component
 
-        print("true" if same_component(_load(args.left, tol), _load(args.right, tol)) else "false")
+        print("true" if same_component(_load(args.left), _load(args.right)) else "false")
         return 0
 
     if args.command == "import-diagram":
@@ -220,21 +182,21 @@ def _run(args: argparse.Namespace) -> int:
             bars = [g for d in diagrams for g in from_persistence(d, args.side)]
         except ValueError as exc:
             raise ParseError(f"{args.diagram}: {exc}") from None
-        _write_barcode(bars, tol, lambda g: f"{args.diagram}: the bar {g} is")
+        sys.stdout.write(format_barcode(Barcode(tuple(bars))))
         return 0
 
     raise AssertionError(f"unhandled command {args.command}")
 
 
-_NUMBER_OPTIONS = ("--eps", "--t", "--tol")
+_NUMBER_OPTIONS = ("--eps", "--t")
 
 
 def _attach_numbers(argv: list[str]) -> list[str]:
-    """``--eps -1e-3`` as ``--eps=-1e-3``, likewise for ``--t`` and
-    ``--tol``.  argparse reads a separate value that starts with ``-`` as
-    an option unless it is a plain decimal, so ``-1e-3``, ``-inf`` or a bad
-    ``-1_0`` would end in a usage dump, not ``_finite``'s one line; ``--x``
-    stays an option.  No parser takes an abbreviation."""
+    """``--eps -1e-3`` as ``--eps=-1e-3``, likewise for ``--t``.  argparse
+    reads a separate value that starts with ``-`` as an option unless it is
+    a plain decimal, so ``-1e-3``, ``-inf`` or a bad ``-1_0`` would end in
+    a usage dump, not ``_finite``'s one line; ``--x`` stays an option.  No
+    parser takes an abbreviation."""
     out: list[str] = []
     for tok in argv:
         if out and out[-1] in _NUMBER_OPTIONS and tok[:1] == "-" and tok[:2] != "--":

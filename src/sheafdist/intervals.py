@@ -5,7 +5,11 @@ sentinels (``math.inf``), never the result of overflow, and an infinite
 endpoint is always stored with an open flag: ``[2, inf)`` is fine,
 ``[2, inf]`` is not constructible.  A finite endpoint lies below
 ``2**1022`` (``_LIMIT``), so no width, midpoint or cost overflows.
-``readable`` is the tolerance half of the rule that admits a bar.
+These checks of ``Interval`` are the one rule that admits a bar: the
+parser reads a literal as exactly the bar ``Interval`` builds from it,
+with no tolerance, so every bar the library builds prints as text that
+reads back exactly.  ``DEFAULT_TOL`` serves the equality predicates
+(``close``, ``approx_eq``) alone.
 
 ``point`` holds the CLR rule that every other module reads: a bar's
 slot, shape class and plane point, from its flags, infinities and degree.
@@ -30,7 +34,7 @@ from enum import Enum
 
 INF = math.inf
 
-#: default absolute tolerance for comparisons that are tolerance-aware
+#: default absolute tolerance of the equality predicates ``close`` and ``approx_eq``
 DEFAULT_TOL = 1e-9
 
 _LIMIT = 2.0**1022  # every finite end is below it: no difference of two ends overflows
@@ -357,12 +361,6 @@ def interval_parts(text: str) -> tuple[float, float, bool, bool]:
         raise ParseError(f"bad interval literal {text!r}")
     lb, a, b, rb = m.groups()
     return parse_number(a), parse_number(b), lb == "[", rb == "]"
-
-
-def readable(lo: float, hi: float, lo_closed: bool, hi_closed: bool, tol: float) -> bool:
-    """Whether the bar with these parts reads back under ``tol``: one with
-    an open end must be wider than ``tol``.  ``Interval`` holds the rest."""
-    return hi - lo > tol or (lo_closed and hi_closed and hi >= lo)
 
 
 def parse_interval(text: str) -> Interval:

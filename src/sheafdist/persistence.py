@@ -66,14 +66,14 @@ def from_persistence(diagram: PersistenceDiagram, side: str) -> tuple[GradedInte
     """Inverse of ``to_persistence``; returns the slot's bars.  A pair
     with no bar on ``side`` (``(-inf, inf)``, the full line, on L), or
     with a finite end of magnitude 2**1022 or more, is a ``ValueError``."""
+    if side not in ("R", "L"):
+        raise ValueError(f"side must be 'R' or 'L', got {side!r}")
     bars = []
     for birth, death in diagram.pairs:
         if side == "R":
             iv = Interval(birth, death, birth != -math.inf, False)
-        elif side == "L":
-            iv = Interval(-death, -birth, False, birth != -math.inf)
         else:
-            raise ValueError(f"side must be 'R' or 'L', got {side!r}")
+            iv = Interval(-death, -birth, False, birth != -math.inf)
         g = GradedInterval(iv, diagram.degree)
         if point(g)[0][0] != side:
             pair = f"({fmt_number(birth)}, {fmt_number(death)})"

@@ -21,8 +21,7 @@ from sheafdist import (
     parse_graded_interval,
     split_clr,
 )
-from sheafdist.barcode import parse_bar
-from sheafdist.intervals import _DEGREE, DEFAULT_TOL, INF
+from sheafdist.intervals import _DEGREE, INF, parse_interval
 
 CIRCLE_F = "0 [-1,1]\n0 (-1,1)\n"
 
@@ -87,7 +86,7 @@ def test_degree_grammar():
         assert parse_diagrams(f"{tok} 0 1")[0].degree == degree
 
 
-def _reference_parse(text: str, tol: float = DEFAULT_TOL) -> Barcode:
+def _reference_parse(text: str) -> Barcode:
     """The field-by-field line reader ``parse_barcode`` had before it read
     a line in one match, kept as the reference for the one that does."""
     bars = []
@@ -102,7 +101,7 @@ def _reference_parse(text: str, tol: float = DEFAULT_TOL) -> Barcode:
         if _DEGREE(deg_tok) is None:
             raise ParseError(f"line {ln}: bad degree {deg_tok!r}")
         try:
-            bars.append(parse_bar(int(deg_tok), iv_tok, tol))
+            bars.append(GradedInterval(parse_interval(iv_tok), int(deg_tok)))
         except ValueError as exc:
             raise ParseError(f"line {ln}: {exc}") from None
     return Barcode(tuple(bars))
@@ -124,15 +123,16 @@ _END_POOLS = (
     ["1_0", "\u0661", "nan", "0x1", ""],
 )
 _ENDS = _tokens(_END_POOLS[0], *_END_POOLS)
-_NEAR_TOL = [0.0, 1e-9, math.nextafter(1e-9, INF), math.nextafter(1e-9, 0.0), 5e-10, 2e-9]
+# widths down to nothing: any positive width is a bar, whatever the equality tolerance
+_NARROW = [0.0, 5e-324, 1e-12, 5e-10, 1e-9, 2e-9]
 
 
 @st.composite
 def _literals(draw) -> str:
     lb, rb = draw(st.sampled_from("[(")), draw(st.sampled_from("])"))
-    if draw(st.booleans()):  # a width just above, at or below tol
+    if draw(st.booleans()):  # a narrow width, or none
         lo = draw(st.sampled_from([0.0, 1.0, -3.5, 1e6]))
-        a, b = repr(lo), repr(lo + draw(st.sampled_from(_NEAR_TOL)))
+        a, b = repr(lo), repr(lo + draw(st.sampled_from(_NARROW)))
     else:
         a, b = draw(_ENDS), draw(_ENDS)
     return f"{lb}{a},{b}{rb}"
@@ -152,48 +152,60 @@ def _gbc_lines(draw) -> str:
     return line + draw(st.sampled_from(["", "#", "# c", "#x#y", "#\u0661"]))
 
 
-def _assert_reads_as_reference(text: str, tol: float) -> None:
+def _assert_reads_as_reference(text: str) -> None:
     """``parse_barcode`` gives the reference's barcode, float bits
     included, or raises a ParseError with the same message."""
     try:
-        want = _reference_parse(text, tol)
+        want = _reference_parse(text)
     except ParseError as exc:
         with pytest.raises(ParseError) as got:
-            parse_barcode(text, tol)
+            parse_barcode(text)
         assert str(got.value) == str(exc)
     else:
-        assert repr(parse_barcode(text, tol)) == repr(want)
+        assert repr(parse_barcode(text)) == repr(want)
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    st.lists(st.tuples(_gbc_lines(), st.sampled_from(["\n", "\r\n", "\r"])), max_size=4),
-    st.sampled_from([0.0, 1e-9]),
-)
-def test_parse_barcode_matches_the_line_by_line_reader(lines, tol):
-    _assert_reads_as_reference("".join(line + end for line, end in lines), tol)
+@given(st.lists(st.tuples(_gbc_lines(), st.sampled_from(["\n", "\r\n", "\r"])), max_size=4))
+def test_parse_barcode_matches_the_line_by_line_reader(lines):
+    _assert_reads_as_reference("".join(line + end for line, end in lines))
 
 
 def test_parse_barcode_matches_the_line_by_line_reader_on_every_literal():
-    # each pair of end tokens and flags on its own line, and every width
-    # near tol: the checks a single line match must still make
-    ends = [tok for pool in _END_POOLS for tok in pool] + [repr(w) for w in _NEAR_TOL]
-    for tol in (0.0, 1e-9):
-        for lb in "[(":
-            for rb in "])":
-                for a in ends:
-                    for b in ends:
-                        _assert_reads_as_reference(f"0 {lb}{a},{b}{rb}\n", tol)
-                for lo in (0.0, 1.0, -3.5, 1e6):
-                    for w in _NEAR_TOL:
-                        _assert_reads_as_reference(f"\t-1 {lb}{lo!r},{lo + w!r}{rb} # c\r\n", tol)
+    # each pair of end tokens and flags on its own line, and every narrow
+    # width: the checks a single line match must still make
+    ends = [tok for pool in _END_POOLS for tok in pool] + [repr(w) for w in _NARROW]
+    for lb in "[(":
+        for rb in "])":
+            for a in ends:
+                for b in ends:
+                    _assert_reads_as_reference(f"0 {lb}{a},{b}{rb}\n")
+            for lo in (0.0, 1.0, -3.5, 1e6):
+                for w in _NARROW:
+                    _assert_reads_as_reference(f"\t-1 {lb}{lo!r},{lo + w!r}{rb} # c\r\n")
 
 
-def test_parse_tolerance_rejects_sub_tol_open_bars():
-    assert len(parse_barcode("0 (0,0.5)\n", tol=1e-9)) == 1
-    with pytest.raises(ParseError):
-        parse_barcode("0 (0,1e-12)\n", tol=1e-9)
-    assert len(parse_barcode("0 (0,1e-12)\n", tol=1e-15)) == 1
+def test_lines_interval_refuses_name_their_literal():
+    for literal in ("[2,1]", "[1,1)", "(0,0)", "[-inf,1]", "(inf,inf)"):
+        with pytest.raises(ParseError) as err:
+            parse_barcode(f"0 [0,1)\n0 {literal} # c\n")
+        assert str(err.value).startswith(f"line 2: {literal!r}: ")
+
+
+def test_narrow_open_bars_read_back():
+    # an open bar of any positive width is a bar: the parser reads it as
+    # Interval builds it, and what the library builds reads back exactly
+    assert parse_barcode("0 (0,1e-12)\n").bars[0].interval == Interval.open(0.0, 1e-12)
+    F, G = parse_barcode("0 [0,1)\n"), Barcode()
+    _, m = distance_with_matching(F, G)
+    built = [
+        interpolate(F, G, m, 0.4999999999995),  # [0,1) shrinks to width 1e-12
+        Barcode(from_persistence(PersistenceDiagram(0, ((0.0, 1e-12),)), "R")),
+        convolve_barcode(parse_barcode("0 (0,1)\n"), 0.4999999999),  # width 2e-10
+    ]
+    for b in built:
+        assert len(b) == 1 and b.bars[0].interval.width < 1e-9
+        assert parse_barcode(format_barcode(b)) == b
 
 
 def test_format_parse_round_trip(rng):
@@ -202,8 +214,8 @@ def test_format_parse_round_trip(rng):
         assert parse_barcode(format_barcode(b)) == b
 
 
-# every barcode the library builds reads back exactly at tol 0: its ends
-# are below 2**1022 (``Interval``) and printed exactly (``fmt_number``)
+# every barcode the library builds reads back exactly, with no tolerance: its
+# ends are below 2**1022 (``Interval``) and printed exactly (``fmt_number``)
 EDGE = math.nextafter(2.0**1022, 0)
 _VALUES = (
     st.floats(-EDGE, EDGE)  # off the grid, subnormals and -0.0 included
@@ -232,7 +244,7 @@ def _any_bar(draw) -> GradedInterval:
 
 
 def _assert_reads_back(b: Barcode) -> None:
-    assert parse_barcode(format_barcode(b), tol=0) == b
+    assert parse_barcode(format_barcode(b)) == b
 
 
 @settings(max_examples=400, deadline=None)
@@ -346,3 +358,8 @@ def test_approx_eq():
     assert a.approx_eq(b)
     assert not a.approx_eq(parse_barcode("0 (0,1)\n"))
     assert not a.approx_eq(Barcode())
+    # bar by bar in canonical order, not a matching: these pair up within
+    # 1e-9 only across the order ([0,1) with [6e-10,1), [5e-10,2) with [0,2))
+    c = parse_barcode("0 [0,1)\n0 [5e-10,2)\n")
+    d = parse_barcode("0 [6e-10,1)\n0 [0,2)\n")
+    assert not c.approx_eq(d)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from sheafdist import parse_barcode
+from sheafdist import format_barcode, parse_barcode
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -170,7 +170,6 @@ def test_convolve_golden(tmp_path):
         ("0 [-4e307,4e307]\n", "1e307", "[-4e+307,4e+307]@0"),  # printed [-5e+307,5e+307]
         ("0 [0,1)\n", "1e16", "[0,1)@0"),  # 1 - 1e16 rounds onto -1e16
         ("0 (0,1]\n", "-1e308", "(0,1]@0"),
-        ("0 (0,1)\n", "0.4999999999", "(0,1)@0"),  # width 2e-10 <= tol: validate rejects it
         ("0 (-4e307,4e307)\n", "-1.7e308", "(-4e+307,4e+307)@0"),  # once printed as the line
     ],
 )
@@ -181,14 +180,12 @@ def test_convolve_out_of_range_is_parse_error(tmp_path, text, eps, bar):
     assert bar in out.stderr and "--eps" in out.stderr
 
 
-def test_convolve_reads_back_under_the_given_tol(tmp_path):
-    # the width 2e-10 is over --tol 0 (under the default tol: see above)
+def test_convolve_prints_a_narrow_bar_that_reads_back(tmp_path):
+    # an open bar of width 2e-10 is a bar like any other
     a = gbc(tmp_path, "a.gbc", "0 (0,1)\n")
-    out = run_cli("convolve", a, "--eps", "0.4999999999", "--tol", "0")
+    out = run_cli("convolve", a, "--eps", "0.4999999999")
     assert out.returncode == 0 and out.stdout == "0 (0.4999999999,0.5000000001)\n"
-    b = gbc(tmp_path, "b.gbc", out.stdout)
-    assert run_cli("validate", b, "--tol", "0").stdout == "OK 1 bars\n"
-    assert run_cli("validate", b).returncode == 2
+    assert run_cli("validate", gbc(tmp_path, "b.gbc", out.stdout)).stdout == "OK 1 bars\n"
 
 
 @pytest.mark.parametrize("value", ["-1e-3", "-1E-3", "-.1e-2", "-0.001"])
@@ -203,8 +200,6 @@ def test_negative_values_in_any_float_syntax(tmp_path, value):
     # the same t as --t=value: outside [0, d], a domain error, not a usage dump
     out = run_cli("interpolate", a, a, "--t", value)
     assert out.returncode == 1 and out.stderr.startswith("error: t=-0.001 outside")
-    out = run_cli("validate", a, "--tol", value)
-    assert out.returncode == 2 and out.stderr == "error: --tol must be >= 0, got -0.001\n"
 
 
 def test_interpolate(tmp_path):
@@ -266,32 +261,22 @@ def test_import_diagram(tmp_path):
     assert out.stdout == "0 (-3,0]\n1 (-2,inf)\n"
 
 
-def _one_error_line(out, bar):
-    assert out.returncode == 2 and out.stdout == ""
-    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
-    assert bar in out.stderr
-
-
 def test_import_diagram_prints_only_bars_that_read_back(tmp_path):
-    # the width 1e-12 is at most the default tol: validate would refuse the bar
+    # a diagram point of persistence 1e-12 is a bar of width 1e-12
     pdg = tmp_path / "t.pdg"
     pdg.write_text("0 0 1e-12\n", encoding="utf-8")
-    _one_error_line(run_cli("import-diagram", str(pdg), "--side", "R"), "[0,1e-12)@0")
-    out = run_cli("import-diagram", str(pdg), "--side", "R", "--tol", "0")
+    out = run_cli("import-diagram", str(pdg), "--side", "R")
     assert out.returncode == 0 and out.stdout == "0 [0,1e-12)\n"
-    assert run_cli("validate", gbc(tmp_path, "t.gbc", out.stdout), "--tol", "0").stdout == "OK 1 bars\n"
+    assert run_cli("validate", gbc(tmp_path, "t.gbc", out.stdout)).stdout == "OK 1 bars\n"
 
 
 def test_interpolate_prints_only_bars_that_read_back(tmp_path):
     # [0,1) shrinks to its midpoint on the way to the empty barcode: just
-    # before t = 0.5 its width is 1e-12, at most the default tol
+    # before t = 0.5 its width is 1e-12
     f, g = gbc(tmp_path, "f.gbc", "0 [0,1)\n"), gbc(tmp_path, "g.gbc", "")
     out = run_cli("interpolate", f, g, "--t", "0.4999999999995")
-    _one_error_line(out, "[0.4999999999995,0.5000000000005)@0")
-    assert "--t" in out.stderr
-    out = run_cli("interpolate", f, g, "--t", "0.4999999999995", "--tol", "0")
     assert out.returncode == 0 and out.stdout == "0 [0.4999999999995,0.5000000000005)\n"
-    assert run_cli("validate", gbc(tmp_path, "u.gbc", out.stdout), "--tol", "0").stdout == "OK 1 bars\n"
+    assert run_cli("validate", gbc(tmp_path, "u.gbc", out.stdout)).stdout == "OK 1 bars\n"
 
 
 def test_import_diagram_line_is_not_an_l_bar(tmp_path):
@@ -305,10 +290,17 @@ def test_import_diagram_line_is_not_an_l_bar(tmp_path):
 
 
 def test_tol_flag_and_env(tmp_path):
+    # the parser has no tolerance: --tol is an unrecognized argument, a
+    # usage error, and SHEAFDIST_TOL is not read
     narrow = gbc(tmp_path, "n.gbc", "0 (0,1e-12)\n")
-    assert run_cli("validate", narrow).returncode == 2
-    assert run_cli("validate", narrow, "--tol", "1e-15").returncode == 0
-    assert run_cli("validate", narrow, env_extra={"SHEAFDIST_TOL": "1e-15"}).returncode == 0
+    assert run_cli("validate", narrow).stdout == "OK 1 bars\n"
+    for args in (["--tol", "0"], ["--tol=1e-15"]):
+        out = run_cli("validate", narrow, *args)
+        assert out.returncode == 2 and out.stdout == "" and "Traceback" not in out.stderr
+        assert out.stderr.startswith("usage: ")
+        assert out.stderr.splitlines()[-1].endswith(f"error: unrecognized arguments: {' '.join(args)}")
+    out = run_cli("validate", narrow, env_extra={"SHEAFDIST_TOL": "abc"})
+    assert (out.returncode, out.stdout, out.stderr) == (0, "OK 1 bars\n", "")
 
 
 @pytest.mark.parametrize(
@@ -318,29 +310,29 @@ def test_tol_flag_and_env(tmp_path):
         (("convolve", "{f}", "--eps", "inf"), None),
         (("interpolate", "{f}", "{f}", "--t", "nan"), None),
         (("interpolate", "{f}", "{f}", "--t", "inf"), None),
-        (("validate", "{f}", "--tol", "-1"), None),
-        (("validate", "{f}", "--tol", "nan"), None),
-        (("validate", "{f}", "--tol", "inf"), None),
-        (("validate", "{f}"), {"SHEAFDIST_TOL": "abc"}),
-        (("validate", "{f}"), {"SHEAFDIST_TOL": "-1"}),
-        (("validate", "{f}"), {"SHEAFDIST_TOL": "nan"}),
+        (("interpolate", "{f}", "{f}", "--t", "+inf"), None),
+        (("convolve", "{f}", "--eps", "+nan"), None),
+        (("convolve", "{f}", "--eps", "1e400"), None),  # float reads it as inf
+        (("convolve", "{f}", "--eps", "1e"), None),
+        (("convolve", "{f}", "--eps", "."), None),
+        (("interpolate", "{f}", "{f}", "--t", "0x1"), None),
         # once argparse's "expected one argument" and a usage dump
         (("convolve", "{f}", "--eps", "-inf"), None),
         (("interpolate", "{f}", "{f}", "--t", "-inf"), None),
-        (("validate", "{f}", "--tol", "-inf"), None),
+        (("interpolate", "{f}", "{f}", "--t", "-1e400"), None),
         # the number grammar of a .gbc file, not float(): once 10 and 1
         (("convolve", "{f}", "--eps", "1_0"), None),
         (("convolve", "{f}", "--eps", "\u0661"), None),
         (("interpolate", "{f}", "{f}", "--t", "1_0"), None),
-        (("validate", "{f}", "--tol", "1_0"), None),
-        (("validate", "{f}"), {"SHEAFDIST_TOL": "1_0"}),
-        (("validate", "{f}"), {"SHEAFDIST_TOL": "\u0661"}),
+        (("interpolate", "{f}", "{f}", "--t", "\u0661"), None),
+        (("interpolate", "{f}", "{f}", "--t=-1e-0_3"), None),
+        (("convolve", "{f}", "--eps", " 1"), None),  # float strips the space
         (("convolve", "{f}", "--eps=-1e-0_3"), None),
         # a bad negative value as a separate argument: once a usage dump
         (("convolve", "{f}", "--eps", "-1_0"), None),
         (("convolve", "{f}", "--eps", "-nan"), None),
         (("interpolate", "{f}", "{f}", "--t", "-1_0"), None),
-        (("validate", "{f}", "--tol", "-nan"), None),
+        (("interpolate", "{f}", "{f}", "--t", "-"), None),
     ],
 )
 def test_bad_numbers_are_usage_errors(args, env):
@@ -359,7 +351,7 @@ def test_bad_numbers_are_usage_errors(args, env):
         (("import-diagram", "{m}", "--side=--"), "--side"),  # before the file is read
         (("convolve", "{f}", "--eps=--"), "--eps"),
         (("interpolate", "{f}", "{f}", "--t=--"), "--t"),
-        (("validate", "{f}", "--tol=--"), "--tol"),
+        (("validate", "{f}", "--tol=--"), "--tol"),  # no such option: argparse names it
         (("dist", "{f}", "--", "--"), None),  # once a traceback
         (("hom", "[0,1]@0", "--", "--"), None),
     ],
@@ -406,7 +398,7 @@ def _fuzz_pdg(rng) -> str:
                    for _ in range(rng.randrange(0, 4)))
 
 
-def test_cli_fuzz_ends_in_an_exit_code(tmp_path, capsys, monkeypatch):
+def test_cli_fuzz_ends_in_an_exit_code(tmp_path, capsys):
     # in process: every call returns 0, 1 or 2, or argparse exits with 2;
     # no other exception, and so no traceback, gets out of main
     from sheafdist.cli import main
@@ -435,17 +427,14 @@ def test_cli_fuzz_ends_in_an_exit_code(tmp_path, capsys, monkeypatch):
     outcomes = Counter()
     for _ in range(2000):
         argv = rng.choice(commands)()
-        if rng.random() < 0.3:
-            argv += ["--tol", num()] if rng.random() < 0.8 else [f"--tol={num()}"]
-        if rng.random() < 0.05:
-            monkeypatch.setenv("SHEAFDIST_TOL", num())
-        else:
-            monkeypatch.delenv("SHEAFDIST_TOL", raising=False)
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse: usage errors and --help
             code = f"exit {exc.code}"
         assert code in (0, 1, 2, "exit 0", "exit 2"), argv
         outcomes[code] += 1
-        capsys.readouterr()
+        out = capsys.readouterr().out
+        if code == 0 and argv[0] in ("convolve", "interpolate", "import-diagram"):
+            # printed .gbc text reads back as it was printed
+            assert format_barcode(parse_barcode(out)) == out, argv
     assert set(outcomes) >= {0, 1, 2, "exit 2"}, outcomes

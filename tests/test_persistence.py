@@ -34,6 +34,18 @@ def test_from_persistence_examples():
     assert from_persistence(diagram, "L") == (GradedInterval(Interval.left_open(-2, 5), 1),)
 
 
+@pytest.mark.parametrize("pairs", [(), ((0.0, 1.0),)])
+def test_side_is_checked_on_any_diagram(pairs):
+    # once only inside the loop over pairs: an empty diagram gave ()
+    message = "side must be 'R' or 'L', got 'X'"
+    with pytest.raises(ValueError) as exc:
+        from_persistence(PersistenceDiagram(0, pairs), "X")
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        to_persistence(split_clr(Barcode()), "X", 0)
+    assert str(exc.value) == message
+
+
 def test_from_persistence_line_is_not_an_l_bar():
     line = PersistenceDiagram(0, ((-INF, INF),))
     assert from_persistence(line, "R") == (GradedInterval(Interval.line(), 0),)
