@@ -198,7 +198,9 @@ def global_sections(b: Barcode, compact_support: bool = False) -> dict[int, int]
     its infinite bound counts as closed for ordinary sections (the
     target reading) and as open for compactly supported ones (the source
     reading).  Two barcodes at finite distance always agree on both
-    flavours.
+    flavours.  The converse fails: equal sections are necessary for a
+    finite distance, not sufficient, so neither flavour tells whether two
+    barcodes lie in one connected component.
     """
     shape = _src_shape if compact_support else _tgt_shape
     dims: dict[int, int] = {}

@@ -45,30 +45,28 @@ def _shrink_halfopen(g: GradedInterval, t: float, c: float) -> GradedInterval | 
     )
 
 
-def pair_path(
-    source: GradedInterval, target: GradedInterval | None, t: float
-) -> GradedInterval | None:
-    """Position at time ``t`` of the path from ``source`` to ``target``
-    (``target=None`` means the bar is being deleted).
-
-    Defined for 0 <= t <= c where c is the pair or deletion cost, which
-    must be finite.  Returns None once a deleted bar has vanished.
-    """
+def _cost(source: GradedInterval, target: GradedInterval | None) -> float:
+    """The deletion cost of ``source`` (``target=None``) or the cost of the
+    pair; ``ValueError`` when it is infinite."""
     if target is None:
         c = deletion_cost(source)
         if c == INF:
             raise ValueError(f"cannot delete {source}")
-        if not 0 <= t <= c:
-            raise ValueError(f"t={t} outside [0, {c}]")
-        if t == 0:
-            return source
-        return _shrink_halfopen(source, t, c)
-
+        return c
     c = pair_cost(source, target)
     if c == INF:
         raise ValueError(f"no finite path from {source} to {target}")
-    if not 0 <= t <= c:
-        raise ValueError(f"t={t} outside [0, {c}]")
+    return c
+
+
+def _move(
+    source: GradedInterval, target: GradedInterval | None, c: float, t: float
+) -> GradedInterval | None:
+    """Position at time ``0 <= t <= c`` on the path of finite cost ``c``."""
+    if target is None:
+        if t == 0:
+            return source
+        return _shrink_halfopen(source, t, c)
     if t == 0 or c == 0:
         return source
     if t == c:
@@ -110,6 +108,41 @@ def pair_path(
     )
 
 
+def pair_path(
+    source: GradedInterval, target: GradedInterval | None, t: float
+) -> GradedInterval | None:
+    """Position at time ``t`` of the path from ``source`` to ``target``
+    (``target=None`` means the bar is being deleted).
+
+    Defined for 0 <= t <= c where c is the pair or deletion cost, which
+    must be finite.  Returns None once a deleted bar has vanished.
+    """
+    c = _cost(source, target)
+    if not 0 <= t <= c:
+        raise ValueError(f"t={t} outside [0, {c}]")
+    return _move(source, target, c, t)
+
+
+# (F, G, matching, plan) of the latest interpolate call whose matching
+# passed the multiset check
+_last: tuple = (None, None, None, ())
+
+
+def _positions(plan, eps: float, t: float) -> list[GradedInterval]:
+    """The bars at time ``t`` of the plan's rows, in row order."""
+    bars = []
+    for source, target, listed, c, right in plan:
+        te = eps - t if right else t
+        if listed < te:  # a pair that finished early stays at its target
+            te = listed
+        if not 0 <= te <= c:
+            raise ValueError(f"t={te} outside [0, {c}]")
+        moved = _move(source, target, c, te)
+        if moved is not None:
+            bars.append(moved)
+    return bars
+
+
 def interpolate(F: Barcode, G: Barcode, matching: Matching, t: float) -> Barcode:
     """Barcode at time ``t`` along the geodesic the matching describes.
 
@@ -120,12 +153,23 @@ def interpolate(F: Barcode, G: Barcode, matching: Matching, t: float) -> Barcode
     grow in as time runs out.  t = 0 and t = eps reproduce F and G
     exactly.  A ``_lerp`` that rounds onto 2**1022, which only ends within
     one ulp of it could meet, would be ``Interval``'s ValueError.
+
+    The multiset check and the cost of every entry are worked out once
+    per ``(F, G, matching)``: the latest triple and its plan are kept
+    (one strong reference each), and a call with the very same three
+    objects, as when one geodesic is sampled at many times, reuses them.
+    ``Barcode`` and the ``Matching`` that ``distance_with_matching``
+    returns are immutable, so the same objects give the same plan.
     """
+    global _last
     central, halfopen, deletions, eps = matching
     if eps == INF:
         raise ValueError("cannot interpolate across an infinite distance")
     if not 0 <= t <= eps:
         raise ValueError(f"t={t} outside [0, {eps}]")
+    last = _last
+    if last[0] is F and last[1] is G and last[2] is matching:
+        return Barcode(tuple(_positions(last[3], eps, t)))
     src = [l for _, l, _, _ in central]
     src += [l for _, _, l, _, _ in halfopen]
     dst = [r for _, _, r, _ in central]
@@ -134,14 +178,18 @@ def interpolate(F: Barcode, G: Barcode, matching: Matching, t: float) -> Barcode
         (src if origin == "left" else dst).append(bar)
     if Barcode(tuple(src)) != F or Barcode(tuple(dst)) != G:
         raise ValueError("the matching is not between these two barcodes")
-    bars = [pair_path(l, r, c if c < t else t) for _, l, r, c in central]
-    bars += [pair_path(l, r, c if c < t else t) for _, _, l, r, c in halfopen]
-    for _, _, origin, bar, c in deletions:
-        te = eps - t if origin == "right" else t
-        moved = pair_path(bar, None, c if c < te else te)
-        if moved is not None:
-            bars.append(moved)
-    return Barcode(tuple(bars))
+    entries = [(l, r, c, False) for _, l, r, c in central]
+    entries += [(l, r, c, False) for _, _, l, r, c in halfopen]
+    entries += [(bar, None, c, origin == "right") for _, _, origin, bar, c in deletions]
+    plan = []
+    for source, target, listed, right in entries:
+        try:
+            plan.append((source, target, listed, _cost(source, target), right))
+        except ValueError:
+            _positions(plan, eps, t)  # an earlier entry's t-range error comes first
+            raise
+    _last = (F, G, matching, plan)
+    return Barcode(tuple(_positions(plan, eps, t)))
 
 
 def same_component(F: Barcode, G: Barcode) -> bool:

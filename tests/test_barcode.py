@@ -19,6 +19,7 @@ from sheafdist import (
     parse_barcode,
     parse_diagrams,
     parse_graded_interval,
+    same_component,
     split_clr,
 )
 from sheafdist.intervals import _DEGREE, INF, parse_interval
@@ -350,6 +351,17 @@ def test_global_sections_shapes():
         b = parse_barcode(degree_two + "\n")
         assert global_sections(b) == ordinary, line
         assert global_sections(b, compact_support=True) == compact, line
+
+
+def test_equal_sections_do_not_make_a_finite_distance():
+    # both flavours of sections agree, yet no bar of F can be deleted or
+    # matched at finite cost: equal sections are necessary, not sufficient
+    F = parse_barcode("-1 (-2.375,-1)\n-1 [4.5,inf)\n")
+    G = parse_barcode("-1 (-inf,inf)\n0 (-inf,-5.625]\n0 [0.625,1.375)\n1 [-3,-0.125)\n")
+    assert global_sections(F) == global_sections(G)
+    assert global_sections(F, compact_support=True) == global_sections(G, compact_support=True)
+    assert distance_with_matching(F, G)[0] == INF
+    assert not same_component(F, G)
 
 
 def test_approx_eq():

@@ -92,15 +92,19 @@ def test_non_utf8_file_is_parse_error(tmp_path, verb, name):
     assert str(path) in out.stderr and "UTF-8" in out.stderr
 
 
+# Each row of a table whose arguments are tuples carries the id it has always
+# run under, so that deleting a row renames no other.
 @pytest.mark.parametrize(
     "args, text",
     [
-        (("validate", "{f}"), "0 [0,1e400)\n"),  # once read as the ray [0,inf)
-        (("dist", "{f}", "{e}"), "0 [-1.5e308,1.5e308)\n"),  # its width overflowed to inf
-        (("component", "{f}", "{e}"), "0 [-1.5e308,1.5e308)\n"),
-        (("import-diagram", "{f}", "--side", "R"), "0 0 1e400\n"),
-        (("import-diagram", "{f}", "--side", "R"), "0 -4.5e307 0\n"),
-        (("hom", "[0,1e400)@0", "[0,1)@0"), ""),
+        # once read as the ray [0,inf)
+        pytest.param(("validate", "{f}"), "0 [0,1e400)\n", id="args0-0 [0,1e400)\n"),
+        # its width overflowed to inf
+        pytest.param(("dist", "{f}", "{e}"), "0 [-1.5e308,1.5e308)\n", id="args1-0 [-1.5e308,1.5e308)\n"),
+        pytest.param(("component", "{f}", "{e}"), "0 [-1.5e308,1.5e308)\n", id="args2-0 [-1.5e308,1.5e308)\n"),
+        pytest.param(("import-diagram", "{f}", "--side", "R"), "0 0 1e400\n", id="args3-0 0 1e400\n"),
+        pytest.param(("import-diagram", "{f}", "--side", "R"), "0 -4.5e307 0\n", id="args4-0 -4.5e307 0\n"),
+        pytest.param(("hom", "[0,1e400)@0", "[0,1)@0"), "", id="args5-"),
     ],
 )
 def test_out_of_range_numbers_are_parse_errors(tmp_path, args, text):
@@ -114,14 +118,17 @@ def test_out_of_range_numbers_are_parse_errors(tmp_path, args, text):
 @pytest.mark.parametrize(
     "args, text",
     [
-        (("validate", "{f}"), "1_0 [0,1)\n"),  # once read as degree 10
-        (("validate", "{f}"), "+1 [0,1)\n"),
-        (("validate", "{f}"), "\u0661 [0,1)\n"),  # an Arabic-Indic digit one
-        (("validate", "{f}"), "0 [\u0661,2)\n"),  # once read as [1,2)
-        (("import-diagram", "{f}", "--side", "R"), "1_0 0 1\n"),
-        (("hom", "[0,1)@\u0661", "[0,1)@0"), ""),
-        (("hom", "[0,1)@+1", "[0,1)@0"), ""),
-        (("hom", "[\u0661,2)@0", "[0,1)@0"), ""),
+        # once read as degree 10
+        pytest.param(("validate", "{f}"), "1_0 [0,1)\n", id="args0-1_0 [0,1)\n"),
+        pytest.param(("validate", "{f}"), "+1 [0,1)\n", id="args1-+1 [0,1)\n"),
+        # an Arabic-Indic digit one
+        pytest.param(("validate", "{f}"), "\u0661 [0,1)\n", id="args2-\u0661 [0,1)\n"),
+        # once read as [1,2)
+        pytest.param(("validate", "{f}"), "0 [\u0661,2)\n", id="args3-0 [\u0661,2)\n"),
+        pytest.param(("import-diagram", "{f}", "--side", "R"), "1_0 0 1\n", id="args4-1_0 0 1\n"),
+        pytest.param(("hom", "[0,1)@\u0661", "[0,1)@0"), "", id="args5-"),
+        pytest.param(("hom", "[0,1)@+1", "[0,1)@0"), "", id="args6-"),
+        pytest.param(("hom", "[\u0661,2)@0", "[0,1)@0"), "", id="args7-"),
     ],
 )
 def test_numbers_and_degrees_are_ascii(tmp_path, args, text):
@@ -135,10 +142,10 @@ def test_numbers_and_degrees_are_ascii(tmp_path, args, text):
 @pytest.mark.parametrize(
     "args",
     [
-        ("convolve", "{f}", "--ep", "0.5"),  # once read as --eps 0.5
-        ("convolve", "{f}", "--ep", "-1e-3"),
-        ("convolve", "{f}", "--eps", "0.5", "--to", "0"),
-        ("gamma", "{f}", "--comp"),
+        pytest.param(("convolve", "{f}", "--ep", "0.5"), id="args0"),  # once read as --eps 0.5
+        pytest.param(("convolve", "{f}", "--ep", "-1e-3"), id="args1"),
+        pytest.param(("convolve", "{f}", "--eps", "0.5", "--to", "0"), id="args2"),
+        pytest.param(("gamma", "{f}", "--comp"), id="args3"),
     ],
 )
 def test_options_are_never_abbreviated(tmp_path, args):
@@ -304,40 +311,42 @@ def test_tol_flag_and_env(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "args, env",
+    "args",
     [
-        (("convolve", "{f}", "--eps", "nan"), None),
-        (("convolve", "{f}", "--eps", "inf"), None),
-        (("interpolate", "{f}", "{f}", "--t", "nan"), None),
-        (("interpolate", "{f}", "{f}", "--t", "inf"), None),
-        (("interpolate", "{f}", "{f}", "--t", "+inf"), None),
-        (("convolve", "{f}", "--eps", "+nan"), None),
-        (("convolve", "{f}", "--eps", "1e400"), None),  # float reads it as inf
-        (("convolve", "{f}", "--eps", "1e"), None),
-        (("convolve", "{f}", "--eps", "."), None),
-        (("interpolate", "{f}", "{f}", "--t", "0x1"), None),
+        pytest.param(("convolve", "{f}", "--eps", "nan"), id="args0-None"),
+        pytest.param(("convolve", "{f}", "--eps", "inf"), id="args1-None"),
+        pytest.param(("interpolate", "{f}", "{f}", "--t", "nan"), id="args2-None"),
+        pytest.param(("interpolate", "{f}", "{f}", "--t", "inf"), id="args3-None"),
+        pytest.param(("interpolate", "{f}", "{f}", "--t", "+inf"), id="args4-None"),
+        pytest.param(("convolve", "{f}", "--eps", "+nan"), id="args5-None"),
+        # float reads it as inf
+        pytest.param(("convolve", "{f}", "--eps", "1e400"), id="args6-None"),
+        pytest.param(("convolve", "{f}", "--eps", "1e"), id="args7-None"),
+        pytest.param(("convolve", "{f}", "--eps", "."), id="args8-None"),
+        pytest.param(("interpolate", "{f}", "{f}", "--t", "0x1"), id="args9-None"),
         # once argparse's "expected one argument" and a usage dump
-        (("convolve", "{f}", "--eps", "-inf"), None),
-        (("interpolate", "{f}", "{f}", "--t", "-inf"), None),
-        (("interpolate", "{f}", "{f}", "--t", "-1e400"), None),
+        pytest.param(("convolve", "{f}", "--eps", "-inf"), id="args10-None"),
+        pytest.param(("interpolate", "{f}", "{f}", "--t", "-inf"), id="args11-None"),
+        pytest.param(("interpolate", "{f}", "{f}", "--t", "-1e400"), id="args12-None"),
         # the number grammar of a .gbc file, not float(): once 10 and 1
-        (("convolve", "{f}", "--eps", "1_0"), None),
-        (("convolve", "{f}", "--eps", "\u0661"), None),
-        (("interpolate", "{f}", "{f}", "--t", "1_0"), None),
-        (("interpolate", "{f}", "{f}", "--t", "\u0661"), None),
-        (("interpolate", "{f}", "{f}", "--t=-1e-0_3"), None),
-        (("convolve", "{f}", "--eps", " 1"), None),  # float strips the space
-        (("convolve", "{f}", "--eps=-1e-0_3"), None),
+        pytest.param(("convolve", "{f}", "--eps", "1_0"), id="args13-None"),
+        pytest.param(("convolve", "{f}", "--eps", "\u0661"), id="args14-None"),
+        pytest.param(("interpolate", "{f}", "{f}", "--t", "1_0"), id="args15-None"),
+        pytest.param(("interpolate", "{f}", "{f}", "--t", "\u0661"), id="args16-None"),
+        pytest.param(("interpolate", "{f}", "{f}", "--t=-1e-0_3"), id="args17-None"),
+        # float strips the space
+        pytest.param(("convolve", "{f}", "--eps", " 1"), id="args18-None"),
+        pytest.param(("convolve", "{f}", "--eps=-1e-0_3"), id="args19-None"),
         # a bad negative value as a separate argument: once a usage dump
-        (("convolve", "{f}", "--eps", "-1_0"), None),
-        (("convolve", "{f}", "--eps", "-nan"), None),
-        (("interpolate", "{f}", "{f}", "--t", "-1_0"), None),
-        (("interpolate", "{f}", "{f}", "--t", "-"), None),
+        pytest.param(("convolve", "{f}", "--eps", "-1_0"), id="args20-None"),
+        pytest.param(("convolve", "{f}", "--eps", "-nan"), id="args21-None"),
+        pytest.param(("interpolate", "{f}", "{f}", "--t", "-1_0"), id="args22-None"),
+        pytest.param(("interpolate", "{f}", "{f}", "--t", "-"), id="args23-None"),
     ],
 )
-def test_bad_numbers_are_usage_errors(args, env):
+def test_bad_numbers_are_usage_errors(args):
     f = str(FIXTURES / "circle_f.gbc")
-    out = run_cli(*(a.format(f=f) for a in args), env_extra=env)
+    out = run_cli(*(a.format(f=f) for a in args))
     assert out.returncode == 2
     assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
     assert out.stdout == ""
@@ -346,14 +355,18 @@ def test_bad_numbers_are_usage_errors(args, env):
 @pytest.mark.parametrize(
     "args, name",
     [
-        (("import-diagram", "{d}", "--side=--"), "--side"),  # once "got []"
-        (("import-diagram", "{e}", "--side=--"), "--side"),  # once exit 0, no output
-        (("import-diagram", "{m}", "--side=--"), "--side"),  # before the file is read
-        (("convolve", "{f}", "--eps=--"), "--eps"),
-        (("interpolate", "{f}", "{f}", "--t=--"), "--t"),
-        (("validate", "{f}", "--tol=--"), "--tol"),  # no such option: argparse names it
-        (("dist", "{f}", "--", "--"), None),  # once a traceback
-        (("hom", "[0,1]@0", "--", "--"), None),
+        # once "got []"
+        pytest.param(("import-diagram", "{d}", "--side=--"), "--side", id="args0---side"),
+        # once exit 0, no output
+        pytest.param(("import-diagram", "{e}", "--side=--"), "--side", id="args1---side"),
+        # before the file is read
+        pytest.param(("import-diagram", "{m}", "--side=--"), "--side", id="args2---side"),
+        pytest.param(("convolve", "{f}", "--eps=--"), "--eps", id="args3---eps"),
+        pytest.param(("interpolate", "{f}", "{f}", "--t=--"), "--t", id="args4---t"),
+        # no such option: argparse names it
+        pytest.param(("validate", "{f}", "--tol=--"), "--tol", id="args5---tol"),
+        pytest.param(("dist", "{f}", "--", "--"), None, id="args6-None"),  # once a traceback
+        pytest.param(("hom", "[0,1]@0", "--", "--"), None, id="args7-None"),
     ],
 )
 def test_an_attached_double_dash_is_a_usage_error(tmp_path, args, name):

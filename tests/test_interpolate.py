@@ -1,3 +1,4 @@
+import copy
 import math
 
 import pytest
@@ -132,6 +133,63 @@ def test_stale_matching_is_refused_before_any_bar_moves():
         with pytest.raises(ValueError) as exc:
             interpolate(F, Gb, stale, 0.5)
         assert str(exc.value) == "the matching is not between these two barcodes"
+
+
+def test_repeated_calls_equal_fresh_calls(rng):
+    # calls on one (F, G, m), interleaved with calls on a second pair, give
+    # bar for bar what the same calls on deep copies give: a copy is a new
+    # object, so its plan is always worked out afresh
+    for _ in range(40):
+        pairs = []
+        for _ in range(2):
+            F = random_barcode(rng)
+            Gb = perturbed_barcode(rng, F) if rng.random() < 0.7 else random_barcode(rng)
+            eps, m = distance_with_matching(F, Gb)
+            if eps < INF:
+                pairs.append(((F, Gb, m), eps))
+        if not pairs:
+            continue
+        calls = []
+        for _ in range(8):
+            args, eps = rng.choice(pairs)
+            calls.append((args, rng.choice([0.0, eps, rng.uniform(0, eps)])))
+        got = [interpolate(*args, t).bars for args, t in calls]
+        fresh = [copy.deepcopy(args) for args, _ in calls]
+        assert all(c[0] is not a[0] and c[2] is not a[2] for c, (a, _) in zip(fresh, calls))
+        assert got == [interpolate(*c, t).bars for c, (_, t) in zip(fresh, calls)]
+
+
+def test_stale_matching_is_refused_after_a_valid_call():
+    F, Gb = parse_barcode("0 (0,1)\n"), parse_barcode("0 (0,2)\n")
+    eps, m = distance_with_matching(F, Gb)
+    _, stale = distance_with_matching(F, parse_barcode("0 (0,1.5)\n"))
+    assert interpolate(F, Gb, m, 0.0) == F
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not between"):
+            interpolate(F, Gb, stale, 0.25)
+    assert interpolate(F, Gb, m, eps) == Gb
+
+
+def test_listed_cost_above_the_true_cost():
+    # the pair costs 0.5 but is listed at 2: a t past 0.5 is refused as
+    # pair_path refuses it, on the first call and on a repeated one
+    p, q = G(Interval.closed(0, 1)), G(Interval.closed(0.5, 1))
+    m = Matching(((0, p, q, 2.0),), (), (), 2.0)
+    F, Gb = Barcode((p,)), Barcode((q,))
+    for _ in range(2):
+        with pytest.raises(ValueError) as exc:
+            interpolate(F, Gb, m, 1.0)
+        assert str(exc.value) == "t=1.0 outside [0, 0.5]"
+    assert interpolate(F, Gb, m, 0.25) == Barcode((G(Interval.closed(0.25, 1)),))
+    # with a later entry that has no finite path, the earlier entry's
+    # error still comes first, as the entries are walked in order
+    a, b = G(Interval.right_open(0, 1)), G(Interval.closed(0, 1))
+    two = Matching(((0, p, q, 2.0),), (("R", 0, a, b, 1.0),), (), 2.0)
+    F, Gb = Barcode((p, a)), Barcode((q, b))
+    for t, message in [(1.0, "t=1.0 outside [0, 0.5]"), (0.25, "no finite path")]:
+        with pytest.raises(ValueError) as exc:
+            interpolate(F, Gb, two, t)
+        assert str(exc.value).startswith(message)
 
 
 def test_endpoint_recovery_exact(rng):
