@@ -39,10 +39,11 @@ _HOME = {
     **dict.fromkeys(("convolve_barcode", "convolve_interval", "stalk_type"), "convolve"),
     **dict.fromkeys(("deletion_cost", "pair_cost"), "costs"),
     **dict.fromkeys(
-        ("Matching", "bruteforce_distance", "distance_with_matching", "part_bottleneck"),
+        ("Matching", "bruteforce_distance", "distance_with_matching", "part_bottleneck",
+         "same_component"),
         "matching",
     ),
-    **dict.fromkeys(("interpolate", "pair_path", "same_component"), "interpolate"),
+    **dict.fromkeys(("interpolate", "pair_path"), "interpolate"),
     **dict.fromkeys(
         ("PersistenceDiagram", "format_diagrams", "from_persistence", "parse_diagrams",
          "to_persistence"),

@@ -200,7 +200,9 @@ def global_sections(b: Barcode, compact_support: bool = False) -> dict[int, int]
     reading).  Two barcodes at finite distance always agree on both
     flavours.  The converse fails: equal sections are necessary for a
     finite distance, not sufficient, so neither flavour tells whether two
-    barcodes lie in one connected component.
+    barcodes lie in one connected component.  ``same_component`` (in
+    ``matching``) is the test that does: it counts the undeletable bars
+    of each slot and class on both sides.
     """
     shape = _src_shape if compact_support else _tgt_shape
     dims: dict[int, int] = {}

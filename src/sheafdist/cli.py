@@ -16,7 +16,8 @@ unrecognized argument.  The commands that print ``.gbc`` text
 a parse error naming ``--eps`` and the bar.
 
 Start-up: at module level this imports only ``barcode``, ``intervals``
-and ``matching``, all that ``validate``, ``dist`` and ``match`` run.
+and ``matching``, all that ``validate``, ``dist``, ``match`` and
+``component`` run.
 Every other command imports its own module in its branch of ``_run``.
 """
 
@@ -29,7 +30,7 @@ import sys
 
 from .barcode import Barcode, format_barcode, global_sections, parse_barcode
 from .intervals import _NUMBER, INF, ParseError, fmt_number, parse_graded_interval
-from .matching import distance_with_matching
+from .matching import distance_with_matching, same_component
 
 
 @functools.cache  # built once per process: in-process callers run main many times
@@ -169,8 +170,6 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "component":
-        from .interpolate import same_component
-
         print("true" if same_component(_load(args.left), _load(args.right)) else "false")
         return 0
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from .barcode import Barcode
 from .costs import deletion_cost, pair_cost
 from .intervals import INF, GradedInterval, Interval
-from .matching import Matching, distance_with_matching
+from .matching import Matching
 
 
 def _lerp(x: float, y: float, theta: float) -> float:
@@ -190,9 +190,3 @@ def interpolate(F: Barcode, G: Barcode, matching: Matching, t: float) -> Barcode
             raise
     _last = (F, G, matching, plan)
     return Barcode(tuple(_positions(plan, eps, t)))
-
-
-def same_component(F: Barcode, G: Barcode) -> bool:
-    """Whether a continuous path between the barcodes exists, i.e. the
-    distance is finite."""
-    return distance_with_matching(F, G)[0] < INF

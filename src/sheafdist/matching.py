@@ -8,7 +8,10 @@ deletion cost; central bars, rays and the line have none, so a central
 slot is a perfect-matching problem (a bijection) and a half-open slot a
 partial one.  Every cost within a shape class is finite (``Interval``
 keeps ends below 2**1022), so a slot's distance is infinite exactly when
-a class of undeletable bars differs in size between the sides.
+a class of undeletable bars differs in size between the sides.  This
+rule, the matching form of the paper's description of the connected
+components, is counted in one place, ``_slot_groups``: ``_rows`` reads it
+before building the graph, and ``same_component`` reads it alone.
 
 One graph per barcode pair serves every slot (``part_bottleneck``), and
 in it each slot solves for its own value: the least eps whose threshold
@@ -251,13 +254,50 @@ Bars = list[GradedInterval | None]
 _SIDES = {"central": 0, "R": 1, "L": 2}  # the order of slots: central, R, L
 
 
+def _slot_groups(
+    left: Sequence[GradedInterval], right: Sequence[GradedInterval]
+) -> tuple[dict, dict]:
+    """One walk over the bars: ``(groups, need)``.
+
+    ``groups`` maps each slot either side fills to its left bars, their
+    points, its right bars and theirs, each in the order given.  ``need``
+    maps each ``(slot, class)`` of undeletable bars (central bars, rays to
+    -inf, rays to inf, the line) to its count of left bars minus right
+    ones.  This is the component rule: the distance is finite exactly when
+    every count is 0, since every other bar can be deleted and every cost
+    within a class is finite.
+    """
+    groups: dict = {}
+    need: dict = {}
+    for k, sign, bars in ((0, 1, left), (2, -1, right)):
+        for g in bars:
+            pt = point(g)
+            group = groups.get(pt[0])
+            if group is None:
+                group = groups[pt[0]] = ([], [], [], [])
+            group[k].append(g)
+            group[k + 1].append(pt)
+            if pt[1]:
+                key = pt[:2]
+                need[key] = need.get(key, 0) + sign
+    return groups, need
+
+
+def same_component(F: Barcode, G: Barcode) -> bool:
+    """Whether the barcodes lie in one connected component, that is, at a
+    finite distance: each slot holds as many undeletable bars of F as of
+    G in each class (``_slot_groups``).  Nothing is solved."""
+    return not any(_slot_groups(F.bars, G.bars)[1].values())
+
+
 def _rows(
     left: Sequence[GradedInterval], right: Sequence[GradedInterval]
 ) -> tuple[list[tuple[int, ...]], list[tuple[float, ...]], list[tuple[int, int, int, int]],
            list[float], Bars, Bars] | None:
     """The graph of ``part_bottleneck``, built in one walk over the bars:
     ``(nbrs, ecost, slots, lbs, bar_l, bar_r)``, or ``None`` when a class
-    of undeletable bars differs in size between the sides.  Else no row is
+    of undeletable bars differs in size between the sides (the ``need`` of
+    ``_slot_groups``, which groups the bars by slot).  Else no row is
     empty, as every cost within a class is finite: a deletable bar has its
     copy, an undeletable one an edge to each bar of its class.
 
@@ -279,19 +319,7 @@ def _rows(
     larger of its own deletion cost and the dearest one in the block: an
     edge dearer than both of its bars' deletion costs is not listed.
     """
-    groups: dict = {}  # slot -> its left bars, their points, its right bars, theirs
-    need: dict = {}  # undeletable bars per slot and class, left minus right
-    for k, sign, bars in ((0, 1, left), (2, -1, right)):
-        for g in bars:
-            pt = point(g)
-            group = groups.get(pt[0])
-            if group is None:
-                group = groups[pt[0]] = ([], [], [], [])
-            group[k].append(g)
-            group[k + 1].append(pt)
-            if pt[1]:
-                key = pt[:2]
-                need[key] = need.get(key, 0) + sign
+    groups, need = _slot_groups(left, right)
     if any(need.values()):
         return None
     nbrs: list[tuple[int, ...]] = []

@@ -256,6 +256,10 @@ def test_component(tmp_path):
     a = gbc(tmp_path, "a.gbc", "0 (0,1)\n")
     b = gbc(tmp_path, "b.gbc", "")
     assert run_cli("component", a, b).stdout.strip() == "false"
+    # equal global sections, yet no finite matching
+    c = gbc(tmp_path, "c.gbc", "-1 (-2.375,-1)\n-1 [4.5,inf)\n")
+    d = gbc(tmp_path, "d.gbc", "-1 (-inf,inf)\n0 (-inf,-5.625]\n0 [0.625,1.375)\n1 [-3,-0.125)\n")
+    assert run_cli("component", c, d).stdout == "false\n"
 
 
 def test_import_diagram(tmp_path):

@@ -317,6 +317,14 @@ def _many_slot_barcode(rng: random.Random, degrees: int) -> Barcode:
     ))
 
 
+def _dropped(rng: random.Random, b: Barcode) -> Barcode:
+    """``b`` less one bar, chosen at random, when it has any."""
+    if not b.bars:
+        return b
+    drop = rng.randrange(len(b.bars))
+    return Barcode(b.bars[:drop] + b.bars[drop + 1 :])
+
+
 def test_same_result_as_slot_by_slot():
     rng = random.Random(0x5107)
     values = []
@@ -330,9 +338,8 @@ def test_same_result_as_slot_by_slot():
         else:
             F = _many_slot_barcode(rng, rng.randrange(5, 25))
             G = perturbed_barcode(rng, F)
-            if kind == 6 and G.bars:  # a dropped central bar or ray is infinite
-                drop = rng.randrange(len(G.bars))
-                G = Barcode(G.bars[:drop] + G.bars[drop + 1 :])
+            if kind == 6:  # a dropped central bar or ray is infinite
+                G = _dropped(rng, G)
         values.append(_assert_same_as_slot_by_slot(F, G))
     assert 300 <= values.count(INF) <= 1800
 
@@ -829,7 +836,7 @@ def test_cheapest_path_in_a_central_slot(paths):
 
 
 def test_cheapest_path_finds_none_only_by_a_bug():
-    # no perfect matching: the count check of _rows rules this out
+    # no perfect matching: the count check of _slot_groups rules this out
     mate_l, mate_r = [0, -1], [0, -1]
     with pytest.raises(AssertionError, match="no augmenting path"):
         _cheapest_path([[0], [0]], [[1.0], [2.0]], (0, 2, 2, 2), mate_l, mate_r, 1.0)
@@ -904,3 +911,58 @@ def test_bars_at_the_range_edge_have_finite_costs():
     assert distance_with_matching(Barcode((bars[0][0],)), Barcode())[0] == E
     for f, g in bars[2:4]:
         assert same_component(Barcode((f,)), Barcode((g,)))
+
+
+# ---------------------------------------------------------------------
+# connected components: a count, not a solve
+# ---------------------------------------------------------------------
+
+
+def _off_grid(rng: random.Random, b: Barcode) -> Barcode:
+    """``b`` with every finite end moved by a float off the dyadic grid,
+    each bar keeping its shape and degree, a point staying a point."""
+    bars = []
+    for g in b:
+        iv = g.interval
+        lo = iv.lo if iv.lo == -INF else iv.lo + rng.uniform(-0.7, 0.7)
+        if iv.is_point:
+            hi = lo
+        else:
+            hi = iv.hi if iv.hi == INF else max(iv.hi + rng.uniform(-0.7, 0.7), lo + 0.01)
+        bars.append(GradedInterval(Interval(lo, hi, iv.lo_closed, iv.hi_closed), g.degree))
+    return Barcode(tuple(bars))
+
+
+def test_same_component_is_a_finite_distance():
+    # random pairs, perturbed ones (with a bar dropped, often undeletable)
+    # and both moved off the grid: the count and the solve agree
+    rng = random.Random(0xC0C0)
+    values = []
+    for k in range(6000):
+        kind = k % 4
+        F = random_barcode(rng, max_bars=(6, 6, 16, 10)[kind])
+        if kind == 0:
+            G = random_barcode(rng)
+        else:
+            G = perturbed_barcode(rng, F)
+            if rng.random() < 0.4:
+                G = _dropped(rng, G)
+            if kind == 3:
+                F, G = _off_grid(rng, F), _off_grid(rng, G if rng.random() < 0.7 else random_barcode(rng, 10))
+        d = distance_with_matching(F, G)[0]
+        assert same_component(F, G) == (d < INF), (format_barcode(F), format_barcode(G))
+        values.append(d)
+    assert 1500 <= values.count(INF) <= 4500
+
+
+def test_same_component_runs_no_solve(monkeypatch):
+    def boom(*args):
+        raise AssertionError("same_component ran the solver")
+
+    monkeypatch.setattr(matching, "_rows", boom)
+    monkeypatch.setattr(matching, "part_bottleneck", boom)
+    assert matching.same_component(parse_barcode(CIRCLE_F), parse_barcode(CIRCLE_G))
+    # equal global sections, yet no finite matching (see test_barcode)
+    F = parse_barcode("-1 (-2.375,-1)\n-1 [4.5,inf)\n")
+    G = parse_barcode("-1 (-inf,inf)\n0 (-inf,-5.625]\n0 [0.625,1.375)\n1 [-3,-0.125)\n")
+    assert not matching.same_component(F, G)

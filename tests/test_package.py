@@ -76,17 +76,19 @@ def test_fresh_import_loads_nothing_and_resolves_on_access():
 
 
 def test_match_loads_only_the_modules_it_runs():
+    # component counts bars in matching, so it loads no more than match
     f, g = str(FIXTURES / "circle_f.gbc"), str(FIXTURES / "circle_g.gbc")
-    out = run_python(
-        "import sys\n"
-        "had = 'dataclasses' in sys.modules\n"
-        "import sheafdist.cli\n"
-        f"assert sheafdist.cli.main(['match', {f!r}, {g!r}]) == 0\n"
-        "unwanted = ['sheafdist.homs', 'sheafdist.persistence', 'sheafdist.interpolate',\n"
-        "            'sheafdist.convolve', 'fractions'] + ([] if had else ['dataclasses'])\n"
-        "print(sorted(m for m in unwanted if m in sys.modules))\n"
-    )
-    assert out.splitlines()[-1] == "[]"
+    for command in ("match", "component"):
+        out = run_python(
+            "import sys\n"
+            "had = 'dataclasses' in sys.modules\n"
+            "import sheafdist.cli\n"
+            f"assert sheafdist.cli.main([{command!r}, {f!r}, {g!r}]) == 0\n"
+            "unwanted = ['sheafdist.homs', 'sheafdist.persistence', 'sheafdist.interpolate',\n"
+            "            'sheafdist.convolve', 'fractions'] + ([] if had else ['dataclasses'])\n"
+            "print(sorted(m for m in unwanted if m in sys.modules))\n"
+        )
+        assert out.splitlines()[-1] == "[]", command
 
 
 # ---------------------------------------------------------------------
