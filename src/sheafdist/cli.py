@@ -12,8 +12,10 @@ second ``--``, is a usage error.
 Options are spelled out in full: an abbreviation such as ``--ep`` is an
 unrecognized argument.  The commands that print ``.gbc`` text
 (``convolve``, ``interpolate``, ``import-diagram``) print bars that
-``validate`` reads back exactly; a ``convolve`` result that is no bar is
-a parse error naming ``--eps`` and the bar.
+``validate`` reads back exactly; a ``convolve`` result that is no bar (an
+end at 2**1022 or beyond, or a half-open bar whose ends round onto each
+other, as ``[0,1)`` by ``1e16``) is a parse error naming ``--eps`` and
+the bar.
 
 Start-up: at module level this imports only ``barcode``, ``intervals``
 and ``matching``, all that ``validate``, ``dist``, ``match`` and

@@ -1,63 +1,51 @@
 """Smoothing of barcodes: convolution with the width-eps kernel.
 
-For eps >= 0 the kernel thickens closed bars, shrinks open bars (an
-open bar that shrinks to nothing collapses to a closed bar one degree
-up), and translates half-open bars rigidly by eps.  Negative eps runs
-the same rules backwards (the kernel is then an open ball placed one
-degree down), so convolving by eps and then by -eps recovers the input
-whenever no collapse intervened.
+Every bar is a point of its slot's plane (``intervals.point``), and
+convolving by eps translates that point: by ``(-eps, +eps)`` in a central
+slot, which thickens closed bars and shrinks open ones, and by ``-eps``
+(R) or ``+eps`` (L) on both axes, which moves half-open bars rigidly.
+``intervals.bar_at`` reads the moved point back as a bar, so an open bar
+whose point crosses the diagonal becomes the closed bar one degree up,
+and a closed bar over-shrunk by a negative eps the open bar one degree
+down.  Convolving by eps and then by -eps moves the point back where it
+was.
 
-A note on the collapse: the result of shrinking the open bar (a,b) past
-its half-width is the closed bar centred at (a+b)/2 with radius
-eps - (b-a)/2, one degree higher.  (It is the centre of the bar that is
-fixed by the operation; writing the result around (b-a)/2 instead is a
-classic slip.)  ``stalk_type`` computes the same answer pointwise and
-independently, from the window geometry alone.
+Each finite end is one rounded sum of an end and eps, so it is the
+correctly rounded exact end.  The collapse is centred: the open bar
+(a,b) smoothed past its half-width is ``[b-eps, a+eps]``, the closed bar
+around its centre (a+b)/2 with radius eps - (b-a)/2, one degree higher.
+``stalk_type`` computes the same answer pointwise and independently,
+from the window geometry alone.
 """
 
 from __future__ import annotations
 
-from .intervals import _LIMIT, INF, GradedInterval, Interval
+from .intervals import _LIMIT, GradedInterval, Interval, bar_at, point
 from .barcode import Barcode
 
 
 def convolve_interval(gi: GradedInterval, eps: float) -> GradedInterval:
     """Convolve one graded bar with the width-``eps`` kernel.
 
-    Never empty for valid input; the degree moves by +1 exactly when an
-    open bar collapses (eps >= half-width) and by -1 when a closed bar
-    is over-shrunk (eps <= -half-width).  A result endpoint of magnitude
-    2**1022 or more, which the parser would refuse, is a ValueError;
-    infinite endpoints stay infinite.
+    The degree moves by +1 exactly when an open bar's point reaches the
+    diagonal (eps >= half-width) and by -1 when a closed bar's point
+    crosses it (eps < -half-width), both as the rounded ends decide.  A
+    result endpoint of magnitude 2**1022 or more, which the parser would
+    refuse, is a ValueError, and so is a half-open bar whose ends round
+    onto each other; infinite endpoints stay infinite.
     """
-    iv, j = gi.interval, gi.degree
-    lo, hi, lc, hc = iv
-    if not lc and not hc:
-        r = iv.width / 2.0
-        if eps < r:
-            lo, hi = lo + eps, hi - eps
-        else:
-            rad = eps - r
-            c = iv.center
-            lo, hi, lc, hc, j = c - rad, c + rad, True, True, j + 1
-    elif lc and hc:
-        r = iv.width / 2.0
-        if eps >= -r:
-            lo, hi = lo - eps, hi + eps
-        else:
-            rad = -eps - r
-            c = iv.center
-            lo, hi, lc, hc, j = c - rad, c + rad, False, False, j - 1
-    elif lc:
-        lo, hi = lo - eps, hi - eps
+    slot, cls, u, v = point(gi)
+    side = slot[0]
+    if side == "central":
+        u, v = u - eps, v + eps
+    elif side == "R":
+        u, v = u - eps, v - eps
     else:
-        lo, hi = lo + eps, hi + eps
-    # an infinite end stays where it was; only a finite one can run out of range
-    if not -_LIMIT < lo <= hi < _LIMIT and (
-        (abs(lo) >= _LIMIT and iv.lo != -INF) or (abs(hi) >= _LIMIT and iv.hi != INF)
-    ):
+        u, v = u + eps, v + eps
+    # the coordinate of an infinite end is ignored; only a finite one can run out of range
+    if (abs(u) >= _LIMIT and not cls & 1) or (abs(v) >= _LIMIT and not cls & 2):
         raise ValueError(f"convolving {gi} by eps={eps!r} moves an endpoint to 2**1022 or beyond")
-    return GradedInterval(Interval(lo, hi, lc, hc), j)
+    return bar_at(slot, cls, u, v)
 
 
 def convolve_barcode(b: Barcode, eps: float) -> Barcode:

@@ -6,43 +6,30 @@ end is exactly proportional to elapsed time; the union over pairs is a
 barcode U_t with d(F, U_t) <= t and d(U_t, G) <= eps - t, and
 d(U_s, U_t) <= |s - t| along the way.
 
-Paths per pair: same-shape pairs interpolate endpoints linearly.  A pair
-of an open bar with a closed bar one degree up shrinks the open bar to
-its centre point first (reaching it at t = half-width) and then grows
-the closed bar linearly onto the target.  A deleted half-open bar
-shrinks symmetrically into its midpoint and vanishes there; deletions on
-the far side run the same movie backwards.
+Paths run in the plane of ``intervals.point``, where every cost is an
+L-infinity distance, and ``intervals.bar_at`` reads each position back
+as a bar.  A pair of one shape moves its point along the straight line
+to the target's.  An open bar paired with a closed bar one degree up
+moves its point to the diagonal at unit speed, reaching the open bar's
+centre at t = half-width, where it becomes the closed point one degree
+up, and then straight on to the target; the reverse pair runs the same
+movie backwards.  A deleted half-open bar moves its point toward the
+diagonal at unit speed and vanishes there; deletions on the far side run
+the same movie backwards.
 """
 
 from __future__ import annotations
 
 from .barcode import Barcode
 from .costs import deletion_cost, pair_cost
-from .intervals import INF, GradedInterval, Interval
+from .intervals import INF, GradedInterval, bar_at, point
 from .matching import Matching
 
 
 def _lerp(x: float, y: float, theta: float) -> float:
     if x == y:
-        return x  # keeps infinities (and exact values) intact
+        return x  # x + 0.0 would turn -0.0 into 0.0
     return x + theta * (y - x)
-
-
-def _lerp_interval(a: Interval, b: Interval, theta: float) -> Interval:
-    return Interval(
-        _lerp(a.lo, b.lo, theta), _lerp(a.hi, b.hi, theta), a.lo_closed, a.hi_closed
-    )
-
-
-def _shrink_halfopen(g: GradedInterval, t: float, c: float) -> GradedInterval | None:
-    if t >= c:
-        return None
-    lo, hi = g.interval.lo + t, g.interval.hi - t
-    if lo >= hi:
-        return None  # guards float round-off right at the collapse time
-    return GradedInterval(
-        Interval(lo, hi, g.interval.lo_closed, g.interval.hi_closed), g.degree
-    )
 
 
 def _cost(source: GradedInterval, target: GradedInterval | None) -> float:
@@ -63,49 +50,37 @@ def _move(
     source: GradedInterval, target: GradedInterval | None, c: float, t: float
 ) -> GradedInterval | None:
     """Position at time ``0 <= t <= c`` on the path of finite cost ``c``."""
-    if target is None:
-        if t == 0:
-            return source
-        return _shrink_halfopen(source, t, c)
     if t == 0 or c == 0:
         return source
     if t == c:
-        return target
-
+        return target  # None for a deleted bar, which has vanished
+    slot, cls, u, v = point(source)
+    if target is None:  # toward the diagonal, gone on reaching it
+        u, v = u + t, v - t
+        return None if u >= v else bar_at(slot, cls, u, v)
+    _, _, x, y = point(target)
     # finite cost: one degree is one shape, else open meets closed one up
     if source.degree == target.degree:
         theta = t / c
-        return GradedInterval(
-            _lerp_interval(source.interval, target.interval, theta), source.degree
-        )
+        return bar_at(slot, cls, _lerp(u, x, theta), _lerp(v, y, theta))
     if source.degree < target.degree:
-        # shrink to the centre point, then grow onto the closed target
-        r = source.interval.width / 2.0
-        mid = source.interval.center
-        lo, hi = source.interval.lo + t, source.interval.hi - t
-        if t < r and lo < hi:  # round-off can close the gap just before r
-            return GradedInterval(Interval.open(lo, hi), source.degree)
+        # to the diagonal at the centre point, then on to the closed target
+        r = (u - v) / 2.0
+        if t < r and v + t < u - t:  # round-off can close the gap just before r
+            return bar_at(slot, cls, u - t, v + t)
+        mid = (v + u) / 2.0
         theta = max(t - r, 0.0) / (c - r) if c > r else 1.0
-        return GradedInterval(
-            Interval.closed(
-                _lerp(mid, target.interval.lo, theta),
-                _lerp(mid, target.interval.hi, theta),
-            ),
-            target.degree,
-        )
+        return bar_at(slot, cls, _lerp(mid, x, theta), _lerp(mid, y, theta))
     # closed source, open target: the reverse movie
-    r = target.interval.width / 2.0
-    mid = target.interval.center
+    r = (x - y) / 2.0
+    mid = (y + x) / 2.0
     rad = t - (c - r)
     if rad > 0 and mid - rad < mid + rad:  # round-off can close the gap just after c - r
-        return GradedInterval(Interval.open(mid - rad, mid + rad), target.degree)
+        return bar_at(slot, cls, mid + rad, mid - rad)
     if rad >= 0:  # the centre point: x + (mid - x) need not round to mid
-        return GradedInterval(Interval.point(mid), source.degree)
+        return bar_at(slot, cls, mid, mid)
     theta = t / (c - r)
-    return GradedInterval(
-        Interval.closed(_lerp(source.interval.lo, mid, theta), _lerp(source.interval.hi, mid, theta)),
-        source.degree,
-    )
+    return bar_at(slot, cls, _lerp(u, mid, theta), _lerp(v, mid, theta))
 
 
 def pair_path(
@@ -149,6 +124,7 @@ def interpolate(F: Barcode, G: Barcode, matching: Matching, t: float) -> Barcode
     ``matching`` must achieve a finite value eps and 0 <= t <= eps, and
     its bars must be exactly the multisets F and G (``ValueError``
     otherwise, for instance for a matching computed for other barcodes).
+    An entry listed below its true cost, or above eps, is a ValueError.
     Pairs that finish early stay at their target; deleted bars from G
     grow in as time runs out.  t = 0 and t = eps reproduce F and G
     exactly.  A ``_lerp`` that rounds onto 2**1022, which only ends within
@@ -184,9 +160,14 @@ def interpolate(F: Barcode, G: Barcode, matching: Matching, t: float) -> Barcode
     plan = []
     for source, target, listed, right in entries:
         try:
-            plan.append((source, target, listed, _cost(source, target), right))
+            c = _cost(source, target)
+            if not c <= listed <= eps:  # a pair listed too low would stop short of its target
+                what = f"the deletion of {source}" if target is None else f"{source} -> {target}"
+                bound = f"below its cost {c!r}" if listed < c else f"above the value {eps!r}"
+                raise ValueError(f"the matching lists {what} at {listed!r}, {bound}")
         except ValueError:
             _positions(plan, eps, t)  # an earlier entry's t-range error comes first
             raise
+        plan.append((source, target, listed, c, right))
     _last = (F, G, matching, plan)
     return Barcode(tuple(_positions(plan, eps, t)))

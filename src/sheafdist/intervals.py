@@ -13,6 +13,8 @@ reads back exactly.  ``DEFAULT_TOL`` serves the equality predicates
 
 ``point`` holds the CLR rule that every other module reads: a bar's
 slot, shape class and plane point, from its flags, infinities and degree.
+``bar_at`` is its inverse, and the one place a moved point becomes a bar
+again.
 
 Every value here is immutable; all operations are pure functions.  A
 bar keeps its sort key and, once read, its ``point``; both follow from
@@ -279,6 +281,26 @@ def point(g: GradedInterval) -> tuple[tuple[str, int], int, float, float]:
             p = (side, g.degree), cls, (lo if lo > -INF else 0.0), (hi if hi < INF else 0.0)
         _set_point(g, p)
     return p
+
+
+def bar_at(slot: tuple[str, int], cls: int, u: float, v: float) -> GradedInterval:
+    """The bar at point ``(u, v)`` of a slot's class: the inverse of ``point``.
+
+    In slot ``("central", m)`` every point is a bar: ``(v,u)@m`` above the
+    diagonal (``u > v``) and ``[u,v]@m+1`` on or below it.  A ray or the
+    line ignores the coordinate of its infinite end; class 3 is the line on
+    either side, which ``point`` reads as an R bar.  An end out of range
+    is ``Interval``'s ValueError."""
+    side, m = slot
+    if side == "central":
+        if u > v:
+            return GradedInterval(Interval(v, u, False, False), m)
+        return GradedInterval(Interval(u, v, True, True), m + 1)
+    lo = -INF if cls & 1 else u
+    hi = INF if cls & 2 else v
+    if side == "R":
+        return GradedInterval(Interval(lo, hi, lo > -INF, False), m)
+    return GradedInterval(Interval(lo, hi, False, hi < INF), m)
 
 
 def _src_shape(iv: Interval) -> str:

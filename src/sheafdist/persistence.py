@@ -21,8 +21,8 @@ from .barcode import CLRSplit
 from .intervals import (
     _DEGREE,
     GradedInterval,
-    Interval,
     ParseError,
+    bar_at,
     fmt_number,
     parse_number,
     point,
@@ -68,13 +68,10 @@ def from_persistence(diagram: PersistenceDiagram, side: str) -> tuple[GradedInte
     with a finite end of magnitude 2**1022 or more, is a ``ValueError``."""
     if side not in ("R", "L"):
         raise ValueError(f"side must be 'R' or 'L', got {side!r}")
-    bars = []
+    slot, bars = (side, diagram.degree), []
     for birth, death in diagram.pairs:
-        if side == "R":
-            iv = Interval(birth, death, birth != -math.inf, False)
-        else:
-            iv = Interval(-death, -birth, False, birth != -math.inf)
-        g = GradedInterval(iv, diagram.degree)
+        lo, hi = (birth, death) if side == "R" else (-death, -birth)
+        g = bar_at(slot, (lo == -math.inf) + 2 * (hi == math.inf), lo, hi)
         if point(g)[0][0] != side:
             pair = f"({fmt_number(birth)}, {fmt_number(death)})"
             raise ValueError(f"pair {pair} reads as {g}, not an {side} bar")

@@ -195,6 +195,13 @@ def test_convolve_prints_a_narrow_bar_that_reads_back(tmp_path):
     assert run_cli("validate", gbc(tmp_path, "b.gbc", out.stdout)).stdout == "OK 1 bars\n"
 
 
+def test_convolve_collapses_where_the_ends_round_onto_each_other(tmp_path):
+    # 1000 + eps and 1001 - eps round onto 1000.5: once "rounding empties the bar"
+    a = gbc(tmp_path, "a.gbc", "0 (1000,1001)\n")
+    out = run_cli("convolve", a, "--eps", "0.49999999999999994")
+    assert out.returncode == 0 and out.stdout == "1 [1000.5,1000.5]\n"
+
+
 @pytest.mark.parametrize("value", ["-1e-3", "-1E-3", "-.1e-2", "-0.001"])
 def test_negative_values_in_any_float_syntax(tmp_path, value):
     # any spelling the number grammar of a .gbc file takes; float()'s

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import pytest
 
 from conftest import dyadic, random_barcode, random_graded
@@ -5,6 +8,8 @@ from sheafdist import (
     Barcode,
     GradedInterval,
     Interval,
+    Kind,
+    classify,
     convolve_barcode,
     convolve_interval,
     global_sections,
@@ -31,6 +36,15 @@ def test_collapse_is_centred():
     # the collapsed bar sits around the centre of the open bar, one degree up
     assert convolve_interval(G(Interval.open(0, 2)), 3) == G(Interval.closed(-1, 3), 1)
     assert convolve_interval(G(Interval.open(4, 10), 2), 3) == G(Interval.point(7), 3)
+
+
+def test_collapse_ends_are_correctly_rounded():
+    # centre -/+ radius rounded each end twice: [-0.049999999999999975,0.14999999999999997]@1
+    got = convolve_interval(parse_graded_interval("(-0.1,0.2)@0"), 0.25)
+    assert got == parse_graded_interval("[-0.04999999999999999,0.15]@1")
+    # 1000 + eps and 1001 - eps round onto one value: once an empty open bar, a ValueError
+    got = convolve_interval(parse_graded_interval("(1000,1001)@0"), math.nextafter(0.5, 0))
+    assert got == G(Interval.point(1000.5), 1)
 
 
 def test_collapse_exactly_at_threshold():
@@ -115,14 +129,55 @@ def test_semigroup_law_exact(rng):
 
 
 def test_inverse_law(rng):
-    for _ in range(500):
+    # a closed bar over-shrunk to an open bar one degree down comes back too
+    for _ in range(2000):
         g = random_graded(rng)
         delta = abs(dyadic(rng, 0, 2))
-        shrunk = convolve_interval(g, -delta)
-        iv = g.interval
-        collapsed = iv.lo_closed and iv.hi_closed and iv.bounded and delta > iv.width / 2
-        if not collapsed:
-            assert convolve_interval(shrunk, delta) == g, (g, delta)
+        assert convolve_interval(convolve_interval(g, -delta), delta) == g, (g, delta)
+
+
+_MOVES = {Kind.C_CLOSED: (-1, 1), Kind.C_OPEN: (1, -1), Kind.R: (-1, -1), Kind.L: (1, 1)}
+
+
+def test_ends_are_correctly_rounded(rng):
+    # each finite end is the exact end moved by eps, rounded once: closed
+    # bars grow, open bars shrink, R bars move left and L bars right;
+    # ends off the grid up to 2**1021, eps around the collapse thresholds
+    shapes = [Interval.closed, Interval.open, Interval.right_open, Interval.left_open,
+              lambda a, b: Interval.right_open(a, INF), lambda a, b: Interval.open(-INF, b),
+              lambda a, b: Interval.left_open(-INF, b), lambda a, b: Interval.open(a, INF)]
+    moved = 0
+    for _ in range(10_000):
+        scale = 2.0 ** rng.randrange(-40, 1022)
+        a = rng.uniform(-1, 1) * scale
+        b = a + rng.uniform(0, 1) * scale * 2.0 ** -rng.randrange(0, 60)
+        if not a < b < 2.0**1022:
+            continue
+        g = G(rng.choice(shapes)(a, b), rng.randrange(-1, 2))
+        r = (b - a) / 2
+        eps = rng.choice((r, -r, rng.uniform(-2, 2) * r, rng.uniform(-1, 1) * scale))
+        eps *= 1 + rng.choice((0.0, 2.0**-52, -(2.0**-53), 2.0**-40))
+        kind = classify(g.interval)
+        lo_move, hi_move = _MOVES[kind]
+        ends = [  # the lower end's image first
+            float(Fraction(end) + s * Fraction(eps))
+            for end, s in ((g.interval.lo, lo_move), (g.interval.hi, hi_move))
+            if abs(end) < INF
+        ]
+        want = sorted(ends)
+        try:
+            out = convolve_interval(g, eps)
+        except ValueError:  # out of range, or a half-open bar rounded to nothing
+            rounded_away = kind in (Kind.R, Kind.L) and len(want) == 2 and want[0] == want[1]
+            assert rounded_away or max(map(abs, want)) >= 2.0**1022, (g, eps)
+            continue
+        assert sorted(x for x in out.interval[:2] if abs(x) < INF) == want, (g, eps)
+        # an open bar collapses where its rounded ends meet, a closed one
+        # is over-shrunk where they cross
+        step = {Kind.C_OPEN: ends[0] >= ends[-1], Kind.C_CLOSED: -(ends[0] > ends[-1])}
+        assert out.degree == g.degree + step.get(kind, 0), (g, eps)
+        moved += out.degree != g.degree
+    assert moved > 500  # collapses and over-shrinks
 
 
 def test_stalk_oracle_agrees(rng):

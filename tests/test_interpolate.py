@@ -192,6 +192,19 @@ def test_listed_cost_above_the_true_cost():
         assert str(exc.value).startswith(message)
 
 
+@pytest.mark.parametrize("listed, achieved, bound", [
+    (0.25, 0.25, "below its cost 0.5"),  # once [0.25,1]@1 at t = 0.25 instead of G
+    (0.5, 0.25, "above the value 0.25"),
+])
+def test_listed_cost_below_the_true_cost_or_above_the_value(listed, achieved, bound):
+    p, q = G(Interval.closed(0, 1), 1), G(Interval.closed(0.5, 1), 1)
+    m = Matching(((0, p, q, listed),), (), (), achieved)
+    for _ in range(2):
+        with pytest.raises(ValueError) as exc:
+            interpolate(Barcode((p,)), Barcode((q,)), m, 0.25)
+        assert str(exc.value) == f"the matching lists {p} -> {q} at {listed!r}, {bound}"
+
+
 def test_endpoint_recovery_exact(rng):
     for _ in range(150):
         F = random_barcode(rng)

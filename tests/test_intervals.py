@@ -14,6 +14,7 @@ from sheafdist import (
 )
 from sheafdist.intervals import (
     INF,
+    bar_at,
     fmt_number,
     interval_parts,
     parse_graded_interval,
@@ -176,6 +177,25 @@ def test_cached_key_and_point(rng):
             f"GradedInterval(interval=Interval(lo={iv.lo!r}, hi={iv.hi!r}, "
             f"lo_closed={iv.lo_closed!r}, hi_closed={iv.hi_closed!r}), degree={g.degree!r})"
         )
+
+
+def test_bar_at_inverts_point(rng):
+    for g in _bars_of_every_shape(rng):
+        assert bar_at(*point(g)) == g
+
+
+def test_every_central_point_is_a_bar(rng):
+    # above the diagonal an open bar of the slot's degree, on or below it
+    # a closed bar one degree up; each reads back through point
+    ends = [0.0, 1.0, -2.5, 0.1, 1 / 3, -7e-12, 1e300, -1e300, 5e-324]
+    for m in range(-2, 3):
+        for _ in range(60):
+            u, v = (rng.choice(ends) if rng.random() < 0.5 else rng.uniform(-9, 9)
+                    for _ in range(2))
+            for u, v in ((u, v), (v, u), (u, u)):
+                g = bar_at(("central", m), 4, u, v)
+                assert g.degree == (m if u > v else m + 1)
+                assert point(g) == (("central", m), 4, u, v)
 
 
 # ---------------------------------------------------------------------
