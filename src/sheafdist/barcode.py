@@ -29,9 +29,14 @@ from .intervals import (
 )
 
 _BY_KEY = attrgetter("key")
-# a ``.gbc`` line of a degree and a literal, with ``[ \t]`` padding and an
-# optional comment: the grammars of ``_DEGREE`` and ``_INTERVAL`` in one match
-_LINE = re.compile(rf"[ \t]*(-?[0-9]+)[ \t]+{_INTERVAL}[ \t]*(?:#.*)?", re.ASCII).fullmatch
+# one match per line of a text whose lines are joined by ``\n``: a line of a
+# degree and a literal, with ``[ \t]`` padding and an optional comment (the
+# grammars of ``_DEGREE`` and ``_INTERVAL``), gives its five fields, and any
+# other line five empty strings.  Possessive like ``_FINITE``: a line that
+# is not of the first kind fails it without backtracking, then ``.*`` takes it
+_LINES = re.compile(
+    rf"^(?:[ \t]*+(-?+[0-9]++)[ \t]++{_INTERVAL}[ \t]*+(?:#.*+)?+|.*)$", re.ASCII | re.MULTILINE
+).findall
 
 
 class Barcode(_Frozen):
@@ -98,16 +103,19 @@ def parse_barcode(text: str) -> Barcode:
     magnitude 2**1022 or more) or that is malformed is a ParseError
     naming the line and the literal or number at fault.
 
+    The text is read in one scan: its lines, as ``str.splitlines`` cuts
+    them, are joined by ``\n`` and ``_LINES`` gives one match per line.
     A line of a degree and a valid literal, padded with spaces or tabs
-    and perhaps commented, is read by one match of ``_LINE``; any other
-    line, and any such line ``Interval`` refuses, goes through
-    ``_read_line``, which names the error.
+    and perhaps commented, yields its fields; any other line, and any
+    such line ``Interval`` refuses, goes through ``_read_line``, which
+    names the error.
     """
+    lines = text.splitlines()
+    if not lines:  # a scan of "" would find one empty line
+        return Barcode()
     bars: list[GradedInterval] = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        m = _LINE(raw)
-        if m is not None:
-            deg, lb, a, b, rb = m.groups()
+    for ln, (deg, lb, a, b, rb) in enumerate(_LINES("\n".join(lines)), start=1):
+        if deg:
             lo, hi, lc, hc = float(a), float(b), lb == "[", rb == "]"
             # a finite literal that float reads as an infinity is out of range
             if (abs(lo) < _LIMIT or a[-1] == "f") and (abs(hi) < _LIMIT or b[-1] == "f"):
@@ -116,7 +124,7 @@ def parse_barcode(text: str) -> Barcode:
                     continue
                 except ValueError:
                     pass
-        g = _read_line(ln, raw)
+        g = _read_line(ln, lines[ln - 1])
         if g is not None:
             bars.append(g)
     return Barcode(tuple(bars))

@@ -32,7 +32,8 @@ def convolve_interval(gi: GradedInterval, eps: float) -> GradedInterval:
     crosses it (eps < -half-width), both as the rounded ends decide.  A
     result endpoint of magnitude 2**1022 or more, which the parser would
     refuse, is a ValueError, and so is a half-open bar whose ends round
-    onto each other; infinite endpoints stay infinite.
+    onto each other; each names the bar and eps.  Infinite endpoints stay
+    infinite.
     """
     slot, cls, u, v = point(gi)
     side = slot[0]
@@ -45,7 +46,10 @@ def convolve_interval(gi: GradedInterval, eps: float) -> GradedInterval:
     # the coordinate of an infinite end is ignored; only a finite one can run out of range
     if (abs(u) >= _LIMIT and not cls & 1) or (abs(v) >= _LIMIT and not cls & 2):
         raise ValueError(f"convolving {gi} by eps={eps!r} moves an endpoint to 2**1022 or beyond")
-    return bar_at(slot, cls, u, v)
+    try:
+        return bar_at(slot, cls, u, v)
+    except ValueError as exc:
+        raise ValueError(f"convolving {gi} by eps={eps!r}: {exc}") from None
 
 
 def convolve_barcode(b: Barcode, eps: float) -> Barcode:

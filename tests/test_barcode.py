@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -22,7 +23,8 @@ from sheafdist import (
     same_component,
     split_clr,
 )
-from sheafdist.intervals import _DEGREE, INF, parse_interval
+from sheafdist.barcode import _LINES
+from sheafdist.intervals import _DEGREE, _NUMBER, INF, parse_interval
 
 CIRCLE_F = "0 [-1,1]\n0 (-1,1)\n"
 
@@ -166,10 +168,17 @@ def _assert_reads_as_reference(text: str) -> None:
         assert repr(parse_barcode(text)) == repr(want)
 
 
+# every line boundary of ``str.splitlines``: the scan must cut lines where it does
+_LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+              "\u2028", "\u2029"]
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(_gbc_lines(), st.sampled_from(["\n", "\r\n", "\r"])), max_size=4))
-def test_parse_barcode_matches_the_line_by_line_reader(lines):
-    _assert_reads_as_reference("".join(line + end for line, end in lines))
+@given(st.lists(st.tuples(_gbc_lines(), st.sampled_from(_LINE_ENDS)), max_size=4),
+       _gbc_lines())
+def test_parse_barcode_matches_the_line_by_line_reader(lines, last):
+    # ``last`` has no line end, and is no line at all when it is empty
+    _assert_reads_as_reference("".join(line + end for line, end in lines) + last)
 
 
 def test_parse_barcode_matches_the_line_by_line_reader_on_every_literal():
@@ -184,6 +193,65 @@ def test_parse_barcode_matches_the_line_by_line_reader_on_every_literal():
             for lo in (0.0, 1.0, -3.5, 1e6):
                 for w in _NARROW:
                     _assert_reads_as_reference(f"\t-1 {lb}{lo!r},{lo + w!r}{rb} # c\r\n")
+
+
+# the backtracking grammar the possessive one replaced, kept verbatim as the reference
+_OLD_FINITE = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_OLD_INTERVAL = rf"([\[\(])({_OLD_FINITE}|[+-]?inf),({_OLD_FINITE}|[+-]?inf)([\]\)])"
+_OLD_NUMBER = re.compile(_OLD_FINITE, re.ASCII).fullmatch
+_OLD_LINE = re.compile(rf"[ \t]*(-?[0-9]+)[ \t]+{_OLD_INTERVAL}[ \t]*(?:#.*)?", re.ASCII).fullmatch
+_GRAMMAR = ["0", "1", "9", "12", ".", "e", "E", "+", "-", "inf", "[", "(", "]", ")", ",", " ",
+            "\t", "#"]
+_NUMERIC = ["0", "7", "12", ".", ".", "e", "E", "+", "-", "inf"]
+_WELL_FORMED = ["0", "-1.5", ".5e-3", "1.", "12E+2", "inf", "-inf", "+inf"]
+
+
+def _grammar_string(rng, pool, most: int) -> str:
+    return "".join(rng.choice(pool) for _ in range(rng.randrange(most + 1)))
+
+
+def _near_number(rng) -> str:
+    """A sign, mantissa and exponent, each well formed or just not, or any
+    string over the numeric alphabet."""
+    if rng.random() < 0.3:
+        return _grammar_string(rng, _NUMERIC, 7)
+    if rng.random() < 0.1:
+        return rng.choice(["", "+", "-", "++"]) + rng.choice(["inf", "in", "infe", "inf0"])
+    return (rng.choice(["", "+", "-", "-+"]) + rng.choice(["1", "12", "1.", "1.5", ".5", ".", ""])
+            + rng.choice(["", "", "e1", "E-2", "e+12", "e", "e+", "e1.5", "ee1"]))
+
+
+def _near_line(rng) -> str:
+    """A string over the grammar's alphabet, most often shaped like a line
+    of ``<pads><degree><pads><bracket><end>,<end><bracket><pads><comment>``
+    with each part drawn loosely."""
+    if rng.random() < 0.2:
+        return _grammar_string(rng, _GRAMMAR, 16)
+    pad = lambda: _grammar_string(rng, [" ", "\t"], 2)
+    end = lambda: _near_number(rng) if rng.random() < 0.3 else rng.choice(_WELL_FORMED)
+    deg = rng.choice(["0", "-3", "12", "007", "-", ""]) if rng.random() < 0.8 else _near_number(rng)
+    parts = [pad(), deg, pad() or rng.choice(["", " ", " "]), rng.choice("[([]"), end(), ",", end(),
+             rng.choice("]))]("), pad(), rng.choice(["", "", "#", "# 0 [1,2)", "1", ","])]
+    if rng.random() < 0.1:
+        k = rng.randrange(len(parts))
+        parts[k] = _grammar_string(rng, _GRAMMAR, 3)
+    return "".join(parts)
+
+
+def test_possessive_grammar_reads_what_the_backtracking_one_reads(rng):
+    matched = {"number": 0, "line": 0}
+    for _ in range(40_000):
+        tok = _near_number(rng)
+        old, new = _OLD_NUMBER(tok), _NUMBER(tok)
+        assert (old and old.group()) == (new and new.group()), tok
+        matched["number"] += old is not None
+        line = _near_line(rng)
+        old = _OLD_LINE(line)
+        # a line with no line end is one match of the scan: its fields, or five empty strings
+        assert _LINES(line) == [old.groups() if old else ("",) * 5], line
+        matched["line"] += old is not None
+    # both grammars are exercised on either side of the boundary
+    assert all(2_000 < n < 38_000 for n in matched.values()), matched
 
 
 def test_lines_interval_refuses_name_their_literal():

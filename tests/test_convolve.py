@@ -88,6 +88,23 @@ def test_out_of_range_results_are_errors(literal, eps):
     )
 
 
+@pytest.mark.parametrize(
+    "literal, eps, cause",
+    [
+        # 1 - 1e16 rounds onto -1e16: a half-open bar of no width
+        ("[0,1)@0", 1e16, "empty interval: equal endpoints need both flags closed"),
+        ("(0,1]@2", -1e16, "empty interval: equal endpoints need both flags closed"),
+        ("[0,1)@0", math.nan, "NaN endpoint"),
+        ("(0,1)@0", math.nan, "NaN endpoint"),
+    ],
+)
+def test_bars_that_rounding_empties_are_errors_naming_bar_and_eps(literal, eps, cause):
+    g = parse_graded_interval(literal)
+    with pytest.raises(ValueError) as exc:
+        convolve_interval(g, eps)
+    assert str(exc.value) == f"convolving {g} by eps={eps!r}: {cause}"
+
+
 def test_infinite_ends_stay_in_range():
     big = 4.4e307  # just under 2**1022
     for literal, eps in [("(0,inf)@1", -big), ("(-inf,0]@1", big), ("(-inf,inf)@0", 1e308),
