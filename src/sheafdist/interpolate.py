@@ -138,7 +138,7 @@ def interpolate(F: Barcode, G: Barcode, matching: Matching, t: float) -> Barcode
     returns are immutable, so the same objects give the same plan.
     """
     global _last
-    central, halfopen, deletions, eps = matching
+    pairs, eps = matching
     if eps == INF:
         raise ValueError("cannot interpolate across an infinite distance")
     if not 0 <= t <= eps:
@@ -146,19 +146,12 @@ def interpolate(F: Barcode, G: Barcode, matching: Matching, t: float) -> Barcode
     last = _last
     if last[0] is F and last[1] is G and last[2] is matching:
         return Barcode(tuple(_positions(last[3], eps, t)))
-    src = [l for _, l, _, _ in central]
-    src += [l for _, _, l, _, _ in halfopen]
-    dst = [r for _, _, r, _ in central]
-    dst += [r for _, _, _, r, _ in halfopen]
-    for _, _, origin, bar, _ in deletions:
-        (src if origin == "left" else dst).append(bar)
-    if Barcode(tuple(src)) != F or Barcode(tuple(dst)) != G:
+    if (Barcode(tuple(l for l, _, _ in pairs if l is not None)) != F
+            or Barcode(tuple(r for _, r, _ in pairs if r is not None)) != G):
         raise ValueError("the matching is not between these two barcodes")
-    entries = [(l, r, c, False) for _, l, r, c in central]
-    entries += [(l, r, c, False) for _, _, l, r, c in halfopen]
-    entries += [(bar, None, c, origin == "right") for _, _, origin, bar, c in deletions]
     plan = []
-    for source, target, listed, right in entries:
+    for l, r, listed in pairs:
+        source, target, right = (r, None, True) if l is None else (l, r, False)
         try:
             c = _cost(source, target)
             if not c <= listed <= eps:  # a pair listed too low would stop short of its target

@@ -69,20 +69,42 @@ from .costs import deletion_cost, pair_cost
 from .intervals import INF, GradedInterval, point
 
 
-class Matching(namedtuple("Matching", "central_pairs halfopen_pairs deletions achieved")):
+class Matching(namedtuple("Matching", "pairs achieved")):
     """Witness of an achieved bottleneck value.
 
+    ``pairs``: ``part_bottleneck``'s entries, ``(left bar, right bar, cost)``
+    with ``None`` on a deleted bar's missing side, slot by slot in its order.
+    ``achieved``: max over all listed costs (inf when no matching exists).
+    Three views place the entries by their bars' slot (``point``), each in
+    the order of ``pairs``:
     ``central_pairs``: (index m, left bar, right bar, cost)
     ``halfopen_pairs``: (side "R"|"L", degree, left bar, right bar, cost)
     ``deletions``: (side, degree, origin "left"|"right", bar, cost)
-    ``achieved``: max over all listed costs (inf when no matching exists).
     """
 
     __slots__ = ()
 
     @staticmethod
     def infeasible() -> "Matching":
-        return Matching((), (), (), INF)
+        return Matching((), INF)
+
+    def _placed(self):
+        return ((point(r if l is None else l)[0], l, r, c) for l, r, c in self.pairs)
+
+    @property
+    def central_pairs(self) -> tuple:
+        return tuple((j, l, r, c) for (side, j), l, r, c in self._placed() if side == "central")
+
+    @property
+    def halfopen_pairs(self) -> tuple:
+        return tuple((side, j, l, r, c) for (side, j), l, r, c in self._placed()
+                     if side != "central" and l is not None and r is not None)
+
+    @property
+    def deletions(self) -> tuple:
+        return tuple((side, j, "left", l, c) if r is None else (side, j, "right", r, c)
+                     for (side, j), l, r, c in self._placed()
+                     if side != "central" and (l is None or r is None))
 
 
 def _max_matching(
@@ -460,30 +482,13 @@ def _slots(F: Barcode, G: Barcode):
 
 
 def distance_with_matching(F: Barcode, G: Barcode) -> tuple[float, Matching]:
-    """Bottleneck distance together with an optimal matching.
-
-    One ``part_bottleneck`` call solves every slot; each witness entry
-    goes to ``central_pairs``, ``halfopen_pairs`` or ``deletions`` by the
-    slot of its bars.  Returns ``(inf, Matching.infeasible())`` when no
-    finite matching exists (for instance when a central slot has
-    mismatched sizes).  The result is deterministic: equal inputs give
-    identical matchings.
-    """
+    """Bottleneck distance together with an optimal matching: one
+    ``part_bottleneck`` call solves every slot, and its entries are the
+    matching's ``pairs``; ``(inf, Matching.infeasible())`` when no finite
+    matching exists, as when a central slot has mismatched sizes.  Equal
+    inputs give identical matchings."""
     value, pairs = part_bottleneck(F.bars, G.bars)
-    if value == INF:
-        return INF, Matching.infeasible()
-    central_pairs, halfopen_pairs, deletions = [], [], []
-    for l, r, c in pairs:
-        side, j = point(r if l is None else l)[0]
-        if side == "central":
-            central_pairs.append((j, l, r, c))
-        elif l is not None and r is not None:
-            halfopen_pairs.append((side, j, l, r, c))
-        elif l is not None:
-            deletions.append((side, j, "left", l, c))
-        else:
-            deletions.append((side, j, "right", r, c))
-    return value, Matching(tuple(central_pairs), tuple(halfopen_pairs), tuple(deletions), value)
+    return value, Matching(pairs, value)
 
 
 # ---------------------------------------------------------------------

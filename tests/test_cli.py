@@ -67,6 +67,33 @@ def test_match_reports_deletions(tmp_path):
     assert out.stdout.splitlines() == ["0.5", "R 0 [0,1)@0 DELETED 0.5"]
 
 
+def test_match_line_order(tmp_path):
+    # central pairs at indices -1 and 0, R and L pairs in two degrees each,
+    # deletions from both sides: every C line, then the half-open pairs,
+    # then the deletions, each kind by side and degree as the solver lists
+    # them (within a slot, a deleted right bar before a deleted left one)
+    a = gbc(tmp_path, "a.gbc", "0 (0,4)\n1 [0,2]\n0 [1,3]\n0 [0,5)\n1 [2,6)\n0 (0,3]\n"
+                               "2 (1,4]\n0 [10,11)\n1 [40,40.5)\n")
+    b = gbc(tmp_path, "b.gbc", "0 (0,4.25)\n1 [0,2.5]\n0 [1,3.5]\n0 [0,5.25)\n1 [2,6.5)\n"
+                               "0 (0,3.25]\n2 (1,4.5]\n1 (20,21]\n0 [30,30.5)\n")
+    out = run_cli("match", a, b)
+    assert out.returncode == 0 and out.stderr == ""
+    assert out.stdout == (
+        "0.5\n"
+        "C -1 [1,3]@0 [1,3.5]@0 0.5\n"
+        "C 0 (0,4)@0 (0,4.25)@0 0.25\n"
+        "C 0 [0,2]@1 [0,2.5]@1 0.5\n"
+        "R 0 [0,5)@0 [0,5.25)@0 0.25\n"
+        "R 1 [2,6)@1 [2,6.5)@1 0.5\n"
+        "L 0 (0,3]@0 (0,3.25]@0 0.25\n"
+        "L 2 (1,4]@2 (1,4.5]@2 0.5\n"
+        "R 0 DELETED [30,30.5)@0 0.25\n"
+        "R 0 [10,11)@0 DELETED 0.5\n"
+        "R 1 [40,40.5)@1 DELETED 0.25\n"
+        "L 1 DELETED (20,21]@1 0.5\n"
+    )
+
+
 def test_validate(tmp_path):
     out = run_cli("validate", str(FIXTURES / "circle_f.gbc"))
     assert out.returncode == 0 and out.stdout.strip() == "OK 2 bars"

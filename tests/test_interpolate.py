@@ -126,7 +126,7 @@ def test_stale_matching_is_refused_before_any_bar_moves():
     # the pair [0,1) -> [0,1] has no finite path: pair_path would raise
     # "no finite path" if the multiset check did not run first
     a, b = G(Interval.right_open(0, 1)), G(Interval.closed(0, 1))
-    stale = Matching((), (("R", 0, a, b, 1.0),), (), 1.0)
+    stale = Matching(((a, b, 1.0),), 1.0)
     with pytest.raises(ValueError, match="no finite path"):
         pair_path(a, b, 0.5)
     for F, Gb in [(Barcode((a,)), parse_barcode("0 [0,2)\n")), (Barcode(), Barcode((b,)))]:
@@ -174,7 +174,7 @@ def test_listed_cost_above_the_true_cost():
     # the pair costs 0.5 but is listed at 2: a t past 0.5 is refused as
     # pair_path refuses it, on the first call and on a repeated one
     p, q = G(Interval.closed(0, 1)), G(Interval.closed(0.5, 1))
-    m = Matching(((0, p, q, 2.0),), (), (), 2.0)
+    m = Matching(((p, q, 2.0),), 2.0)
     F, Gb = Barcode((p,)), Barcode((q,))
     for _ in range(2):
         with pytest.raises(ValueError) as exc:
@@ -184,7 +184,7 @@ def test_listed_cost_above_the_true_cost():
     # with a later entry that has no finite path, the earlier entry's
     # error still comes first, as the entries are walked in order
     a, b = G(Interval.right_open(0, 1)), G(Interval.closed(0, 1))
-    two = Matching(((0, p, q, 2.0),), (("R", 0, a, b, 1.0),), (), 2.0)
+    two = Matching(((p, q, 2.0), (a, b, 1.0)), 2.0)
     F, Gb = Barcode((p, a)), Barcode((q, b))
     for t, message in [(1.0, "t=1.0 outside [0, 0.5]"), (0.25, "no finite path")]:
         with pytest.raises(ValueError) as exc:
@@ -198,7 +198,7 @@ def test_listed_cost_above_the_true_cost():
 ])
 def test_listed_cost_below_the_true_cost_or_above_the_value(listed, achieved, bound):
     p, q = G(Interval.closed(0, 1), 1), G(Interval.closed(0.5, 1), 1)
-    m = Matching(((0, p, q, listed),), (), (), achieved)
+    m = Matching(((p, q, listed),), achieved)
     for _ in range(2):
         with pytest.raises(ValueError) as exc:
             interpolate(Barcode((p,)), Barcode((q,)), m, 0.25)

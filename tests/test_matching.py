@@ -59,8 +59,23 @@ def test_identity_matching(rng):
 def test_central_mismatch_is_infinite():
     value, matching = distance_with_matching(parse_barcode("0 (0,1)\n"), Barcode())
     assert value == INF
-    assert matching.achieved == INF
+    assert matching == Matching.infeasible() == Matching((), INF)
     assert not matching.central_pairs
+
+
+def test_views_place_entries_by_their_bars():
+    # the slot, index and origin of each view's row come from the bars
+    o, c = GradedInterval(Interval.open(0, 2), 0), GradedInterval(Interval.point(1), 1)
+    r0 = GradedInterval(Interval.right_open(0, 1), 0)
+    r1 = GradedInterval(Interval.right_open(0, 2), 0)
+    l2 = GradedInterval(Interval.left_open(0, 1), 2)
+    m = Matching(((None, r1, 1.0), (o, c, 1.0), (l2, None, 0.5), (r0, r1, 0.5)), 1.0)
+    assert m.central_pairs == ((0, o, c, 1.0),)
+    assert m.halfopen_pairs == (("R", 0, r0, r1, 0.5),)
+    assert m.deletions == (("R", 0, "right", r1, 1.0), ("L", 2, "left", l2, 0.5))
+    for view in ("central_pairs", "halfopen_pairs", "deletions"):
+        with pytest.raises(AttributeError):
+            setattr(m, view, ())
 
 
 def test_part_bottleneck_slots():
@@ -279,32 +294,45 @@ def test_part_bottleneck_witness_is_optimal_in_every_slot():
 
 
 def _slot_by_slot(F: Barcode, G: Barcode):
-    """``distance_with_matching`` as one ``part_bottleneck`` per slot, each
-    witness entry routed by its slot: the oracle for the one-call solve."""
-    central_pairs, halfopen_pairs, deletions = [], [], []
+    """``distance_with_matching`` as one ``part_bottleneck`` per slot, the
+    entries concatenated: the oracle for the one-call solve."""
+    entries: list = []
     achieved = 0.0
-    for (side, j), fs, gs in matching._slots(F, G):
+    for _, fs, gs in matching._slots(F, G):
         value, pairs = part_bottleneck(fs, gs)
         if value == INF:
-            return INF, Matching.infeasible()
+            return INF, ()
         achieved = max(achieved, value)
-        for l, r, c in pairs:
-            if side == "central":
-                central_pairs.append((j, l, r, c))
-            elif l is not None and r is not None:
-                halfopen_pairs.append((side, j, l, r, c))
-            elif l is not None:
-                deletions.append((side, j, "left", l, c))
-            else:
-                deletions.append((side, j, "right", r, c))
-    return achieved, Matching(tuple(central_pairs), tuple(halfopen_pairs), tuple(deletions), achieved)
+        entries += pairs
+    return achieved, tuple(entries)
+
+
+def _routed(value: float, pairs) -> tuple:
+    """The three kinds of a witness, routed entry by entry by the slot of
+    its bars, as ``distance_with_matching`` built them before ``Matching``
+    held the entries: the reference for its views."""
+    if value == INF:
+        return (), (), ()
+    central_pairs, halfopen_pairs, deletions = [], [], []
+    for l, r, c in pairs:
+        side, j = point(r if l is None else l)[0]
+        if side == "central":
+            central_pairs.append((j, l, r, c))
+        elif l is not None and r is not None:
+            halfopen_pairs.append((side, j, l, r, c))
+        elif l is not None:
+            deletions.append((side, j, "left", l, c))
+        else:
+            deletions.append((side, j, "right", r, c))
+    return tuple(central_pairs), tuple(halfopen_pairs), tuple(deletions)
 
 
 def _assert_same_as_slot_by_slot(F: Barcode, G: Barcode) -> float:
     value, m = distance_with_matching(F, G)
     want_value, want = _slot_by_slot(F, G)
-    assert value.hex() == want_value.hex()
-    assert repr(m) == repr(want)
+    assert value.hex() == want_value.hex() == m.achieved.hex()
+    assert repr(m.pairs) == repr(want)
+    assert repr((m.central_pairs, m.halfopen_pairs, m.deletions)) == repr(_routed(value, want))
     return value
 
 

@@ -103,13 +103,13 @@ BARCODE = parse_barcode("0 [0,1)\n0 (-1,1)\n1 [0,0]\n")
 def _records():
     """(value, an equal value built separately, a field name) per record."""
     split = split_clr(BARCODE)
-    pairs = ((0, BAR, BAR, 0.0),)
+    pairs = ((BAR, BAR, 0.0),)
     return [
         (IV, Interval(0.0, 1.5, True, False), "lo"),
         (BAR, GradedInterval(Interval(0.0, 1.5, True, False), 2), "degree"),
         (BARCODE, parse_barcode("1 [0,0]\n0 (-1,1)\n0 [0,1)\n"), "bars"),
         (split, CLRSplit(dict(split.central), dict(split.right), dict(split.left)), "right"),
-        (Matching(pairs, (), (), 0.0), Matching(pairs, (), (), 0.0), "achieved"),
+        (Matching(pairs, 0.0), Matching(pairs, 0.0), "pairs"),
         (PersistenceDiagram(1, ((0.0, 2.0), (-INF, 1.0))),
          PersistenceDiagram(1, ((-INF, 1.0), (0.0, 2.0))), "pairs"),
         (DEGREE1_RULE_DEVIATIONS[0], RuleDeviation(*DEGREE1_RULE_DEVIATIONS[0]), "naive"),
@@ -138,9 +138,7 @@ def test_graded_interval_keeps_key_and_point_out_of_equality():
     assert a == b and hash(a) == hash(b) and a.key == b.key == (2, 0.0, False, 1.5, True)
     assert GradedInterval(IV, 3) != a and Barcode((a,)) != Barcode((GradedInterval(IV, 3),))
     assert repr(Barcode((a,))) == f"Barcode(bars=({a!r},))"
-    assert repr(Matching.infeasible()) == (
-        "Matching(central_pairs=(), halfopen_pairs=(), deletions=(), achieved=inf)"
-    )
+    assert repr(Matching.infeasible()) == "Matching(pairs=(), achieved=inf)"
     assert CLRSplit() == CLRSplit({}, {}, {}) and CLRSplit().central is not CLRSplit().central
 
 

@@ -3,8 +3,11 @@
 Draws fixed-seed inputs off the dyadic grid, at magnitudes from 1 to
 1e300, and writes one line per call of ``pair_path``, ``interpolate`` and
 ``convolve_interval``: the inputs and the result (or the error), every
-float as ``float.hex``.  Two digests of the same seed list the same calls
-in the same order, so ``compare`` reads them side by side.
+float as ``float.hex``.  Each pair of barcodes the interpolate section
+solves also gets one ``match`` line: the distance and the entries of the
+matching's ``central_pairs``, ``halfopen_pairs`` and ``deletions``.  Two
+digests of the same seed list the same calls in the same order, so
+``compare`` reads them side by side.
 
     PYTHONPATH=<tree-a>/src python3 tools/move_digest.py digest > a.txt
     PYTHONPATH=<tree-b>/src python3 tools/move_digest.py digest > b.txt
@@ -15,8 +18,9 @@ also checks every result against the exact rule, each finite end being
 ``float(Fraction(end) -/+ Fraction(eps))``, and sorts each difference
 into "a collapse or over-shrink that b rounds correctly and a does not",
 "a raised an empty-interval error and b returns a correctly rounded
-bar", or unexplained.  It exits 1 when a ``pair_path`` or
-``interpolate`` line differs or a difference is unexplained.
+bar", or unexplained.  It exits 1 when a ``pair_path``, ``interpolate``
+or ``match`` line differs, a difference is unexplained, or the digests
+differ in length.
 """
 
 from __future__ import annotations
@@ -49,6 +53,17 @@ def _show(g) -> str:
         return "None"
     lo, hi, lc, hc = g.interval
     return f"{lo.hex()} {hi.hex()} {int(lc)}{int(hc)} {g.degree}"
+
+
+def _view(rows) -> str:
+    """The rows of a view of a matching: bars by ``_show``, costs by
+    ``float.hex``."""
+    def field(x) -> str:
+        if isinstance(x, float):
+            return x.hex()
+        return str(x) if isinstance(x, (int, str)) else _show(x)
+
+    return " ; ".join(" ".join(map(field, row)) for row in rows)
 
 
 def _call(f, *args) -> str:
@@ -121,11 +136,13 @@ def digest(out) -> None:
         if rng.random() < 0.5:
             F, G = G, F
         d, matching = distance_with_matching(F, G)
+        bars = " ; ".join(map(_show, F.bars)), " ; ".join(map(_show, G.bars))
+        views = matching.central_pairs, matching.halfopen_pairs, matching.deletions
+        print("match", *bars, "->", d.hex(), *map(_view, views), sep="|", file=out)
         if d == INF:
             continue
         for t in (0.0, d / 4, d / 2, 3 * d / 4, d, rng.uniform(0, d)):
-            args = (" ; ".join(map(_show, F.bars)), " ; ".join(map(_show, G.bars)), t.hex())
-            print("interpolate", *args, "->", _call(interpolate, F, G, matching, t),
+            print("interpolate", *bars, t.hex(), "->", _call(interpolate, F, G, matching, t),
                   sep="|", file=out)
 
     rng = random.Random(2018)
@@ -164,9 +181,9 @@ def _exact(line: str) -> bool | None:
 
 def compare(path_a: str, path_b: str) -> int:
     with open(path_a) as fa, open(path_b) as fb:
-        pairs = list(zip(fa.read().splitlines(), fb.read().splitlines()))
+        lines_a, lines_b = fa.read().splitlines(), fb.read().splitlines()
     calls, diffs, why, exact = Counter(), Counter(), Counter(), Counter()
-    for la, lb in pairs:
+    for la, lb in zip(lines_a, lines_b):
         kind = la.split("|", 1)[0]
         calls[kind] += 1
         if kind == "convolve":
@@ -189,6 +206,9 @@ def compare(path_a: str, path_b: str) -> int:
     print(f"convolve results correctly rounded or errors: a {exact['a']}, b {exact['b']}")
     for reason, n in why.items():
         print(f"  {n}: {reason}")
+    if len(lines_a) != len(lines_b):
+        print(f"lengths differ: a {len(lines_a)} lines, b {len(lines_b)}")
+        return 1
     return 1 if why["unexplained"] else 0
 
 
