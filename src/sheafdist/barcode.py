@@ -11,24 +11,24 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from operator import attrgetter
 
 from .intervals import (
+    _BY_KEY,
     _DEGREE,
     _INTERVAL,
     _LIMIT,
     DEFAULT_TOL,
     GradedInterval,
-    Interval,
     ParseError,
     _Frozen,
+    _graded,
     _src_shape,
+    _text,
     _tgt_shape,
     parse_interval,
     point,
 )
 
-_BY_KEY = attrgetter("key")
 # one match per line of a text whose lines are joined by ``\n``: a line of a
 # degree and a literal, with ``[ \t]`` padding and an optional comment (the
 # grammars of ``_DEGREE`` and ``_INTERVAL``), gives its five fields, and any
@@ -120,7 +120,7 @@ def parse_barcode(text: str) -> Barcode:
             # a finite literal that float reads as an infinity is out of range
             if (abs(lo) < _LIMIT or a[-1] == "f") and (abs(hi) < _LIMIT or b[-1] == "f"):
                 try:
-                    bars.append(GradedInterval(Interval(lo, hi, lc, hc), int(deg)))
+                    bars.append(_graded(lo, hi, lc, hc, int(deg)))
                     continue
                 except ValueError:
                     pass
@@ -152,8 +152,11 @@ def _read_line(ln: int, raw: str) -> GradedInterval | None:
 def format_barcode(b: Barcode) -> str:
     """Canonical ``.gbc`` text, which ``parse_barcode`` reads back
     exactly: every bar is one ``Interval`` admits, and every end is below
-    2**1022 and printed by ``repr`` or as an integer."""
-    return "".join(f"{g.degree} {g.interval}\n" for g in b.bars)
+    2**1022 and printed by ``repr`` or as an integer.  Each line is
+    written from the bar's key, by the text rule of ``Interval.__str__``."""
+    return "".join(
+        f"{d} {_text(lo, lo_open, hi, hi_open)}\n" for (d, lo, lo_open, hi, hi_open), _ in b.bars
+    )
 
 
 # ---------------------------------------------------------------------

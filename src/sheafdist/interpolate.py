@@ -124,7 +124,8 @@ def interpolate(F: Barcode, G: Barcode, matching: Matching, t: float) -> Barcode
     ``matching`` must achieve a finite value eps and 0 <= t <= eps, and
     its bars must be exactly the multisets F and G (``ValueError``
     otherwise, for instance for a matching computed for other barcodes).
-    An entry listed below its true cost, or above eps, is a ValueError.
+    An entry listed below its true cost, or above eps, or with neither
+    bar, is a ValueError.
     Pairs that finish early stay at their target; deleted bars from G
     grow in as time runs out.  t = 0 and t = eps reproduce F and G
     exactly.  A ``_lerp`` that rounds onto 2**1022, which only ends within
@@ -153,6 +154,8 @@ def interpolate(F: Barcode, G: Barcode, matching: Matching, t: float) -> Barcode
     for l, r, listed in pairs:
         source, target, right = (r, None, True) if l is None else (l, r, False)
         try:
+            if source is None:
+                raise ValueError(f"the matching lists {(l, r, listed)!r}, an entry with neither bar")
             c = _cost(source, target)
             if not c <= listed <= eps:  # a pair listed too low would stop short of its target
                 what = f"the deletion of {source}" if target is None else f"{source} -> {target}"

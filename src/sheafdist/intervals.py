@@ -11,19 +11,32 @@ with no tolerance, so every bar the library builds prints as text that
 reads back exactly.  ``DEFAULT_TOL`` serves the equality predicates
 (``close``, ``approx_eq``) alone.
 
-``point`` holds the CLR rule that every other module reads: a bar's
-slot, shape class and plane point, from its flags, infinities and degree.
-``bar_at`` is its inverse, and the one place a moved point becomes a bar
-again.
+A bar (``GradedInterval``) is the pair of two immutable values, both
+set when it is built and neither cached later:
 
-Every value here is immutable; all operations are pure functions.  A
-bar keeps its sort key and, once read, its ``point``; both follow from
-its fields.
+- its sort key ``(degree, lo, lo_open, hi, hi_open)``, the order of every
+  ``Barcode``.  It is stored because every ``Barcode`` sorts its bars by
+  it, and the pipeline builds several barcodes from the same bars;
+- its point ``(slot, cls, u, v)``: the bar's slot, shape class and plane
+  point under the CLR rule (``_graded`` states it).  The solver, the
+  costs, convolution and geodesics read it through ``point``, a plain
+  field read.  ``_graded`` takes each slot tuple ``(side, m)`` from one
+  table (``_Slots``), so the bars of a slot share one tuple; the table
+  keeps the slots of degrees up to ``_SLOTS_KEPT`` in magnitude, one
+  tuple each, and changes no result.
 
-The records are written out by hand rather than with ``dataclasses``,
-whose import alone (it pulls in ``inspect``) costs a command-line call
-about as much as its computation: ``Interval`` is a named tuple whose
-constructor runs the checks, ``GradedInterval`` a ``__slots__`` class.
+``interval`` and ``degree`` are views of the key, built on each read.
+A bar is built from its interval and degree or, by ``bar_at``, from its
+point (the inverse of ``point``, and the one place a moved point becomes
+a bar again); both apply ``Interval``'s rule, and a refused bar raises
+``Interval``'s message.
+
+Every value here is immutable; all operations are pure functions.  The
+records are written out by hand rather than with ``dataclasses``, whose
+import alone (it pulls in ``inspect``) costs a command-line call about
+as much as its computation: ``Interval`` is a named tuple whose
+constructor runs the checks, ``GradedInterval`` a tuple of its key and
+point that equals only another bar and orders against nothing.
 Assigning or deleting a field of either raises ``AttributeError``.
 """
 
@@ -33,6 +46,7 @@ import math
 import re
 from collections import namedtuple
 from enum import Enum
+from operator import itemgetter
 
 INF = math.inf
 
@@ -69,6 +83,28 @@ class Kind(Enum):
     L = "L"
 
 
+_new = tuple.__new__
+
+
+def _refuse(lo: float, hi: float, lo_closed: bool, hi_closed: bool) -> None:
+    """The checks of ``Interval`` that its fast test leaves: a ValueError
+    naming what is wrong, or nothing when the interval is admitted."""
+    if math.isnan(lo) or math.isnan(hi):
+        raise ValueError("NaN endpoint")
+    if lo == INF or hi == -INF:
+        raise ValueError("empty interval: endpoint at the wrong infinity")
+    if lo == -INF and lo_closed:
+        raise ValueError("closed flag on infinite endpoint")
+    if hi == INF and hi_closed:
+        raise ValueError("closed flag on infinite endpoint")
+    if lo > hi:
+        raise ValueError(f"empty interval: lo={lo} > hi={hi}")
+    if lo == hi and not (lo_closed and hi_closed):
+        raise ValueError("empty interval: equal endpoints need both flags closed")
+    if _LIMIT <= abs(lo) < INF or _LIMIT <= abs(hi) < INF:
+        raise ValueError("endpoint out of range: a finite end must be below 2**1022")
+
+
 class Interval(namedtuple("Interval", "lo hi lo_closed hi_closed")):
     """A nonempty interval of the real line.
 
@@ -88,21 +124,8 @@ class Interval(namedtuple("Interval", "lo hi lo_closed hi_closed")):
 
     def __new__(cls, lo: float, hi: float, lo_closed: bool, hi_closed: bool) -> "Interval":
         if not -_LIMIT < lo < hi < _LIMIT:  # bounded, nonempty, in range: every check holds
-            if math.isnan(lo) or math.isnan(hi):
-                raise ValueError("NaN endpoint")
-            if lo == INF or hi == -INF:
-                raise ValueError("empty interval: endpoint at the wrong infinity")
-            if lo == -INF and lo_closed:
-                raise ValueError("closed flag on infinite endpoint")
-            if hi == INF and hi_closed:
-                raise ValueError("closed flag on infinite endpoint")
-            if lo > hi:
-                raise ValueError(f"empty interval: lo={lo} > hi={hi}")
-            if lo == hi and not (lo_closed and hi_closed):
-                raise ValueError("empty interval: equal endpoints need both flags closed")
-            if _LIMIT <= abs(lo) < INF or _LIMIT <= abs(hi) < INF:
-                raise ValueError("endpoint out of range: a finite end must be below 2**1022")
-        return tuple.__new__(cls, (lo, hi, lo_closed, hi_closed))
+            _refuse(lo, hi, lo_closed, hi_closed)
+        return _new(cls, (lo, hi, lo_closed, hi_closed))
 
     @classmethod
     def _make(cls, iterable) -> "Interval":
@@ -190,15 +213,13 @@ class Interval(namedtuple("Interval", "lo hi lo_closed hi_closed")):
         )
 
     def __str__(self) -> str:
-        lb = "[" if self.lo_closed else "("
-        rb = "]" if self.hi_closed else ")"
-        return f"{lb}{fmt_number(self.lo)},{fmt_number(self.hi)}{rb}"
+        return _text(self.lo, not self.lo_closed, self.hi, not self.hi_closed)
 
 
 class _Frozen:
-    """Base of the ``__slots__`` records: ``__init__`` sets each field
-    once through its slot, and neither assigning nor deleting one is
-    allowed afterwards."""
+    """Base of the hand-written records: each field is set once, when the
+    record is built, and neither assigning nor deleting one is allowed
+    afterwards."""
 
     __slots__ = ()
 
@@ -209,35 +230,88 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class GradedInterval(_Frozen):
+_SLOTS_KEPT = 1024  # the degrees whose slot tuples ``_Slots`` keeps
+
+
+class _Slots(dict):
+    """The one ``(side, m)`` tuple of each slot of a side, made on first
+    use, for ``|m| <= _SLOTS_KEPT``.  A slot of a larger degree gets a new
+    (equal) tuple at each use, so the table stays bounded whatever degrees
+    the input holds."""
+
+    __slots__ = ("side",)
+
+    def __missing__(self, m: int) -> tuple[str, int]:
+        slot = (self.side, m)
+        if -_SLOTS_KEPT <= m <= _SLOTS_KEPT:
+            self[m] = slot
+        return slot
+
+
+_CENTRAL, _R, _L = _Slots(), _Slots(), _Slots()
+_CENTRAL.side, _R.side, _L.side = "central", "R", "L"
+
+
+def _unordered(op: str):
+    """An order method that refuses: a bar has no order, and tuple's own
+    order would compare a bar's fields with a plain tuple's."""
+
+    def refuse(self, other):
+        if isinstance(other, tuple):
+            raise TypeError(f"{op!r} not supported between instances of "
+                            f"{type(self).__name__!r} and {type(other).__name__!r}")
+        return NotImplemented
+
+    return refuse
+
+
+_BY_KEY = itemgetter(0)  # a bar's sort key: the order of every ``Barcode``
+point = itemgetter(1)  # a bar's slot, class and plane point: see ``_graded``
+
+
+class GradedInterval(_Frozen, tuple):
     """An interval placed in a cohomological degree.
 
     The pair (interval, degree) is the atom every barcode is made of.
     Degrees are explicit integers; no shift bookkeeping is implied by
     the notation.
 
-    Two values are cached on the instance, outside equality, hashing
-    and ``repr``: ``key``, the sort key ``(degree, *interval.key)``, set
-    at construction, and the bar's ``point``, set on its first call.
+    A bar is the tuple of its two stored fields, ``(key, point)`` (see
+    the module docstring), but it equals only a bar of the same class
+    with the same key, and orders against nothing.  ``interval`` and
+    ``degree`` are read off the key.
     """
 
-    __slots__ = ("interval", "degree", "key", "_point")
+    __slots__ = ()
     __match_args__ = ("interval", "degree")
 
-    def __init__(self, interval: Interval, degree: int) -> None:
-        _set_interval(self, interval)
-        _set_degree(self, degree)
-        lo, hi, lc, hc = interval  # (degree, *interval.key), without the property call
-        _set_key(self, (degree, lo, not lc, hi, not hc))
-        _set_point(self, None)
+    def __new__(cls, interval: Interval, degree: int) -> "GradedInterval":
+        lo, hi, lo_closed, hi_closed = interval
+        return _graded(lo, hi, lo_closed, hi_closed, degree)
+
+    key = property(_BY_KEY, doc="Sort key ``(degree, lo, lo_open, hi, hi_open)``.")
+
+    @property
+    def degree(self) -> int:
+        return self[0][0]
+
+    @property
+    def interval(self) -> Interval:
+        _, lo, lo_open, hi, hi_open = self[0]
+        return _new(Interval, (lo, hi, not lo_open, not hi_open))
 
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.interval == other.interval and self.degree == other.degree
+        if other.__class__ is self.__class__:
+            return self[0] == other[0]
+        return False if isinstance(other, tuple) else NotImplemented
 
-    def __hash__(self) -> int:
-        return hash((self.interval, self.degree))
+    def __ne__(self, other):
+        if other.__class__ is self.__class__:
+            return self[0] != other[0]
+        return True if isinstance(other, tuple) else NotImplemented
+
+    __hash__ = tuple.__hash__
+    __lt__, __le__, __gt__, __ge__ = map(_unordered, ("<", "<=", ">", ">="))
 
     def __repr__(self) -> str:
         return f"{self.__class__.__qualname__}(interval={self.interval!r}, degree={self.degree!r})"
@@ -249,14 +323,10 @@ class GradedInterval(_Frozen):
         return f"{self.interval}@{self.degree}"
 
 
-# the slots' own setters, which ``_Frozen.__setattr__`` leaves as the only way in
-_set_interval, _set_degree, _set_key, _set_point = (
-    GradedInterval.__dict__[name].__set__ for name in GradedInterval.__slots__
-)
-
-
-def point(g: GradedInterval) -> tuple[tuple[str, int], int, float, float]:
-    """Slot, shape class and plane point of a bar: the CLR rule.
+def _graded(lo: float, hi: float, lo_closed: bool, hi_closed: bool, degree: int) -> GradedInterval:
+    """The bar ``Interval(lo, hi, lo_closed, hi_closed)@degree``, or
+    ``Interval``'s ValueError.  It stores its key and its point, which
+    holds the CLR rule: the bar's slot, shape class and plane point.
 
     ``(a,b)@m`` sits at ``(b,a)`` and ``[x,y]@m+1`` at ``(x,y)``, both
     bounded, in class 4 of slot ``("central", m)``.  Other bars lie in
@@ -265,22 +335,23 @@ def point(g: GradedInterval) -> tuple[tuple[str, int], int, float, float]:
     line).  R holds ``[a,b)``, ``(-inf,b)``, ``[a,inf)`` and the line;
     L holds ``(a,b]``, ``(-inf,b]`` and ``(a,inf)``.  Bars match at
     finite cost exactly when they share slot and class, at the
-    L-infinity distance of their points; only class 0 can be deleted.
-
-    The result is computed on the first call and kept on the bar, where
-    every later call reads it; it takes no part in equality or hashing."""
-    p = g._point
-    if p is None:
-        iv = g.interval
-        lo, hi, lc, hc = iv.lo, iv.hi, iv.lo_closed, iv.hi_closed
-        cls = (lo == -INF) + 2 * (hi == INF)
-        if not cls and lc == hc:
-            p = (("central", g.degree - 1), 4, lo, hi) if lc else (("central", g.degree), 4, hi, lo)
+    L-infinity distance of their points; only class 0 can be deleted."""
+    if -_LIMIT < lo < hi < _LIMIT:  # bounded, nonempty, in range: admitted
+        if lo_closed != hi_closed:
+            p = ((_R if lo_closed else _L)[degree], 0, lo, hi)
+        elif lo_closed:
+            p = (_CENTRAL[degree - 1], 4, lo, hi)
         else:
-            side = "R" if lc or (lo == -INF and not hc) else "L"
-            p = (side, g.degree), cls, (lo if lo > -INF else 0.0), (hi if hi < INF else 0.0)
-        _set_point(g, p)
-    return p
+            p = (_CENTRAL[degree], 4, hi, lo)
+    else:
+        _refuse(lo, hi, lo_closed, hi_closed)
+        cls = (lo == -INF) + 2 * (hi == INF)
+        if not cls:  # a single point [x,x]
+            p = (_CENTRAL[degree - 1], 4, lo, hi)
+        else:
+            side = _R if lo_closed or (cls & 1 and not hi_closed) else _L
+            p = (side[degree], cls, 0.0 if cls & 1 else lo, 0.0 if cls & 2 else hi)
+    return _new(GradedInterval, ((degree, lo, not lo_closed, hi, not hi_closed), p))
 
 
 def bar_at(slot: tuple[str, int], cls: int, u: float, v: float) -> GradedInterval:
@@ -290,17 +361,18 @@ def bar_at(slot: tuple[str, int], cls: int, u: float, v: float) -> GradedInterva
     diagonal (``u > v``) and ``[u,v]@m+1`` on or below it.  A ray or the
     line ignores the coordinate of its infinite end; class 3 is the line on
     either side, which ``point`` reads as an R bar.  An end out of range
-    is ``Interval``'s ValueError."""
+    is ``Interval``'s ValueError.  The bar is built by ``_graded``, which
+    applies ``Interval``'s rule and builds no ``Interval``."""
     side, m = slot
     if side == "central":
         if u > v:
-            return GradedInterval(Interval(v, u, False, False), m)
-        return GradedInterval(Interval(u, v, True, True), m + 1)
+            return _graded(v, u, False, False, m)
+        return _graded(u, v, True, True, m + 1)
     lo = -INF if cls & 1 else u
     hi = INF if cls & 2 else v
     if side == "R":
-        return GradedInterval(Interval(lo, hi, lo > -INF, False), m)
-    return GradedInterval(Interval(lo, hi, False, hi < INF), m)
+        return _graded(lo, hi, lo > -INF, False, m)
+    return _graded(lo, hi, False, hi < INF, m)
 
 
 def _src_shape(iv: Interval) -> str:
@@ -376,6 +448,12 @@ def fmt_number(x: float) -> str:
     if x == int(x) and abs(x) < 1e15:
         return str(int(x))
     return repr(x)
+
+
+def _text(lo: float, lo_open: bool, hi: float, hi_open: bool) -> str:
+    """The literal of an interval, such as ``[-1,2.5)``: the one text form,
+    of ``Interval.__str__`` and of each line ``format_barcode`` writes."""
+    return f"{'(' if lo_open else '['}{fmt_number(lo)},{fmt_number(hi)}{')' if hi_open else ']'}"
 
 
 def interval_parts(text: str) -> tuple[float, float, bool, bool]:

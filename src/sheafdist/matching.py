@@ -80,6 +80,7 @@ class Matching(namedtuple("Matching", "pairs achieved")):
     ``central_pairs``: (index m, left bar, right bar, cost)
     ``halfopen_pairs``: (side "R"|"L", degree, left bar, right bar, cost)
     ``deletions``: (side, degree, origin "left"|"right", bar, cost)
+    A view of an entry with neither bar is a ValueError.
     """
 
     __slots__ = ()
@@ -89,7 +90,11 @@ class Matching(namedtuple("Matching", "pairs achieved")):
         return Matching((), INF)
 
     def _placed(self):
-        return ((point(r if l is None else l)[0], l, r, c) for l, r, c in self.pairs)
+        for l, r, c in self.pairs:
+            bar = r if l is None else l
+            if bar is None:
+                raise ValueError(f"the matching lists {(l, r, c)!r}, an entry with neither bar")
+            yield point(bar)[0], l, r, c
 
     @property
     def central_pairs(self) -> tuple:

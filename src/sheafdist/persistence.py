@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from operator import attrgetter
 
 from .barcode import CLRSplit
 from .intervals import (
+    _BY_KEY,
     _DEGREE,
     GradedInterval,
     ParseError,
@@ -76,7 +76,7 @@ def from_persistence(diagram: PersistenceDiagram, side: str) -> tuple[GradedInte
             pair = f"({fmt_number(birth)}, {fmt_number(death)})"
             raise ValueError(f"pair {pair} reads as {g}, not an {side} bar")
         bars.append(g)
-    return tuple(sorted(bars, key=attrgetter("key")))
+    return tuple(sorted(bars, key=_BY_KEY))
 
 
 # ---------------------------------------------------------------------

@@ -135,6 +135,16 @@ def test_stale_matching_is_refused_before_any_bar_moves():
         assert str(exc.value) == "the matching is not between these two barcodes"
 
 
+def test_entry_with_neither_bar_is_refused():
+    # the multiset check counts no bar for it, so the plan must refuse it
+    F = parse_barcode("0 [0,1)\n")
+    (bar,) = F.bars
+    m = Matching(((bar, None, 0.5), (None, None, 0.25)), 0.5)
+    with pytest.raises(ValueError) as exc:
+        interpolate(F, Barcode(), m, 0.1)
+    assert str(exc.value) == "the matching lists (None, None, 0.25), an entry with neither bar"
+
+
 def test_repeated_calls_equal_fresh_calls(rng):
     # calls on one (F, G, m), interleaved with calls on a second pair, give
     # bar for bar what the same calls on deep copies give: a copy is a new

@@ -138,14 +138,16 @@ def test_parse_format_inverse_on_numbers(a, b):
 
 
 # ---------------------------------------------------------------------
-# values cached on a bar: its sort key and its point
+# what a bar stores: its sort key and its point, both set when it is built
 # ---------------------------------------------------------------------
+
+BIG = 2.0**1021  # the largest magnitude of the tests' ends, half the range limit
 
 
 def _bars_of_every_shape(rng):
     """Every shape (closed, open, half-open, single points, rays, the
-    line) with dyadic and off-grid ends up to 1e300, degrees -2..2."""
-    ends = [0.0, 1.0, -2.5, 0.1, 1 / 3, -7e-12, 123456.789, 1e300, -1e300, 3.7e299]
+    line) with dyadic and off-grid ends up to 2**1021, degrees -2..2."""
+    ends = [0.0, 1.0, -2.5, 0.1, 1 / 3, -7e-12, 123456.789, 1e300, -1e300, 3.7e299, BIG, -BIG]
     out = []
     for degree in range(-2, 3):
         for _ in range(12):
@@ -163,25 +165,132 @@ def _bars_of_every_shape(rng):
     return out
 
 
-def test_cached_key_and_point(rng):
+def test_key_and_point_stored_at_construction(rng):
     for g in _bars_of_every_shape(rng):
-        assert g.key == (g.degree, *g.interval.key)
-        fresh = GradedInterval(g.interval, g.degree)
-        assert fresh == g and hash(fresh) == hash(g)  # g unread, fresh unread
-        p = point(g)
-        assert point(g) is p  # read once, then kept
-        assert fresh == g and hash(fresh) == hash(g)  # only g has been read
-        assert point(fresh) == p
         iv = g.interval
+        assert g.key == (g.degree, *iv.key) and g.key is g.key
+        p = point(g)
+        assert point(g) is p  # a field read: no second computation
+        fresh = GradedInterval(iv, g.degree)
+        assert fresh == g and hash(fresh) == hash(g) and point(fresh) == p
+        assert tuple(g) == (g.key, p)  # the two stored fields, and nothing else
         assert repr(g) == (
             f"GradedInterval(interval=Interval(lo={iv.lo!r}, hi={iv.hi!r}, "
             f"lo_closed={iv.lo_closed!r}, hi_closed={iv.hi_closed!r}), degree={g.degree!r})"
         )
 
 
+def test_bar_is_not_a_plain_tuple(rng):
+    # a bar is the tuple of its stored fields, but neither equal to nor
+    # orderable against that tuple or any other
+    for g in _bars_of_every_shape(rng)[:40]:
+        plain = tuple(g)
+        assert not g == plain and not plain == g and g != plain and plain != g
+        assert g not in {plain} and plain not in {g}
+        for a, b in ((g, plain), (plain, g), (g, g.key), (g, g)):
+            for less in (lambda: a < b, lambda: a <= b, lambda: a > b, lambda: a >= b):
+                with pytest.raises(TypeError):
+                    less()
+    g = GradedInterval(Interval.open(0, 1), 0)
+    assert (g == 1) is False and g != "x" and g != [tuple(g)]
+
+
+def test_slot_table_stays_bounded():
+    # the bars of a slot share one slot tuple up to degree _SLOTS_KEPT;
+    # past it each bar gets an equal tuple of its own and the table keeps
+    # none, so reading thousands of degrees, huge ones too, leaves it bounded
+    from sheafdist import distance_with_matching
+    from sheafdist.intervals import _CENTRAL, _L, _R, _SLOTS_KEPT
+
+    degrees = [*range(-10**6, 10**6, 997), -10**30, 10**30]
+    text = "".join(f"{d} [0,1)\n{d} (0,1]\n{d} [0,1]\n{d} (0,2)\n" for d in degrees)
+    F = parse_barcode(text)
+    assert len(F.bars) == 4 * len(degrees) > 8000
+    for table in (_CENTRAL, _R, _L):
+        assert len(table) <= 2 * _SLOTS_KEPT + 1
+        assert all(abs(m) <= _SLOTS_KEPT for m in table)
+    a, b = GradedInterval(Interval.right_open(0, 1), 5), GradedInterval(Interval.right_open(2, 3), 5)
+    assert point(a)[0] is point(b)[0]
+    far = 10**30
+    a, b = GradedInterval(Interval.right_open(0, 1), far), GradedInterval(Interval.right_open(2, 3), far)
+    assert point(a)[0] == point(b)[0] == ("R", far)
+    G = parse_barcode(text.replace("[0,1)", "[0,1.5)"))
+    assert distance_with_matching(F, F)[0] == 0.0
+    assert distance_with_matching(F, G)[0] == 0.5  # each [0,1) matches its own degree's [0,1.5)
+
+
 def test_bar_at_inverts_point(rng):
     for g in _bars_of_every_shape(rng):
         assert bar_at(*point(g)) == g
+
+
+# ---------------------------------------------------------------------
+# the two constructors: GradedInterval(interval, degree) and bar_at
+# ---------------------------------------------------------------------
+
+JUST_UNDER = math.nextafter(2.0**1022, 0)  # the largest finite value the reader takes
+
+# on and off the dyadic grid, up to 2**1021, and at or past every limit
+COORDS = [0.0, -0.0, 1.0, -2.5, 0.1, 1 / 3, -7e-12, 5e-324, 1e300, -1e300, BIG, -BIG,
+          JUST_UNDER, -JUST_UNDER, 2.0**1022, -2.0**1022, INF, -INF, math.nan]
+
+
+def _interval_at(slot, cls, u, v):
+    """The interval and degree ``bar_at`` reads a point as, by the rule
+    of its docstring, written out apart from it."""
+    side, m = slot
+    if side == "central":
+        return ((v, u, False, False), m) if u > v else ((u, v, True, True), m + 1)
+    lo = -INF if cls & 1 else u
+    hi = INF if cls & 2 else v
+    return ((lo, hi, lo > -INF, False) if side == "R" else (lo, hi, False, hi < INF)), m
+
+
+def _canonical(slot, cls, u, v):
+    """The point ``point`` gives: an infinite end's coordinate is 0, and
+    the line lies in R."""
+    if slot[0] == "central":
+        return slot, 4, u, v
+    if cls == 3:
+        slot = ("R", slot[1])
+    return slot, cls, (0.0 if cls & 1 else u), (0.0 if cls & 2 else v)
+
+
+@pytest.mark.parametrize("slot, classes", [
+    (("central", -1), (4,)), (("central", 2), (4,)), (("R", 0), (0, 1, 2, 3)),
+    (("L", 3), (0, 1, 2, 3)), (("R", -2), (0, 1, 2, 3)),
+], ids=lambda x: str(x).replace(" ", "").replace("'", ""))
+def test_bar_at_agrees_with_the_interval_constructor(slot, classes):
+    # every point, on and off the grid, in range or not: bar_at gives the
+    # bar GradedInterval gives, or Interval's own message, and an admitted
+    # point reads back as itself (up to the coordinates it ignores)
+    admitted = 0
+    for cls in classes:
+        for u in COORDS:
+            for v in COORDS:
+                args, degree = _interval_at(slot, cls, u, v)
+                try:
+                    want = GradedInterval(Interval(*args), degree)
+                except ValueError as exc:
+                    with pytest.raises(ValueError) as got:
+                        bar_at(slot, cls, u, v)
+                    assert str(got.value) == str(exc)
+                    with pytest.raises(ValueError) as got:
+                        GradedInterval(args, degree)  # the same rule on the interval side
+                    assert str(got.value) == str(exc)
+                    continue
+                g = bar_at(slot, cls, u, v)
+                assert g == want and g.key == want.key and point(g) == point(want)
+                assert str(g) == str(want) and repr(g) == repr(want)
+                p = point(g)
+                assert point(bar_at(*p)) == p and bar_at(*p) == g
+                # an end at an infinity can make another shape's bar, as (u, inf)
+                # of class 1 makes the line; a point of its own class reads back
+                want_p = _canonical(slot, cls, u, v)
+                if p[:2] == want_p[:2]:
+                    assert p == want_p
+                    admitted += 1
+    assert admitted  # the table admits points in every slot
 
 
 def test_every_central_point_is_a_bar(rng):
@@ -201,8 +310,6 @@ def test_every_central_point_is_a_bar(rng):
 # ---------------------------------------------------------------------
 # literals: ``parse_number`` reads each end and names any error
 # ---------------------------------------------------------------------
-
-JUST_UNDER = math.nextafter(2.0**1022, 0)  # the largest finite value the reader takes
 
 VALID_TOKENS = [
     ("1", 1.0), ("+.5", 0.5), ("1.", 1.0), ("-2e-3", -0.002), ("inf", INF), ("+inf", INF),

@@ -78,6 +78,17 @@ def test_views_place_entries_by_their_bars():
             setattr(m, view, ())
 
 
+@pytest.mark.parametrize("view", ["central_pairs", "halfopen_pairs", "deletions"])
+def test_views_refuse_an_entry_with_neither_bar(view):
+    # no bar gives the entry a slot: a ValueError naming it, not an error
+    # from reading the point of None
+    r0 = GradedInterval(Interval.right_open(0, 1), 0)
+    m = Matching(((r0, r0, 0.0), (None, None, 0.25)), 0.25)
+    with pytest.raises(ValueError) as exc:
+        getattr(m, view)
+    assert str(exc.value) == "the matching lists (None, None, 0.25), an entry with neither bar"
+
+
 def test_part_bottleneck_slots():
     central = part_bottleneck(
         [GradedInterval(Interval.open(-1, 1), 0)],
