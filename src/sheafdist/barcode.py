@@ -145,7 +145,7 @@ def _read_line(ln: int, raw: str) -> GradedInterval | None:
         raise ParseError(f"line {ln}: bad degree {deg_tok!r}")
     try:
         return GradedInterval(parse_interval(iv_tok), int(deg_tok))
-    except ParseError as exc:
+    except ValueError as exc:  # a ParseError, or ``int`` refusing a degree of too many digits
         raise ParseError(f"line {ln}: {exc}") from None
 
 

@@ -29,7 +29,8 @@ set when it is built and neither cached later:
 A bar is built from its interval and degree or, by ``bar_at``, from its
 point (the inverse of ``point``, and the one place a moved point becomes
 a bar again); both apply ``Interval``'s rule, and a refused bar raises
-``Interval``'s message.
+``Interval``'s message.  ``bar_at`` also refuses a point with a finite
+end's coordinate at an infinity, which no bar of its class has.
 
 Every value here is immutable; all operations are pure functions.  The
 records are written out by hand rather than with ``dataclasses``, whose
@@ -323,10 +324,13 @@ class GradedInterval(_Frozen, tuple):
         return f"{self.interval}@{self.degree}"
 
 
-def _graded(lo: float, hi: float, lo_closed: bool, hi_closed: bool, degree: int) -> GradedInterval:
+def _graded(lo: float, hi: float, lo_closed: bool, hi_closed: bool, degree: int,
+            want: int | None = None) -> GradedInterval:
     """The bar ``Interval(lo, hi, lo_closed, hi_closed)@degree``, or
     ``Interval``'s ValueError.  It stores its key and its point, which
     holds the CLR rule: the bar's slot, shape class and plane point.
+    Given ``want``, the class ``bar_at`` asks for, a bar of another class
+    is a ValueError too.
 
     ``(a,b)@m`` sits at ``(b,a)`` and ``[x,y]@m+1`` at ``(x,y)``, both
     bounded, in class 4 of slot ``("central", m)``.  Other bars lie in
@@ -349,6 +353,9 @@ def _graded(lo: float, hi: float, lo_closed: bool, hi_closed: bool, degree: int)
         if not cls:  # a single point [x,x]
             p = (_CENTRAL[degree - 1], 4, lo, hi)
         else:
+            if want is not None and cls != want:
+                raise ValueError(f"the bar {_text(lo, not lo_closed, hi, not hi_closed)}@{degree} "
+                                 f"is of class {cls}, not {want}")
             side = _R if lo_closed or (cls & 1 and not hi_closed) else _L
             p = (side[degree], cls, 0.0 if cls & 1 else lo, 0.0 if cls & 2 else hi)
     return _new(GradedInterval, ((degree, lo, not lo_closed, hi, not hi_closed), p))
@@ -360,19 +367,32 @@ def bar_at(slot: tuple[str, int], cls: int, u: float, v: float) -> GradedInterva
     In slot ``("central", m)`` every point is a bar: ``(v,u)@m`` above the
     diagonal (``u > v``) and ``[u,v]@m+1`` on or below it.  A ray or the
     line ignores the coordinate of its infinite end; class 3 is the line on
-    either side, which ``point`` reads as an R bar.  An end out of range
-    is ``Interval``'s ValueError.  The bar is built by ``_graded``, which
-    applies ``Interval``'s rule and builds no ``Interval``."""
+    either side, which ``point`` reads as an R bar.  A coordinate of a
+    finite end (both in a central slot, ``u`` unless ``cls & 1``, ``v``
+    unless ``cls & 2``) at an infinity is a ValueError naming the point,
+    as no bar of that slot and class lies there; any other end out of
+    range is ``Interval``'s ValueError.  The bar is built by ``_graded``,
+    which applies ``Interval``'s rule, builds no ``Interval`` and, told the
+    class asked for, refuses a bar of another; a point with every
+    coordinate finite passes no further check."""
     side, m = slot
-    if side == "central":
-        if u > v:
-            return _graded(v, u, False, False, m)
-        return _graded(u, v, True, True, m + 1)
-    lo = -INF if cls & 1 else u
-    hi = INF if cls & 2 else v
-    if side == "R":
-        return _graded(lo, hi, lo > -INF, False, m)
-    return _graded(lo, hi, False, hi < INF, m)
+    try:
+        if side == "central":
+            if u > v:
+                return _graded(v, u, False, False, m, 4)
+            return _graded(u, v, True, True, m + 1, 4)
+        lo = -INF if cls & 1 else u
+        hi = INF if cls & 2 else v
+        if side == "R":
+            return _graded(lo, hi, lo > -INF, False, m, cls)
+        return _graded(lo, hi, False, hi < INF, m, cls)
+    except ValueError:
+        # an infinite coordinate of a finite end is the point's fault, whatever the bar's
+        if (abs(u) == INF and (side == "central" or not cls & 1)) or (
+                abs(v) == INF and (side == "central" or not cls & 2)):
+            raise ValueError(f"no bar of slot {slot!r} and class {cls} lies at ({u!r}, {v!r}): "
+                             "a finite end's coordinate is infinite") from None
+        raise
 
 
 def _src_shape(iv: Interval) -> str:
@@ -479,4 +499,9 @@ def parse_graded_interval(text: str) -> GradedInterval:
     body, at, deg = text.partition("@")
     if at and _DEGREE(deg) is None:
         raise ParseError(f"bad degree in {text!r}")
-    return GradedInterval(parse_interval(body), int(deg) if at else 0)
+    interval = parse_interval(body)
+    try:
+        degree = int(deg) if at else 0
+    except ValueError as exc:  # a degree of more digits than ``int`` reads
+        raise ParseError(f"bad degree in {text!r}: {exc}") from None
+    return GradedInterval(interval, degree)

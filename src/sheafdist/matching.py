@@ -47,10 +47,13 @@ than both of their deletion costs is not listed (hera's per-pair
 bound): deleting both, their copies matched to each other for free, is
 cheaper.  The other classes list every edge.  The right bars are
 grouped into one block per slot and class, sorted by first coordinate,
-and each left bar bisects into its block and walks outward while that
-coordinate alone is within the bound (the sorted-endpoint neighbour
-query of Efrat, Itai & Katz, Algorithmica 2001), an exact stop because
-rounded subtraction is monotone.
+and each left bar bisects into its block and walks outward, right and
+then left, while the gap in that coordinate alone is within the bound
+(the sorted-endpoint neighbour query of Efrat, Itai & Katz, Algorithmica
+2001), an exact stop because rounded subtraction is monotone.  The
+direction fixes the sign of the gap, so each step subtracts with no
+``abs``; a listed cost is still the float ``pair_cost`` returns, the
+sign of a zero included.
 
 ``bruteforce_distance`` re-solves every slot by one exhaustive
 enumeration of partial matchings, purely as an oracle for the fast path.
@@ -62,7 +65,6 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Sequence
 from heapq import heappop, heappush
-from itertools import islice
 
 from .barcode import Barcode, split_clr
 from .costs import deletion_cost, pair_cost
@@ -147,7 +149,7 @@ def _max_matching(
     for k, (lo, p, q, hi) in enumerate(slots):
         pool = q  # the next right copy a left copy may take
         for u in range(lo, hi):
-            for v in islice(nbrs[u], cnt[u]):
+            for v in nbrs[u][: cnt[u]]:
                 if mate_r[v] == -1:
                     break
             else:  # no free edge: a left copy takes a free right copy
@@ -342,9 +344,15 @@ def _rows(
     needs a partner or its copy, so no eps below it is feasible.
 
     A left bar at ``(u, v)`` bisects to ``u`` in the block of its slot and
-    class and walks outward while ``abs(u - us[m])`` alone is within the
-    larger of its own deletion cost and the dearest one in the block: an
-    edge dearer than both of its bars' deletion costs is not listed.
+    class and walks outward, in one index loop per direction, while the
+    first-coordinate gap alone (``us[m] - u`` going right, ``u - us[m]``
+    going left) is within the larger of its own deletion cost and the
+    dearest one in the block: an edge dearer than both of its bars'
+    deletion costs is not listed.  Only the first gap going right can be
+    zero, and it is ``-0.0`` when ``us[m]`` is ``-0.0`` and ``u`` is
+    ``0.0``; the cost takes the second gap ``h``, an ``abs`` and so
+    ``+0.0``, whenever ``h >= g``, so every listed cost is the float
+    ``pair_cost`` returns, sign included.
     """
     groups, need = _slot_groups(left, right)
     if any(need.values()):
@@ -361,7 +369,8 @@ def _rows(
         lo = len(nbrs)
         blocks: dict = {}
         dr = []  # the deletion cost of each right bar
-        for j, (_, s, u, v) in enumerate(rpts, lo):
+        j = lo
+        for _, s, u, v in rpts:
             d = INF if s else (v - u) / 2.0
             dr.append(d)
             block = blocks.get(s)
@@ -369,10 +378,11 @@ def _rows(
                 blocks[s] = [(u, v, j, d)]
             else:
                 block.append((u, v, j, d))
+            j += 1
         for s, block in blocks.items():
             block.sort()
             us, vs, js, ds = zip(*block)
-            blocks[s] = us, vs, js, ds, max(ds)
+            blocks[s] = us, vs, js, ds, len(us), max(ds)
         lb = -INF
         vertex = lo + len(rs)  # the next left copy's right vertex
         for _, s, u, v in lpts:
@@ -384,28 +394,41 @@ def _rows(
                 vertex += 1
             block = blocks.get(s)
             if block is not None:
-                us, vs, js, ds, top = block
+                us, vs, js, ds, n, top = block
                 bound = di if di > top else top
                 start = bisect_left(us, u)
-                for steps in (range(start, len(us)), range(start - 1, -1, -1)):
-                    for m in steps:
-                        g = abs(u - us[m])
-                        if g > bound:
-                            break
-                        h = abs(v - vs[m])
-                        c = h if h > g else g
-                        if c <= di or c <= ds[m]:
-                            j = js[m]
-                            row.append((c, j))
-                            if c < col[j]:
-                                col[j] = c
+                # us[m] >= u from start on and us[m] < u before it; a gap
+                # of -0.0 (-0.0 - 0.0) yields to h's +0.0 at h >= g
+                for m in range(start, n):
+                    g = us[m] - u
+                    if g > bound:
+                        break
+                    h = abs(v - vs[m])
+                    c = h if h >= g else g
+                    if c <= di or c <= ds[m]:
+                        j = js[m]
+                        row.append((c, j))
+                        if c < col[j]:
+                            col[j] = c
+                for m in range(start - 1, -1, -1):
+                    g = u - us[m]
+                    if g > bound:
+                        break
+                    h = abs(v - vs[m])
+                    c = h if h >= g else g
+                    if c <= di or c <= ds[m]:
+                        j = js[m]
+                        row.append((c, j))
+                        if c < col[j]:
+                            col[j] = c
             row.sort()
             cs, ns = zip(*row)
             nbrs.append(ns)
             ecost.append(cs)
             if cs[0] > lb:
                 lb = cs[0]
-        for j, dj in enumerate(dr, lo):
+        j = lo
+        for dj in dr:
             c = col[j]
             if dj < c:  # its copy edge, cheaper than every listed one
                 c = dj
@@ -414,6 +437,7 @@ def _rows(
             if dj < INF:
                 nbrs.append((j,))
                 ecost.append((dj,))
+            j += 1
         hi = len(nbrs)
         slots.append((lo, lo + len(ls), lo + len(rs), hi))
         lbs.append(lb)

@@ -82,6 +82,24 @@ def test_degrees_are_ascii_integers_in_every_reader(tok):
     assert str(exc.value) == f"line 2: bad degree {tok!r}"
 
 
+def test_a_degree_too_long_for_int_is_a_parse_error_in_every_reader():
+    # the grammar admits any run of digits; int() refuses more than 4,300
+    # of them (sys.get_int_max_str_digits), which each reader names
+    deg = "1" * 5000
+    with pytest.raises(ParseError) as exc:
+        parse_barcode(f"0 [0,1)\n{deg} [0,1)\n")
+    assert str(exc.value).startswith("line 2: Exceeds the limit (4300 digits)")
+    text = f"[0,1)@{deg}"
+    with pytest.raises(ParseError) as exc:
+        parse_graded_interval(text)
+    assert str(exc.value).startswith(f"bad degree in {text!r}: Exceeds the limit (4300 digits)")
+    with pytest.raises(ParseError) as exc:
+        parse_diagrams(f"0 0 1\n{deg} 0 1\n")
+    assert str(exc.value).startswith("line 2: Exceeds the limit (4300 digits)")
+    # 4,300 digits still read
+    assert parse_barcode(f"{'1' * 4300} [0,1)").bars[0].degree == int("1" * 4300)
+
+
 def test_degree_grammar():
     for tok, degree in [("0", 0), ("-0", 0), ("007", 7), ("-12", -12)]:
         assert parse_barcode(f"{tok} [0,1)").bars[0].degree == degree

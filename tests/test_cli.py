@@ -103,6 +103,16 @@ def test_validate(tmp_path):
     assert "line 1" in out.stderr
 
 
+def test_a_degree_too_long_for_int_exits_2(tmp_path):
+    deg = "1" * 5000
+    for args in (("validate", gbc(tmp_path, "huge.gbc", f"0 [0,1)\n{deg} [0,1)\n")),
+                 ("hom", f"[0,1]@{deg}", "[0,2]@0")):
+        out = run_cli(*args)
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+        assert "Exceeds the limit (4300 digits)" in out.stderr
+
+
 def test_missing_file_is_io_error():
     out = run_cli("dist", "/nonexistent.gbc", "/also-missing.gbc")
     assert out.returncode == 2

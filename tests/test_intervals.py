@@ -261,13 +261,24 @@ def _canonical(slot, cls, u, v):
     (("L", 3), (0, 1, 2, 3)), (("R", -2), (0, 1, 2, 3)),
 ], ids=lambda x: str(x).replace(" ", "").replace("'", ""))
 def test_bar_at_agrees_with_the_interval_constructor(slot, classes):
-    # every point, on and off the grid, in range or not: bar_at gives the
-    # bar GradedInterval gives, or Interval's own message, and an admitted
-    # point reads back as itself (up to the coordinates it ignores)
+    # every point, on and off the grid, in range or not: a point with a
+    # finite end's coordinate at an infinity is refused, whatever Interval
+    # says of its ends; any other gives the bar GradedInterval gives, or
+    # Interval's own message, and reads back as itself (up to the
+    # coordinates it ignores)
     admitted = 0
     for cls in classes:
         for u in COORDS:
             for v in COORDS:
+                finite = (u, v) if slot[0] == "central" else (
+                    () if cls & 1 else (u,)) + (() if cls & 2 else (v,))
+                if any(abs(x) == INF for x in finite):
+                    with pytest.raises(ValueError) as got:
+                        bar_at(slot, cls, u, v)
+                    assert str(got.value) == (
+                        f"no bar of slot {slot!r} and class {cls} lies at ({u!r}, {v!r}): "
+                        "a finite end's coordinate is infinite")
+                    continue
                 args, degree = _interval_at(slot, cls, u, v)
                 try:
                     want = GradedInterval(Interval(*args), degree)
@@ -284,12 +295,8 @@ def test_bar_at_agrees_with_the_interval_constructor(slot, classes):
                 assert str(g) == str(want) and repr(g) == repr(want)
                 p = point(g)
                 assert point(bar_at(*p)) == p and bar_at(*p) == g
-                # an end at an infinity can make another shape's bar, as (u, inf)
-                # of class 1 makes the line; a point of its own class reads back
-                want_p = _canonical(slot, cls, u, v)
-                if p[:2] == want_p[:2]:
-                    assert p == want_p
-                    admitted += 1
+                assert p == _canonical(slot, cls, u, v)
+                admitted += 1
     assert admitted  # the table admits points in every slot
 
 

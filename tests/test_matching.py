@@ -626,6 +626,83 @@ def test_per_pair_bound_at_and_above_the_dearer_deletion():
     assert sorted(pairs, key=str) == sorted([(a, None, 2.0), (None, above, 1.0)], key=str)
 
 
+GRID = (-1.0, -0.5, -0.25, -0.0, 0.0, 0.25, 0.5, 1.0)  # both zeros, and ties on a small grid
+
+
+def _edge_slot(rng: random.Random, side: str, n: int):
+    """Two sides of one slot built for the edges of the walk: ends on
+    ``GRID``, so the two zeros and tied first coordinates across the sides
+    are common, and half-open partners placed exactly at the per-pair bound
+    (cost equal to the dearer deletion).  Every undeletable bar has a
+    partner of its class, so the slot is feasible."""
+    def ends(closed: bool) -> tuple[float, float]:
+        a, b = sorted(rng.sample(GRID, 2))
+        return (a, b) if a < b or closed else (a, b + 0.5)
+
+    def bar(shape, a, b):
+        iv = {"ro": Interval.right_open, "lo": Interval.left_open, "open": Interval.open,
+              "closed": Interval.closed}[shape](a, b)
+        return GradedInterval(iv, 1 if shape == "closed" else 0)
+
+    half = "ro" if side == "R" else "lo"
+    left, right = [], []
+    for _ in range(n):
+        u = rng.random()
+        if side == "central":
+            shape = rng.choice(("open", "closed"))
+            left.append(bar(shape, *ends(shape == "closed")))
+            right.append(bar(shape, *ends(shape == "closed")))
+        elif u < 0.15:  # a ray or the line, partnered within its class
+            a, b = rng.choice(GRID), rng.choice(GRID)
+            shapes = ([Interval.right_open(a, INF), Interval.open(-INF, a), Interval.line()]
+                      if side == "R" else [Interval.open(a, INF), Interval.left_open(-INF, a)])
+            k = rng.randrange(len(shapes))
+            left.append(GradedInterval(shapes[k], 0))
+            other = ([Interval.right_open(b, INF), Interval.open(-INF, b), Interval.line()]
+                     if side == "R" else [Interval.open(b, INF), Interval.left_open(-INF, b)])
+            right.append(GradedInterval(other[k], 0))
+        else:
+            a, b = ends(False)
+            left.append(bar(half, a, b))
+            d = (b - a) / 2
+            w = rng.random()
+            if w < 0.3:  # the same bar, perhaps with the other zero
+                right.append(bar(half, -a if a == 0 and rng.random() < 0.5 else a, b))
+            elif w < 0.6:  # at the bound: cost d == max(d, d / 2)
+                right.append(bar(half, a + d, b) if side == "R" else bar(half, a, b - d))
+            elif w < 0.8:  # at the bound on the right bar's side: cost 2d == its deletion
+                right.append(bar(half, a, b + 2 * d) if side == "R" else bar(half, a - 2 * d, b))
+            else:
+                right.append(bar(half, *ends(False)))
+    rng.shuffle(right)
+    return left, right
+
+
+def test_listed_costs_are_the_cost_functions_floats_sign_included():
+    # ``==`` cannot tell -0.0 from 0.0; float.hex can.  Every entry costs
+    # exactly the float pair_cost or deletion_cost returns, and the value
+    # is the dearest entry's
+    for F, G in [("0 [0,1)\n", "0 [-0,1)\n"), ("0 [-0,1)\n", "0 [0,1)\n")]:
+        value, matching = distance_with_matching(parse_barcode(F), parse_barcode(G))
+        assert value.hex() == "0x0.0p+0"
+        assert [c.hex() for *_, c in matching.pairs] == ["0x0.0p+0"]
+    rng = random.Random(22)
+    zeros = 0
+    for t in range(600):
+        left, right = _edge_slot(rng, ("central", "R", "L")[t % 3], rng.randrange(1, 12))
+        if t % 4 == 3:  # several slots in one call
+            more = _edge_slot(rng, ("R", "L", "central")[t % 3], rng.randrange(1, 6))
+            left, right = left + more[0], right + more[1]
+        value, pairs = part_bottleneck(left, right)
+        assert value < INF
+        for l, r, c in pairs:
+            want = pair_cost(l, r) if l is not None and r is not None else deletion_cost(l or r)
+            assert c.hex() == want.hex(), (l, r)
+            zeros += c == 0.0
+        assert value.hex() == max((c for *_, c in pairs), default=0.0).hex()
+    assert zeros > 300  # zero costs, where the sign could slip, are common
+
+
 def _edges(graph):
     """``_rows``'s result as each left vertex's ``(cost, j)`` edges, and
     the lb of its one slot."""
@@ -643,21 +720,28 @@ def test_rows_lists_exactly_the_edges_within_the_per_pair_bound(rng):
     for t in range(120):
         side = ("central", "R", "L")[t % 3]
         span, widths = ((None, (0.5, 8)), (50.0, (0.5, 8)), (50.0, (0.1, 20)))[t % 3]
-        left, right = _random_slot(rng, side, rng.randrange(1, 40), span=span, widths=widths)
-        ub = max([d for d in map(deletion_cost, left + right) if d < INF], default=0.0)
-        graph = _rows(left, right)
-        if graph is None:
-            classes = Counter(point(g)[:2] for g in left if point(g)[1])
-            assert classes != Counter(point(g)[:2] for g in right if point(g)[1])
-            continue
-        nbrs, ecost, slots, lbs, *_ = graph
-        keys = [kind for kind, *_ in matching._slots(Barcode(tuple(left)), Barcode(tuple(right)))]
-        assert [lo for lo, *_ in slots] == [0] + [hi for *_, hi in slots[:-1]]
-        assert len(slots) == len(keys) and slots[-1][3] == len(nbrs)
-        for (lo, _, _, hi), lb, key in zip(slots, lbs, keys):
-            rows = [[(c, j - lo) for c, j in zip(ecost[u], nbrs[u])] for u in range(lo, hi)]
-            _assert_slot_rows([g for g in left if point(g)[0] == key],
-                              [g for g in right if point(g)[0] == key], rows, lb, ub)
+        _assert_rows(*_random_slot(rng, side, rng.randrange(1, 40), span=span, widths=widths))
+    # both zeros, first coordinates tied across the sides, pairs at the bound
+    for t in range(120):
+        _assert_rows(*_edge_slot(rng, ("central", "R", "L")[t % 3], rng.randrange(1, 20)))
+
+
+def _assert_rows(left, right):
+    """``_rows`` of two lists of bars, checked slot by slot."""
+    ub = max([d for d in map(deletion_cost, left + right) if d < INF], default=0.0)
+    graph = _rows(left, right)
+    if graph is None:
+        classes = Counter(point(g)[:2] for g in left if point(g)[1])
+        assert classes != Counter(point(g)[:2] for g in right if point(g)[1])
+        return
+    nbrs, ecost, slots, lbs, *_ = graph
+    keys = [kind for kind, *_ in matching._slots(Barcode(tuple(left)), Barcode(tuple(right)))]
+    assert [lo for lo, *_ in slots] == [0] + [hi for *_, hi in slots[:-1]]
+    assert len(slots) == len(keys) and slots[-1][3] == len(nbrs)
+    for (lo, _, _, hi), lb, key in zip(slots, lbs, keys):
+        rows = [[(c, j - lo) for c, j in zip(ecost[u], nbrs[u])] for u in range(lo, hi)]
+        _assert_slot_rows([g for g in left if point(g)[0] == key],
+                          [g for g in right if point(g)[0] == key], rows, lb, ub)
 
 
 def _assert_slot_rows(left, right, rows, lb, ub):
@@ -678,11 +762,17 @@ def _assert_slot_rows(left, right, rows, lb, ub):
                 assert point(g)[1] or c <= ub
         if i in copy_l:
             want.append((del_l[i], q + copy_l.index(i)))
-        assert row == sorted(want)
-    assert rows[len(left) :] == [[(del_r[j], j)] for j in copy_r]
+        assert _hexed(row) == _hexed(sorted(want))  # the sign of a zero cost included
+    assert [_hexed(row) for row in rows[len(left) :]] == [_hexed([(del_r[j], j)]) for j in copy_r]
     best_l = [min([pair_cost(g, h) for h in right] + [d]) for g, d in zip(left, del_l)]
     best_r = [min([pair_cost(g, h) for g in left] + [d]) for h, d in zip(right, del_r)]
-    assert lb == max(best_l + best_r)
+    assert lb.hex() == max(best_l + best_r).hex()
+
+
+def _hexed(row):
+    """A row of ``(cost, j)`` with each cost as ``float.hex``, which tells
+    -0.0 from 0.0."""
+    return [(c.hex(), j) for c, j in row]
 
 
 def test_greedy_seed_that_blocks_is_augmented():

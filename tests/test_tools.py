@@ -8,6 +8,8 @@ LINES = [
     "match|0x0.0p+0 0x1.0000000000000p+0 10 0|0x0.0p+0 0x1.0000000000000p+1 10 0|->|0x1.0p-1||"
     "R 0 0x0.0p+0 0x1.0000000000000p+0 10 0 0x0.0p+0 0x1.0000000000000p+1 10 0 0x1.0p-1|",
     "pair_path|0x0.0p+0 0x1.0000000000000p+0 10 0|None|0x0.0p+0|->|0x0.0p+0 0x1.0000000000000p+0 10 0",
+    "solve|zeros 0|->|0x0.0p+0|0x0.0p+0 0x1.0000000000000p+0 10 0 -0x0.0p+0 0x1.0000000000000p+0 10 0 "
+    "0x0.0p+0",
 ]
 
 
@@ -23,12 +25,13 @@ def test_move_digest_compare_equal(tmp_path):
     out = _compare(tmp_path, LINES, LINES)
     assert out.returncode == 0
     assert "match: 1 calls, 0 different" in out.stdout
+    assert "solve: 1 calls, 0 different" in out.stdout
     assert "lengths differ" not in out.stdout
 
 
 def test_move_digest_compare_refuses_a_truncated_digest(tmp_path):
     # the prefix agrees line for line, but a digest cut short is no match
-    for a, b in [(LINES, LINES[:1]), (LINES[:1], LINES)]:
+    for a, b in [(LINES, LINES[:2]), (LINES[:2], LINES)]:
         out = _compare(tmp_path, a, b)
         assert out.returncode == 1
         assert "match: 1 calls, 0 different" in out.stdout
@@ -36,7 +39,16 @@ def test_move_digest_compare_refuses_a_truncated_digest(tmp_path):
 
 
 def test_move_digest_compare_refuses_a_different_witness(tmp_path):
-    other = [LINES[0].replace("0x1.0p-1|", "0x1.8p-1|"), LINES[1]]
+    other = [LINES[0].replace("0x1.0p-1|", "0x1.8p-1|"), *LINES[1:]]
     out = _compare(tmp_path, LINES, other)
     assert out.returncode == 1
     assert "match: 1 calls, 1 different" in out.stdout
+
+
+def test_move_digest_compare_refuses_a_different_solve_line(tmp_path):
+    # a zero cost listed as -0.0 is a different line, though -0.0 == 0.0
+    other = [*LINES[:2], LINES[2].removesuffix("0x0.0p+0") + "-0x0.0p+0"]
+    out = _compare(tmp_path, LINES, other)
+    assert out.returncode == 1
+    assert "solve: 1 calls, 1 different" in out.stdout
+    assert "match: 1 calls, 0 different" in out.stdout

@@ -5,7 +5,15 @@ Draws fixed-seed inputs off the dyadic grid, at magnitudes from 1 to
 ``convolve_interval``: the inputs and the result (or the error), every
 float as ``float.hex``.  Each pair of barcodes the interpolate section
 solves also gets one ``match`` line: the distance and the entries of the
-matching's ``central_pairs``, ``halfopen_pairs`` and ``deletions``.  Two
+matching's ``central_pairs``, ``halfopen_pairs`` and ``deletions``.  The
+``solve`` section writes one line per pair of bar lists: the value of
+``part_bottleneck`` and its entries, bars by ``_show`` and costs by
+``float.hex``.  Its pairs are the full-size ``halfopen`` and ``many_slots``
+benchmark cases of seeds 1-3, seed 1's ``halfopen`` ladder rungs from 50
+to 5,000 bars per side and one 800-bar central slot, all generated by
+``perfbench/gen.py`` as ``perfbench/run.py`` generates them, and
+fixed-seed draws whose ends include both zeros, with first coordinates
+tied across the sides and pairs exactly at the per-pair bound.  Two
 digests of the same seed list the same calls in the same order, so
 ``compare`` reads them side by side.
 
@@ -18,9 +26,9 @@ also checks every result against the exact rule, each finite end being
 ``float(Fraction(end) -/+ Fraction(eps))``, and sorts each difference
 into "a collapse or over-shrink that b rounds correctly and a does not",
 "a raised an empty-interval error and b returns a correctly rounded
-bar", or unexplained.  It exits 1 when a ``pair_path``, ``interpolate``
-or ``match`` line differs, a difference is unexplained, or the digests
-differ in length.
+bar", or unexplained.  It exits 1 when a ``pair_path``, ``interpolate``,
+``match`` or ``solve`` line differs, a difference is unexplained, or the
+digests differ in length.
 """
 
 from __future__ import annotations
@@ -30,9 +38,14 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
 INF = math.inf
 SHAPES = ("closed", "open", "ro", "lo", "ray+", "ray-", "oray+", "oray-", "line")
+# bars per side: the benchmark's ladder rungs, and two past them
+LADDER = (50, 100, 200, 400, 700, 1000, 1400, 2000, 3000, 5000)
+GRID = (-1.0, -0.5, -0.25, -0.0, 0.0, 0.25, 0.5, 1.0)  # both zeros, and ties on a small grid
 
 
 def _bar(shape: str, a: float, b: float, degree: int):
@@ -85,9 +98,66 @@ def _nudged(rng: random.Random, x: float, scale: float) -> float:
     return x + rng.uniform(-1, 1) * scale * 10 ** -rng.uniform(0, 12)
 
 
+def _zero_pair(rng: random.Random) -> tuple[list, list]:
+    """Bars of one kind of slot with ends on ``GRID``: both zeros, first
+    coordinates tied across the sides, and half-open partners at the
+    per-pair bound (a cost equal to the dearer deletion).  Each bar's
+    partner shares its class, so every slot is feasible."""
+    kind = rng.choice(("central", "R", "L"))
+    half = "ro" if kind == "R" else "lo"
+    F, G = [], []
+    for _ in range(rng.randrange(1, 12)):
+        a, b = sorted(rng.sample(GRID, 2))
+        x, y = sorted(rng.sample(GRID, 2))
+        if kind == "central":  # (a,b)@0 and [x,y]@1 share slot 0
+            F.append(_bar("open", a, b + 0.5 * (a == b), 0) if rng.random() < 0.5
+                     else _bar("closed", a, b, 1))
+            G.append(_bar("open", x, y + 0.5 * (x == y), 0) if rng.random() < 0.5
+                     else _bar("closed", x, y, 1))
+            continue
+        b += 0.5 * (a == b)
+        shape = rng.choice((half,) * 6 + (("ray+", "oray-", "line") if kind == "R"
+                                           else ("oray+", "ray-")))
+        F.append(_bar(shape, a, b, 0))
+        d, w = (b - a) / 2, rng.random()
+        if shape != half or w < 0.3:  # the same ends, perhaps with the other zero
+            G.append(_bar(shape, -a if a == 0 and rng.random() < 0.5 else a, b, 0))
+        elif w < 0.6:  # at the bound: cost d, F's deletion
+            G.append(_bar(half, a + d, b, 0) if kind == "R" else _bar(half, a, b - d, 0))
+        elif w < 0.8:  # at the bound: cost 2d, G's deletion
+            G.append(_bar(half, a, b + 2 * d, 0) if kind == "R" else _bar(half, a - 2 * d, b, 0))
+        else:
+            G.append(_bar(half, x, y + 0.5 * (x == y), 0))
+    rng.shuffle(G)
+    return F, G
+
+
+def solve_pairs():
+    """``(name, F text or bars, G text or bars)`` for every pair the
+    ``solve`` section solves, in a fixed order."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import gen
+    import run  # the benchmark's own case lists, so the texts are those it solves
+
+    for name in ("halfopen", "many_slots"):
+        for seed in (1, 2, 3):
+            cases = run.WORKLOADS[name].cases(random.Random(f"{name}:{seed}"), False)
+            for k, case in enumerate(cases):
+                yield f"{name} {seed}:{k:03d}", case.f_text, case.g_text
+    rng = random.Random("halfopen:1:ladder")  # as perfbench/run.py seeds seed 1's ladder
+    for n in LADDER:
+        case = gen.halfopen_ladder_case(rng, n)
+        yield f"ladder 1:{n}", case.f_text, case.g_text
+    f, g = gen.central_slot(random.Random("central:1"), 800, 0)
+    yield "central 800", gen._text(f), gen._text(g)
+    rng = random.Random(22)
+    for k in range(2_000):
+        yield f"zeros {k}", *_zero_pair(rng)
+
+
 def digest(out) -> None:
     from sheafdist import (Barcode, convolve_interval, deletion_cost, distance_with_matching,
-                           interpolate, pair_cost, pair_path)
+                           interpolate, pair_cost, pair_path, parse_barcode, part_bottleneck)
 
     rng = random.Random(18)
     for _ in range(30_000):  # pair_path: one shape, open-closed both ways, deletions
@@ -157,6 +227,12 @@ def digest(out) -> None:
         eps *= 1 + rng.choice((0, 0, 1e-16, -1e-16, 1e-12))
         args = (_show(g), eps.hex())
         print("convolve", *args, "->", _call(convolve_interval, g, eps), sep="|", file=out)
+
+    for name, F, G in solve_pairs():  # the solver alone, on lists of bars
+        if isinstance(F, str):
+            F, G = parse_barcode(F).bars, parse_barcode(G).bars
+        value, pairs = part_bottleneck(F, G)
+        print("solve", name, "->", value.hex(), _view(pairs), sep="|", file=out)
 
 
 def _exact(line: str) -> bool | None:
