@@ -22,8 +22,8 @@ __version__ = "0.1.0"
 #: module of each public name
 _HOME = {
     **dict.fromkeys(
-        ("DEFAULT_TOL", "INF", "GradedInterval", "Interval", "Kind", "ParseError", "classify",
-         "close", "parse_graded_interval", "parse_interval"),
+        ("INF", "GradedInterval", "Interval", "ParseError", "parse_graded_interval",
+         "parse_interval"),
         "intervals",
     ),
     **dict.fromkeys(

@@ -17,7 +17,6 @@ from .intervals import (
     _DEGREE,
     _INTERVAL,
     _LIMIT,
-    DEFAULT_TOL,
     GradedInterval,
     ParseError,
     _Frozen,
@@ -71,19 +70,6 @@ class Barcode(_Frozen):
 
     def __iter__(self):
         return iter(self.bars)
-
-    def approx_eq(self, other: "Barcode", tol: float = DEFAULT_TOL) -> bool:
-        """Bar-by-bar equality in canonical order, ends up to ``tol``
-        (degrees and flags exact).  A sufficient test of multiset equality
-        up to ``tol``, not an order-free one: bars that pair up within
-        ``tol`` only in another order, such as ``[0,1)`` and ``[5e-10,2)``
-        against ``[6e-10,1)`` and ``[0,2)``, are not ``approx_eq``."""
-        if len(self) != len(other):
-            return False
-        return all(
-            a.degree == b.degree and a.interval.approx_eq(b.interval, tol)
-            for a, b in zip(self.bars, other.bars)
-        )
 
 
 # ---------------------------------------------------------------------

@@ -8,8 +8,7 @@ endpoint is always stored with an open flag: ``[2, inf)`` is fine,
 These checks of ``Interval`` are the one rule that admits a bar: the
 parser reads a literal as exactly the bar ``Interval`` builds from it,
 with no tolerance, so every bar the library builds prints as text that
-reads back exactly.  ``DEFAULT_TOL`` serves the equality predicates
-(``close``, ``approx_eq``) alone.
+reads back exactly.
 
 A bar (``GradedInterval``) is the pair of two immutable values, both
 set when it is built and neither cached later:
@@ -46,42 +45,15 @@ from __future__ import annotations
 import math
 import re
 from collections import namedtuple
-from enum import Enum
 from operator import itemgetter
 
 INF = math.inf
-
-#: default absolute tolerance of the equality predicates ``close`` and ``approx_eq``
-DEFAULT_TOL = 1e-9
 
 _LIMIT = 2.0**1022  # every finite end is below it: no difference of two ends overflows
 
 
 class ParseError(ValueError):
     """Malformed textual input (interval literal, barcode or diagram file)."""
-
-
-def close(a: float, b: float, tol: float = DEFAULT_TOL) -> bool:
-    """Equality of extended reals up to an absolute tolerance.
-
-    Two equal infinities are close; an infinity is never close to a
-    finite value.
-    """
-    if a == b:
-        return True
-    if math.isinf(a) or math.isinf(b):
-        return False
-    return abs(a - b) <= tol
-
-
-class Kind(Enum):
-    """CLR type of an interval: central (C_OPEN, C_CLOSED), right- or
-    left-directed (R, L).  ``point`` holds the rule; see ``classify``."""
-
-    C_OPEN = "C_open"
-    C_CLOSED = "C_closed"
-    R = "R"
-    L = "L"
 
 
 _new = tuple.__new__
@@ -117,8 +89,8 @@ class Interval(namedtuple("Interval", "lo hi lo_closed hi_closed")):
 
     A named tuple: it unpacks as ``lo, hi, lo_closed, hi_closed`` and
     compares equal to (and orders like) the plain tuple of its fields;
-    sort bars by ``key``.  ``_make`` and ``_replace`` build through the
-    checks too.
+    sort bars by ``GradedInterval.key``.  ``_make`` and ``_replace``
+    build through the checks too.
     """
 
     __slots__ = ()
@@ -199,19 +171,6 @@ class Interval(namedtuple("Interval", "lo hi lo_closed hi_closed")):
         lo = self.lo if self.lo == -INF else self.lo + s
         hi = self.hi if self.hi == INF else self.hi + s
         return Interval(lo, hi, self.lo_closed, self.hi_closed)
-
-    @property
-    def key(self) -> tuple:
-        """Deterministic sort key (lo before hi, closed before open)."""
-        return (self.lo, not self.lo_closed, self.hi, not self.hi_closed)
-
-    def approx_eq(self, other: "Interval", tol: float = DEFAULT_TOL) -> bool:
-        return (
-            self.lo_closed == other.lo_closed
-            and self.hi_closed == other.hi_closed
-            and close(self.lo, other.lo, tol)
-            and close(self.hi, other.hi, tol)
-        )
 
     def __str__(self) -> str:
         return _text(self.lo, not self.lo_closed, self.hi, not self.hi_closed)
@@ -420,14 +379,6 @@ def _tgt_shape(iv: Interval) -> str:
     if hc:
         return "lo"
     return "open"
-
-
-def classify(iv: Interval) -> Kind:
-    """CLR type of an interval, read off its ``point`` in degree 0."""
-    (side, m), _, _, _ = point(GradedInterval(iv, 0))
-    if side != "central":
-        return Kind(side)
-    return Kind.C_OPEN if m == 0 else Kind.C_CLOSED
 
 
 # ---------------------------------------------------------------------

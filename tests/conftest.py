@@ -15,11 +15,9 @@ from sheafdist import (
     Barcode,
     GradedInterval,
     Interval,
-    Kind,
-    classify,
     convolve_interval,
 )
-from sheafdist.intervals import INF
+from sheafdist.intervals import INF, point
 
 
 def dyadic(rng: random.Random, lo: float = -6, hi: float = 6, step: int = 8) -> float:
@@ -67,9 +65,8 @@ def perturbed_barcode(rng: random.Random, b: Barcode, scale: float = 1.0) -> Bar
     bars: list[GradedInterval] = []
     for g in b:
         iv = g.interval
-        kind = classify(iv)
-        if kind in (Kind.C_OPEN, Kind.C_CLOSED):
-            if kind is Kind.C_OPEN and rng.random() < 0.25:
+        if point(g)[0][0] == "central":
+            if not iv.lo_closed and rng.random() < 0.25:  # an open bar
                 bars.append(convolve_interval(g, iv.width / 2 + abs(dyadic(rng, 0, 1, 16))))
                 continue
             lo = iv.lo + dyadic(rng, -scale, scale, 16)

@@ -18,7 +18,6 @@ from sheafdist import (
     GradedInterval,
     Interval,
     bruteforce_distance,
-    classify,
     convolve_interval,
     distance_with_matching,
     ext_oracle,
@@ -32,7 +31,7 @@ from sheafdist import (
     to_persistence,
 )
 from sheafdist.homs import DEGREE1_RULE_DEVIATIONS, _src_shape, _tgt_shape
-from sheafdist.intervals import INF, Kind
+from sheafdist.intervals import INF, point
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CIRCLE_F = FIXTURES / "circle_f.gbc"
@@ -232,7 +231,7 @@ def test_criterion_5_metric_properties():
             assert dab <= dac + dcb + 1e-9
         if dab == 0.0:
             zero_cases += 1
-            assert A.approx_eq(B)
+            assert A == B
     assert zero_cases >= 520 // 7
     _report(5, "symmetry, identity, triangle and zero-implies-equal on 520 triples", t0, 30.0)
 
@@ -241,13 +240,8 @@ def test_criterion_5_metric_properties():
 # 6. CLR independence
 # ---------------------------------------------------------------------
 
-def _restrict(b, part):
-    keep = {
-        "C": (Kind.C_OPEN, Kind.C_CLOSED),
-        "R": (Kind.R,),
-        "L": (Kind.L,),
-    }[part]
-    return Barcode(tuple(g for g in b if classify(g.interval) in keep))
+def _restrict(b, side):
+    return Barcode(tuple(g for g in b if point(g)[0][0] == side))
 
 
 def test_criterion_6_clr_independence():
@@ -257,7 +251,8 @@ def test_criterion_6_clr_independence():
         A = random_barcode(rng, max_bars=5)
         B = random_barcode(rng, max_bars=5)
         whole = distance_with_matching(A, B)[0]
-        parts = max(distance_with_matching(_restrict(A, p), _restrict(B, p))[0] for p in "CRL")
+        parts = max(distance_with_matching(_restrict(A, p), _restrict(B, p))[0]
+                    for p in ("central", "R", "L"))
         assert whole == parts
     _report(6, "distance equals the max over C/R/L restrictions on 200 pairs", t0, 30.0)
 

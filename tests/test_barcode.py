@@ -449,15 +449,3 @@ def test_equal_sections_do_not_make_a_finite_distance():
     assert distance_with_matching(F, G)[0] == INF
     assert not same_component(F, G)
 
-
-def test_approx_eq():
-    a = parse_barcode("0 [0,1]\n")
-    b = parse_barcode("0 [1e-12,1.000000000001]\n")
-    assert a.approx_eq(b)
-    assert not a.approx_eq(parse_barcode("0 (0,1)\n"))
-    assert not a.approx_eq(Barcode())
-    # bar by bar in canonical order, not a matching: these pair up within
-    # 1e-9 only across the order ([0,1) with [6e-10,1), [5e-10,2) with [0,2))
-    c = parse_barcode("0 [0,1)\n0 [5e-10,2)\n")
-    d = parse_barcode("0 [6e-10,1)\n0 [0,2)\n")
-    assert not c.approx_eq(d)

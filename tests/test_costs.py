@@ -2,8 +2,8 @@ import math
 from fractions import Fraction
 
 from conftest import dyadic, random_graded
-from sheafdist import GradedInterval, Interval, classify, convolve_interval, deletion_cost, pair_cost
-from sheafdist.intervals import INF, Kind
+from sheafdist import GradedInterval, Interval, convolve_interval, deletion_cost, pair_cost
+from sheafdist.intervals import INF, point
 
 
 def G(iv, degree=0):
@@ -44,14 +44,14 @@ def test_symmetry_and_reflexivity(rng):
 
 
 def test_triangle_within_families(rng):
-    families = {
-        Kind.C_CLOSED: lambda lo, w: Interval.closed(lo, lo + w),
-        Kind.C_OPEN: lambda lo, w: Interval.open(lo, lo + w),
-        Kind.R: lambda lo, w: Interval.right_open(lo, lo + w),
-        Kind.L: lambda lo, w: Interval.left_open(lo, lo + w),
-    }
+    families = [
+        lambda lo, w: Interval.closed(lo, lo + w),
+        lambda lo, w: Interval.open(lo, lo + w),
+        lambda lo, w: Interval.right_open(lo, lo + w),
+        lambda lo, w: Interval.left_open(lo, lo + w),
+    ]
     for _ in range(600):
-        build = families[rng.choice(list(families))]
+        build = rng.choice(families)
         a, b, c = (
             G(build(dyadic(rng), dyadic(rng, 0.25, 4))) for _ in range(3)
         )
@@ -130,19 +130,21 @@ def test_finite_pairs_agree_on_deletability(rng):
 # on this independent encoding.
 
 
-def _rule_kind(iv):
+def _rule_kind(g):
+    # the slot of a bar: closed bars sit one degree down, with the open bars
+    iv, m = g.interval, g.degree
     lo_inf, hi_inf = iv.lo == -INF, iv.hi == INF
     if lo_inf and hi_inf:
-        return Kind.R
+        return ("R", m)
     if lo_inf:
-        return Kind.L if iv.hi_closed else Kind.R
+        return ("L" if iv.hi_closed else "R", m)
     if hi_inf:
-        return Kind.R if iv.lo_closed else Kind.L
+        return ("R" if iv.lo_closed else "L", m)
     if iv.lo_closed and iv.hi_closed:
-        return Kind.C_CLOSED
+        return ("central", m - 1)
     if not iv.lo_closed and not iv.hi_closed:
-        return Kind.C_OPEN
-    return Kind.R if iv.lo_closed else Kind.L
+        return ("central", m)
+    return ("R" if iv.lo_closed else "L", m)
 
 
 def _rule_gap(x, y):
@@ -155,18 +157,20 @@ def _rule_gap(x, y):
 
 
 def _rule_pair_cost(a, b):
-    ka, kb = _rule_kind(a.interval), _rule_kind(b.interval)
-    if ka == kb and a.degree == b.degree:
-        return max(_rule_gap(a.interval.lo, b.interval.lo), _rule_gap(a.interval.hi, b.interval.hi))
-    if {ka, kb} == {Kind.C_OPEN, Kind.C_CLOSED}:
-        u, s = (a, b) if ka is Kind.C_OPEN else (b, a)
-        if s.degree == u.degree + 1:  # (a,b)@m with [x,y]@m+1: max(|b-x|, |a-y|)
-            return max(abs(u.interval.hi - s.interval.lo), abs(u.interval.lo - s.interval.hi))
-    return INF
+    slot = _rule_kind(a)
+    if slot != _rule_kind(b):
+        return INF
+    u, s = a.interval, b.interval
+    if slot[0] == "central" and u.lo_closed != s.lo_closed:
+        if u.lo_closed:
+            u, s = s, u
+        # (a,b)@m with [x,y]@m+1: max(|b-x|, |a-y|)
+        return max(abs(u.hi - s.lo), abs(u.lo - s.hi))
+    return max(_rule_gap(u.lo, s.lo), _rule_gap(u.hi, s.hi))
 
 
 def _rule_deletion_cost(a):
-    if _rule_kind(a.interval) in (Kind.R, Kind.L) and a.interval.bounded:
+    if _rule_kind(a)[0] != "central" and a.interval.bounded:
         return a.interval.width / 2.0
     return INF
 
@@ -200,13 +204,13 @@ def _any_bar(rng, pool):
     return GradedInterval(iv, rng.randrange(-1, 3))
 
 
-def test_costs_and_classify_match_the_written_out_rule(rng):
+def test_costs_and_point_match_the_written_out_rule(rng):
     finite = 0
     for _ in range(300):
         pool = [dyadic(rng)] + [rng.uniform(-1, 1) * 10.0 ** rng.uniform(-5, 300) for _ in range(3)]
         bars = [_any_bar(rng, pool) for _ in range(12)]
         for a in bars:
-            assert classify(a.interval) is _rule_kind(a.interval), a
+            assert point(a)[0] == _rule_kind(a), a
             assert deletion_cost(a).hex() == _rule_deletion_cost(a).hex(), a
             for b in bars:
                 want = _rule_pair_cost(a, b)

@@ -6,9 +6,7 @@ from hypothesis import given, strategies as st
 from sheafdist import (
     GradedInterval,
     Interval,
-    Kind,
     ParseError,
-    classify,
     parse_barcode,
     parse_interval,
 )
@@ -39,31 +37,38 @@ def test_constructors_and_validation():
         Interval(math.nan, 1, False, False)
 
 
-# all 9 boundary-shape combinations x finite/infinite endpoint placements
+# all 9 boundary-shape combinations x finite/infinite endpoint placements,
+# and the slot ``point`` puts each in at degree 0; the ids are the names
+# these rows have always run under
 CLASSIFY_CASES = [
-    (Interval.closed(0, 1), Kind.C_CLOSED),
-    (Interval.point(0), Kind.C_CLOSED),
-    (Interval.open(0, 1), Kind.C_OPEN),
-    (Interval.right_open(0, 1), Kind.R),
-    (Interval.left_open(0, 1), Kind.L),
-    (Interval.right_open(0, INF), Kind.R),    # [a, inf)
-    (Interval.open(0, INF), Kind.L),          # (a, inf)
-    (Interval.open(-INF, 5), Kind.R),         # (-inf, b)
-    (Interval.left_open(-INF, 5), Kind.L),    # (-inf, b]
-    (Interval.line(), Kind.R),
+    pytest.param(iv, slot, id=f"iv{k}-{name}")
+    for k, (iv, slot, name) in enumerate([
+        (Interval.closed(0, 1), ("central", -1), "Kind.C_CLOSED"),
+        (Interval.point(0), ("central", -1), "Kind.C_CLOSED"),
+        (Interval.open(0, 1), ("central", 0), "Kind.C_OPEN"),
+        (Interval.right_open(0, 1), ("R", 0), "Kind.R"),
+        (Interval.left_open(0, 1), ("L", 0), "Kind.L"),
+        (Interval.right_open(0, INF), ("R", 0), "Kind.R"),    # [a, inf)
+        (Interval.open(0, INF), ("L", 0), "Kind.L"),          # (a, inf)
+        (Interval.open(-INF, 5), ("R", 0), "Kind.R"),         # (-inf, b)
+        (Interval.left_open(-INF, 5), ("L", 0), "Kind.L"),    # (-inf, b]
+        (Interval.line(), ("R", 0), "Kind.R"),
+    ])
 ]
 
 
-@pytest.mark.parametrize("iv,kind", CLASSIFY_CASES)
-def test_classify(iv, kind):
-    assert classify(iv) is kind
+@pytest.mark.parametrize("iv,slot", CLASSIFY_CASES)
+def test_classify(iv, slot):
+    assert point(GradedInterval(iv, 0))[0] == slot
 
 
 def test_classify_total(rng):
+    # every interval lands in a central, R or L slot
     from conftest import random_interval
 
+    slots = {("central", -1), ("central", 0), ("R", 0), ("L", 0)}
     for _ in range(500):
-        assert classify(random_interval(rng)) in Kind
+        assert point(GradedInterval(random_interval(rng), 0))[0] in slots
 
 
 def test_contains_respects_flags():
@@ -168,7 +173,8 @@ def _bars_of_every_shape(rng):
 def test_key_and_point_stored_at_construction(rng):
     for g in _bars_of_every_shape(rng):
         iv = g.interval
-        assert g.key == (g.degree, *iv.key) and g.key is g.key
+        assert g.key == (g.degree, iv.lo, not iv.lo_closed, iv.hi, not iv.hi_closed)
+        assert g.key is g.key
         p = point(g)
         assert point(g) is p  # a field read: no second computation
         fresh = GradedInterval(iv, g.degree)

@@ -13,7 +13,6 @@ from sheafdist import (
     Interval,
     Matching,
     bruteforce_distance,
-    classify,
     convolve_barcode,
     convolve_interval,
     deletion_cost,
@@ -26,7 +25,7 @@ from sheafdist import (
     same_component,
 )
 from sheafdist import matching
-from sheafdist.intervals import INF, Kind, point
+from sheafdist.intervals import INF, point
 from sheafdist.matching import _cheapest_path, _max_matching, _rows
 
 CIRCLE_F = "0 [-1,1]\n0 (-1,1)\n"
@@ -187,19 +186,46 @@ def test_zero_distance_means_equal(rng):
         A = random_barcode(rng, max_bars=4)
         B = random_barcode(rng, max_bars=4)
         if distance_with_matching(A, B)[0] == 0.0:
-            assert A.approx_eq(B)
+            assert A == B
     shuffled = parse_barcode("0 [0,1]\n0 (2,3)\n1 [4,5)\n")
     again = parse_barcode("1 [4,5)\n0 (2,3)\n0 [0,1]\n")
     assert distance_with_matching(shuffled, again)[0] == 0.0
 
 
-def _restrict(b: Barcode, part: str) -> Barcode:
-    keep = {
-        "C": (Kind.C_OPEN, Kind.C_CLOSED),
-        "R": (Kind.R,),
-        "L": (Kind.L,),
-    }[part]
-    return Barcode(tuple(g for g in b if classify(g.interval) in keep))
+def test_one_ulp_apart_is_a_positive_distance(rng):
+    # d = 0 exactly when A == B, off the grid and at every magnitude: a zero
+    # cost joins two bars only at one point of one slot and class, ``point``
+    # is injective and every deletion cost is positive.  So moving one finite
+    # end of one bar by one ulp, in either direction, leaves d > 0
+    pairs = 0
+    for _ in range(4_000):
+        scale = 2.0 ** rng.randrange(-1000, 1015)
+        bars = []
+        for g in random_barcode(rng, max_bars=5):  # rays and the line included
+            lo, hi, lc, hc = g.interval
+            bar = GradedInterval(Interval(lo * scale, hi * scale, lc, hc), g.degree)
+            bars += [bar] * rng.randrange(1, 3)  # some bars twice
+        ends = [(k, e) for k, g in enumerate(bars) for e in (0, 1) if abs(g.interval[e]) < INF]
+        if not ends:
+            continue
+        k, e = rng.choice(ends)
+        lo, hi, lc, hc = bars[k].interval
+        toward = rng.choice((-INF, INF))
+        if lo == hi and (e == 0) == (toward == INF):  # a single point [x,x] only widens
+            toward = -toward
+        moved = [lo, hi]
+        moved[e] = math.nextafter(moved[e], toward)
+        A = Barcode(tuple(bars))
+        B = Barcode((*bars[:k], GradedInterval(Interval(*moved, lc, hc), bars[k].degree),
+                     *bars[k + 1:]))
+        assert A != B
+        assert distance_with_matching(A, B)[0] > 0, (A, B)
+        pairs += 1
+    assert pairs > 3_000
+
+
+def _restrict(b: Barcode, side: str) -> Barcode:
+    return Barcode(tuple(g for g in b if point(g)[0][0] == side))
 
 
 def test_clr_independence(rng):
@@ -208,7 +234,8 @@ def test_clr_independence(rng):
         B = random_barcode(rng, max_bars=5)
         whole = distance_with_matching(A, B)[0]
         parts = max(
-            distance_with_matching(_restrict(A, p), _restrict(B, p))[0] for p in "CRL"
+            distance_with_matching(_restrict(A, p), _restrict(B, p))[0]
+            for p in ("central", "R", "L")
         )
         assert whole == parts
 

@@ -2,7 +2,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-MOVE_DIGEST = Path(__file__).parent.parent / "tools" / "move_digest.py"
+TOOLS = Path(__file__).parent.parent / "tools"
+MOVE_DIGEST, PARSE_DIGEST = TOOLS / "move_digest.py", TOOLS / "parse_digest.py"
 
 LINES = [
     "match|0x0.0p+0 0x1.0000000000000p+0 10 0|0x0.0p+0 0x1.0000000000000p+1 10 0|->|0x1.0p-1||"
@@ -13,11 +14,22 @@ LINES = [
 ]
 
 
-def _compare(tmp_path, a, b):
+# [0,1)@0 convolved by 0.5 is [-0.5,0.5)@0
+CONVOLVE = ("convolve|0x0.0p+0 0x1.0000000000000p+0 10 0|0x1.0000000000000p-1|->|"
+            "-0x1.0000000000000p-1 0x1.0000000000000p-1 10 0")
+PARSE_LINES = [
+    "halfopen|1:000F|0x0.0p+0 0x1.0000000000000p+0 10 0 ; 0x0.0p+0 inf 10 1",
+    "fixture|circle_f.gbc|-0x1.0000000000000p+0 0x1.0000000000000p+0 11 0",
+    "fuzz|0|E line 1: bad degree 'x'",
+    "fuzz|1|",
+]
+
+
+def _compare(tmp_path, a, b, tool=MOVE_DIGEST):
     pa, pb = tmp_path / "a.txt", tmp_path / "b.txt"
     pa.write_text("".join(line + "\n" for line in a), encoding="utf-8")
     pb.write_text("".join(line + "\n" for line in b), encoding="utf-8")
-    return subprocess.run([sys.executable, str(MOVE_DIGEST), "compare", str(pa), str(pb)],
+    return subprocess.run([sys.executable, str(tool), "compare", str(pa), str(pb)],
                           capture_output=True, text=True)
 
 
@@ -52,3 +64,39 @@ def test_move_digest_compare_refuses_a_different_solve_line(tmp_path):
     assert out.returncode == 1
     assert "solve: 1 calls, 1 different" in out.stdout
     assert "match: 1 calls, 0 different" in out.stdout
+
+
+def test_move_digest_compare_refuses_a_badly_rounded_convolve(tmp_path):
+    # a digest compared with itself has no difference, but a convolve result
+    # one ulp off the correctly rounded end is no correct result
+    assert _compare(tmp_path, [*LINES, CONVOLVE], [*LINES, CONVOLVE]).returncode == 0
+    off = [*LINES, CONVOLVE.replace("0x1.0000000000000p-1 10", "0x1.0000000000001p-1 10")]
+    out = _compare(tmp_path, off, off)
+    assert out.returncode == 1
+    assert "convolve: 1 calls, 0 different" in out.stdout
+    assert "convolve results correctly rounded or errors: a 0, b 0" in out.stdout
+
+
+def test_parse_digest_compare_equal(tmp_path):
+    out = _compare(tmp_path, PARSE_LINES, PARSE_LINES, PARSE_DIGEST)
+    assert out.returncode == 0
+    assert "halfopen: 1 parses (0 ParseErrors in a), 0 different" in out.stdout
+    assert "fuzz: 2 parses (1 ParseErrors in a), 0 different" in out.stdout
+    assert "lengths differ" not in out.stdout
+
+
+def test_parse_digest_compare_refuses_a_truncated_digest(tmp_path):
+    for a, b in [(PARSE_LINES, PARSE_LINES[:3]), (PARSE_LINES[:3], PARSE_LINES)]:
+        out = _compare(tmp_path, a, b, PARSE_DIGEST)
+        assert out.returncode == 1
+        assert "fixture: 1 parses (0 ParseErrors in a), 0 different" in out.stdout
+        assert f"lengths differ: a {len(a)} lines, b {len(b)}" in out.stdout
+
+
+def test_parse_digest_compare_refuses_a_different_parse(tmp_path):
+    # an error message that differs is a different parse, as a bar is
+    other = [*PARSE_LINES[:2], "fuzz|0|E line 1: bad degree 'y'", PARSE_LINES[3]]
+    out = _compare(tmp_path, PARSE_LINES, other, PARSE_DIGEST)
+    assert out.returncode == 1
+    assert "fuzz: 2 parses (1 ParseErrors in a), 1 different" in out.stdout
+    assert "halfopen: 1 parses (0 ParseErrors in a), 0 different" in out.stdout

@@ -27,8 +27,9 @@ also checks every result against the exact rule, each finite end being
 into "a collapse or over-shrink that b rounds correctly and a does not",
 "a raised an empty-interval error and b returns a correctly rounded
 bar", or unexplained.  It exits 1 when a ``pair_path``, ``interpolate``,
-``match`` or ``solve`` line differs, a difference is unexplained, or the
-digests differ in length.
+``match`` or ``solve`` line differs, a difference is unexplained, one of
+b's ``convolve`` results is neither an error nor correctly rounded, or
+the digests differ in length.
 """
 
 from __future__ import annotations
@@ -280,12 +281,15 @@ def compare(path_a: str, path_b: str) -> int:
     for kind in calls:
         print(f"{kind}: {calls[kind]} calls, {diffs[kind]} different")
     print(f"convolve results correctly rounded or errors: a {exact['a']}, b {exact['b']}")
+    wrong = calls["convolve"] - exact["b"]
+    if wrong:
+        print(f"b: {wrong} convolve results neither errors nor correctly rounded")
     for reason, n in why.items():
         print(f"  {n}: {reason}")
     if len(lines_a) != len(lines_b):
         print(f"lengths differ: a {len(lines_a)} lines, b {len(lines_b)}")
         return 1
-    return 1 if why["unexplained"] else 0
+    return 1 if why["unexplained"] or wrong else 0
 
 
 if __name__ == "__main__":
