@@ -15,11 +15,13 @@ from collections import namedtuple
 from .intervals import (
     _BY_KEY,
     _DEGREE,
+    _DEGREE_DIGITS,
     _INTERVAL,
     _LIMIT,
     GradedInterval,
     ParseError,
     _Frozen,
+    _degree,
     _graded,
     _src_shape,
     _text,
@@ -29,12 +31,14 @@ from .intervals import (
 )
 
 # one match per line of a text whose lines are joined by ``\n``: a line of a
-# degree and a literal, with ``[ \t]`` padding and an optional comment (the
-# grammars of ``_DEGREE`` and ``_INTERVAL``), gives its five fields, and any
-# other line five empty strings.  Possessive like ``_FINITE``: a line that
-# is not of the first kind fails it without backtracking, then ``.*`` takes it
+# degree of at most ``_DEGREE_DIGITS`` digits and a literal, with ``[ \t]``
+# padding and an optional comment (the grammars of ``_DEGREE`` and
+# ``_INTERVAL``), gives its five fields, and any other line five empty
+# strings.  Possessive like ``_FINITE``: a line that is not of the first kind
+# fails it without backtracking, then ``.*`` takes it
 _LINES = re.compile(
-    rf"^(?:[ \t]*+(-?+[0-9]++)[ \t]++{_INTERVAL}[ \t]*+(?:#.*+)?+|.*)$", re.ASCII | re.MULTILINE
+    rf"^(?:[ \t]*+(-?+[0-9]{{1,{_DEGREE_DIGITS}}}+)[ \t]++{_INTERVAL}[ \t]*+(?:#.*+)?+|.*)$",
+    re.ASCII | re.MULTILINE,
 ).findall
 
 
@@ -86,8 +90,9 @@ def parse_barcode(text: str) -> Barcode:
     A line reads as exactly the bar ``Interval`` builds from its literal,
     so a bar of any positive width is kept; a line ``Interval`` refuses
     (an empty interval, a closed flag on an infinite end, a finite end of
-    magnitude 2**1022 or more) or that is malformed is a ParseError
-    naming the line and the literal or number at fault.
+    magnitude 2**1022 or more), a degree of more than 4,299 digits, or a
+    line that is malformed is a ParseError naming the line and the
+    literal, number or degree at fault.
 
     The text is read in one scan: its lines, as ``str.splitlines`` cuts
     them, are joined by ``\n`` and ``_LINES`` gives one match per line.
@@ -130,8 +135,8 @@ def _read_line(ln: int, raw: str) -> GradedInterval | None:
     if _DEGREE(deg_tok) is None:
         raise ParseError(f"line {ln}: bad degree {deg_tok!r}")
     try:
-        return GradedInterval(parse_interval(iv_tok), int(deg_tok))
-    except ValueError as exc:  # a ParseError, or ``int`` refusing a degree of too many digits
+        return GradedInterval(parse_interval(iv_tok), _degree(deg_tok))
+    except ValueError as exc:  # a ParseError, or a degree of too many digits
         raise ParseError(f"line {ln}: {exc}") from None
 
 

@@ -20,6 +20,8 @@ from the window geometry alone.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from .intervals import _LIMIT, GradedInterval, Interval, bar_at, point
 from .barcode import Barcode
 
@@ -32,8 +34,9 @@ def convolve_interval(gi: GradedInterval, eps: float) -> GradedInterval:
     crosses it (eps < -half-width), both as the rounded ends decide.  A
     result endpoint of magnitude 2**1022 or more, which the parser would
     refuse, is a ValueError, and so is a half-open bar whose ends round
-    onto each other; each names the bar and eps.  Infinite endpoints stay
-    infinite.
+    onto each other; each names the bar and eps.  ``bar_at`` refuses both;
+    only then is the range tested, to tell the two apart.  Infinite
+    endpoints stay infinite.
     """
     slot, cls, u, v = point(gi)
     side = slot[0]
@@ -43,17 +46,19 @@ def convolve_interval(gi: GradedInterval, eps: float) -> GradedInterval:
         u, v = u - eps, v - eps
     else:
         u, v = u + eps, v + eps
-    # the coordinate of an infinite end is ignored; only a finite one can run out of range
-    if (abs(u) >= _LIMIT and not cls & 1) or (abs(v) >= _LIMIT and not cls & 2):
-        raise ValueError(f"convolving {gi} by eps={eps!r} moves an endpoint to 2**1022 or beyond")
     try:
         return bar_at(slot, cls, u, v)
     except ValueError as exc:
+        # bar_at refuses every finite end at 2**1022 or beyond; the coordinate
+        # of an infinite end is ignored, so only a finite one runs out of range
+        if (abs(u) >= _LIMIT and not cls & 1) or (abs(v) >= _LIMIT and not cls & 2):
+            raise ValueError(f"convolving {gi} by eps={eps!r} moves an endpoint "
+                             "to 2**1022 or beyond") from None
         raise ValueError(f"convolving {gi} by eps={eps!r}: {exc}") from None
 
 
 def convolve_barcode(b: Barcode, eps: float) -> Barcode:
-    return Barcode(tuple(convolve_interval(g, eps) for g in b))
+    return Barcode(tuple(map(convolve_interval, b.bars, repeat(eps))))
 
 
 def stalk_type(gi: GradedInterval, eps: float, x: float) -> dict[int, int]:

@@ -112,7 +112,8 @@ def _positions(plan, eps: float, t: float) -> list[GradedInterval]:
             te = listed
         if not 0 <= te <= c:
             raise ValueError(f"t={te} outside [0, {c}]")
-        moved = _move(source, target, c, te)
+        # a finished entry is its target (None for a deletion), as ``_move`` returns
+        moved = target if te == c != 0 else _move(source, target, c, te)
         if moved is not None:
             bars.append(moved)
     return bars

@@ -28,8 +28,11 @@ set when it is built and neither cached later:
 A bar is built from its interval and degree or, by ``bar_at``, from its
 point (the inverse of ``point``, and the one place a moved point becomes
 a bar again); both apply ``Interval``'s rule, and a refused bar raises
-``Interval``'s message.  ``bar_at`` also refuses a point with a finite
-end's coordinate at an infinity, which no bar of its class has.
+``Interval``'s message.  ``bar_at`` builds the key and point of a finite
+central point, or of a class-0 point with ``u < v``, directly, as
+``_graded`` would; rays, the line and every point it refuses go through
+``_graded``.  It also refuses a point with a finite end's coordinate at
+an infinity, which no bar of its class has.
 
 Every value here is immutable; all operations are pure functions.  The
 records are written out by hand rather than with ``dataclasses``, whose
@@ -330,11 +333,25 @@ def bar_at(slot: tuple[str, int], cls: int, u: float, v: float) -> GradedInterva
     finite end (both in a central slot, ``u`` unless ``cls & 1``, ``v``
     unless ``cls & 2``) at an infinity is a ValueError naming the point,
     as no bar of that slot and class lies there; any other end out of
-    range is ``Interval``'s ValueError.  The bar is built by ``_graded``,
-    which applies ``Interval``'s rule, builds no ``Interval`` and, told the
-    class asked for, refuses a bar of another; a point with every
-    coordinate finite passes no further check."""
+    range is ``Interval``'s ValueError.
+
+    A central point with both coordinates below 2**1022 in magnitude, and
+    a class-0 point with ``-2**1022 < u < v < 2**1022``, is a bar
+    ``Interval`` admits: its key and point are built here, exactly as
+    ``_graded`` would build them, with the slot tuple taken from the
+    ``_Slots`` table.  Every other point (rays, the line, and each point
+    refused) goes through ``_graded``, which applies ``Interval``'s rule
+    and, told the class asked for, refuses a bar of another."""
     side, m = slot
+    if side == "central":
+        if -_LIMIT < u < _LIMIT and -_LIMIT < v < _LIMIT:
+            if u > v:
+                return _new(GradedInterval, ((m, v, True, u, True), (_CENTRAL[m], 4, u, v)))
+            return _new(GradedInterval, ((m + 1, u, False, v, False), (_CENTRAL[m], 4, u, v)))
+    elif not cls and -_LIMIT < u < v < _LIMIT:
+        if side == "R":
+            return _new(GradedInterval, ((m, u, False, v, True), (_R[m], 0, u, v)))
+        return _new(GradedInterval, ((m, u, True, v, False), (_L[m], 0, u, v)))
     try:
         if side == "central":
             if u > v:
@@ -395,7 +412,21 @@ _FINITE = r"[+-]?+(?:\d++(?:\.\d*+)?+|\.\d++)(?:[eE][+-]?+\d++)?+"
 _NUMBER = re.compile(_FINITE, re.ASCII).fullmatch
 _INTERVAL = rf"([\[\(])({_FINITE}|[+-]?+inf),({_FINITE}|[+-]?+inf)([\]\)])"
 _DEGREE = re.compile(r"-?[0-9]+").fullmatch  # the one degree grammar of every reader
+# the most digits a degree may have.  The commands print degrees one away from
+# a bar's (``match``'s central slot, ``gamma``'s sections, ``convolve``'s
+# collapse), and one away from 4,300 digits can need 4,301, which ``str``
+# refuses (``sys.get_int_max_str_digits``)
+_DEGREE_DIGITS = 4299
 _SHAPE = re.compile(r"([\[\(])([^,\s]+),([^,\s]+)([\]\)])").fullmatch
+
+
+def _degree(tok: str) -> int:
+    """The degree ``tok``, a match of ``_DEGREE``, reads as; more than
+    ``_DEGREE_DIGITS`` digits is a ValueError."""
+    digits = len(tok) - (tok[:1] == "-")
+    if digits > _DEGREE_DIGITS:
+        raise ValueError(f"degree of {digits} digits: a degree has at most {_DEGREE_DIGITS}")
+    return int(tok)
 
 
 def parse_number(tok: str) -> float:
@@ -412,13 +443,14 @@ def parse_number(tok: str) -> float:
 
 
 def fmt_number(x: float) -> str:
-    if x == INF:
-        return "inf"
-    if x == -INF:
-        return "-inf"
-    if x == int(x) and abs(x) < 1e15:
+    """``x`` as the ``.gbc`` text writes it: an integral value below 1e15 in
+    magnitude as an integer (``-0.0`` as ``0``), anything else, ``inf`` and
+    ``-inf`` included, by ``repr``.  ``repr`` of such a value is its digits
+    and ``.0``, so that suffix is the test."""
+    s = repr(x)
+    if s[-2:] == ".0" and -1e15 < x < 1e15:
         return str(int(x))
-    return repr(x)
+    return s
 
 
 def _text(lo: float, lo_open: bool, hi: float, hi_open: bool) -> str:
@@ -452,7 +484,7 @@ def parse_graded_interval(text: str) -> GradedInterval:
         raise ParseError(f"bad degree in {text!r}")
     interval = parse_interval(body)
     try:
-        degree = int(deg) if at else 0
-    except ValueError as exc:  # a degree of more digits than ``int`` reads
+        degree = _degree(deg) if at else 0
+    except ValueError as exc:  # too many digits
         raise ParseError(f"bad degree in {text!r}: {exc}") from None
     return GradedInterval(interval, degree)

@@ -22,6 +22,7 @@ from .intervals import (
     _DEGREE,
     GradedInterval,
     ParseError,
+    _degree,
     bar_at,
     fmt_number,
     parse_number,
@@ -85,7 +86,9 @@ def from_persistence(diagram: PersistenceDiagram, side: str) -> tuple[GradedInte
 
 
 def parse_diagrams(text: str) -> tuple[PersistenceDiagram, ...]:
-    """Parse a ``.pdg`` file into one diagram per degree."""
+    """Parse a ``.pdg`` file into one diagram per degree.  A malformed
+    line, or a degree of more than 4,299 digits, is a ParseError naming
+    the line."""
     by_degree: dict[int, list[tuple[float, float]]] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -97,7 +100,7 @@ def parse_diagrams(text: str) -> tuple[PersistenceDiagram, ...]:
         if _DEGREE(fields[0]) is None:
             raise ParseError(f"line {ln}: bad degree {fields[0]!r}")
         try:
-            degree = int(fields[0])
+            degree = _degree(fields[0])
             birth = parse_number(fields[1])
             death = parse_number(fields[2])
         except ValueError as exc:

@@ -83,21 +83,26 @@ def test_degrees_are_ascii_integers_in_every_reader(tok):
 
 
 def test_a_degree_too_long_for_int_is_a_parse_error_in_every_reader():
-    # the grammar admits any run of digits; int() refuses more than 4,300
-    # of them (sys.get_int_max_str_digits), which each reader names
-    deg = "1" * 5000
-    with pytest.raises(ParseError) as exc:
-        parse_barcode(f"0 [0,1)\n{deg} [0,1)\n")
-    assert str(exc.value).startswith("line 2: Exceeds the limit (4300 digits)")
-    text = f"[0,1)@{deg}"
-    with pytest.raises(ParseError) as exc:
-        parse_graded_interval(text)
-    assert str(exc.value).startswith(f"bad degree in {text!r}: Exceeds the limit (4300 digits)")
-    with pytest.raises(ParseError) as exc:
-        parse_diagrams(f"0 0 1\n{deg} 0 1\n")
-    assert str(exc.value).startswith("line 2: Exceeds the limit (4300 digits)")
-    # 4,300 digits still read
-    assert parse_barcode(f"{'1' * 4300} [0,1)").bars[0].degree == int("1" * 4300)
+    # the grammar admits any run of digits; every reader refuses more than
+    # 4,299 of them, so that a degree one away still prints (``str`` refuses
+    # more than 4,300 digits, sys.get_int_max_str_digits), and names it
+    for deg in ("1" * 5000, "-" + "9" * 4300, "0" * 4299 + "1"):
+        why = f"degree of {len(deg.lstrip('-'))} digits: a degree has at most 4299"
+        with pytest.raises(ParseError) as exc:
+            parse_barcode(f"0 [0,1)\n{deg} [0,1)\n")
+        assert str(exc.value) == f"line 2: {why}"
+        text = f"[0,1)@{deg}"
+        with pytest.raises(ParseError) as exc:
+            parse_graded_interval(text)
+        assert str(exc.value) == f"bad degree in {text!r}: {why}"
+        with pytest.raises(ParseError) as exc:
+            parse_diagrams(f"0 0 1\n{deg} 0 1\n")
+        assert str(exc.value) == f"line 2: {why}"
+    # 4,299 digits still read, in every reader and with either sign
+    for deg in ("1" * 4299, "-" + "9" * 4299):
+        assert parse_barcode(f"{deg} [0,1)").bars[0].degree == int(deg)
+        assert parse_graded_interval(f"[0,1)@{deg}").degree == int(deg)
+        assert parse_diagrams(f"{deg} 0 1")[0].degree == int(deg)
 
 
 def test_degree_grammar():
@@ -109,7 +114,8 @@ def test_degree_grammar():
 
 def _reference_parse(text: str) -> Barcode:
     """The field-by-field line reader ``parse_barcode`` had before it read
-    a line in one match, kept as the reference for the one that does."""
+    a line in one match, with the readers' limit of 4,299 degree digits
+    written out, kept as the reference for the one that does."""
     bars = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -122,7 +128,10 @@ def _reference_parse(text: str) -> Barcode:
         if _DEGREE(deg_tok) is None:
             raise ParseError(f"line {ln}: bad degree {deg_tok!r}")
         try:
-            bars.append(GradedInterval(parse_interval(iv_tok), int(deg_tok)))
+            interval, digits = parse_interval(iv_tok), len(deg_tok.lstrip("-"))
+            if digits > 4299:
+                raise ValueError(f"degree of {digits} digits: a degree has at most 4299")
+            bars.append(GradedInterval(interval, int(deg_tok)))
         except ValueError as exc:
             raise ParseError(f"line {ln}: {exc}") from None
     return Barcode(tuple(bars))
@@ -136,7 +145,9 @@ def _tokens(*pools: list[str]):
     return st.sampled_from(pools).flatmap(st.sampled_from)
 
 
-_DEGREES = _tokens(["0", "-1", "12", "007", "-0"], ["0"], ["+1", "1_0", "\u0661", "x", ""])
+# the last pool: malformed degrees, and the longest the readers take and one digit past it
+_DEGREES = _tokens(["0", "-1", "12", "007", "-0"], ["0"],
+                   ["+1", "1_0", "\u0661", "x", "", "9" * 4299, "-" + "9" * 4300])
 _END_POOLS = (
     ["0", "1", "-2", "0.5", ".5", "1.", "-1e-3", "1E2", "inf", "+inf", "-inf"],
     # a finite value must be below 2**1022, 4.4942328371557898e307

@@ -110,7 +110,35 @@ def test_a_degree_too_long_for_int_exits_2(tmp_path):
         out = run_cli(*args)
         assert out.returncode == 2 and out.stdout == ""
         assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
-        assert "Exceeds the limit (4300 digits)" in out.stderr
+        assert "degree of 5000 digits: a degree has at most 4299" in out.stderr
+
+
+def test_a_degree_one_away_from_the_limit_still_prints(tmp_path):
+    # every command prints a degree one away from a bar's, and one away from
+    # a degree of 4,300 digits can need 4,301, which ``str`` refuses: the
+    # readers refuse 4,300 digits, and convolve a result of that many
+    nines = "9" * 4300
+    closed = gbc(tmp_path, "closed.gbc", f"-{nines} [0,1]\n")
+    open_ = gbc(tmp_path, "open.gbc", f"{nines} (0,1)\n")
+    for args in (("match", closed, closed), ("gamma", open_), ("convolve", open_, "--eps", "1")):
+        out = run_cli(*args)
+        assert out.returncode == 2 and out.stdout == "", args
+        assert out.stderr == "error: line 1: degree of 4300 digits: a degree has at most 4299\n"
+    nines = nines[1:]
+    closed = gbc(tmp_path, "closed.gbc", f"-{nines} [0,1]\n")
+    open_ = gbc(tmp_path, "open.gbc", f"{nines} (0,1)\n")
+    out = run_cli("match", closed, closed)
+    assert out.returncode == 0 and out.stderr == ""
+    assert out.stdout.splitlines() == ["0", f"C -1{'0' * 4299} [0,1]@-{nines} [0,1]@-{nines} 0"]
+    for flag in ((), ("--compact",)):
+        out = run_cli("gamma", open_, *flag)
+        assert out.returncode == 0 and out.stdout == f"1{'0' * 4299} 1\n"
+    # the open bar collapses one degree up, the closed bar over-shrinks one down
+    for path, eps, bar in ((open_, "1", f"(0,1)@{nines}"), (closed, "-1", f"[0,1]@-{nines}")):
+        out = run_cli("convolve", path, "--eps", eps)
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr == (f"error: --eps {eps} takes {bar} out of range: its degree would "
+                              "have more than 4299 digits\n")
 
 
 def test_missing_file_is_io_error():

@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import dyadic, random_barcode, random_graded
+from conftest import dyadic, perturbed_barcode, random_barcode, random_graded
 from sheafdist import (
     Barcode,
     GradedInterval,
     Interval,
     convolve_barcode,
     convolve_interval,
+    distance_with_matching,
     global_sections,
     parse_barcode,
     parse_graded_interval,
@@ -141,6 +142,29 @@ def test_semigroup_law_exact(rng):
         one_step = convolve_interval(g, e1 + e2)
         two_step = convolve_interval(convolve_interval(g, e1), e2)
         assert one_step == two_step, (g, e1, e2)
+
+
+def test_smoothing_both_sides_alike_keeps_the_distance(rng):
+    # convolving by a translates every point of a slot and class by one
+    # vector, and each cost is an L-infinity distance within a slot and
+    # class or a point's distance to the diagonal; on the dyadic grid every
+    # sum is exact, so d(F*a, G*a) == d(F, G) and the witness costs agree
+    # bit for bit: rays and the line, open bars that collapse (a past their
+    # half-width) and closed bars that over-shrink (-a past theirs)
+    moved = {"collapse": 0, "over-shrink": 0}
+    for _ in range(1500):
+        F = random_barcode(rng, 8)
+        G = perturbed_barcode(rng, F) if rng.random() < 0.7 else random_barcode(rng, 8)
+        a = dyadic(rng, -3, 3)
+        Fa, Ga = convolve_barcode(F, a), convolve_barcode(G, a)
+        d, m = distance_with_matching(F, G)
+        da, ma = distance_with_matching(Fa, Ga)
+        assert da.hex() == d.hex(), (F, G, a)
+        assert sorted(c.hex() for _, _, c in ma.pairs) == sorted(c.hex() for _, _, c in m.pairs)
+        for g in F.bars + G.bars:
+            if convolve_interval(g, a).degree != g.degree:
+                moved["collapse" if a > 0 else "over-shrink"] += 1
+    assert all(n > 100 for n in moved.values()), moved
 
 
 def test_inverse_law(rng):

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +12,7 @@ from sheafdist import (
     parse_interval,
 )
 from sheafdist.intervals import (
+    _SLOTS_KEPT,
     INF,
     bar_at,
     fmt_number,
@@ -131,6 +133,43 @@ def test_number_formatting():
     for tok in ("1e400", "-1e400", "1.5e308", "4.5e307"):
         with pytest.raises(ParseError):
             parse_number(tok)
+
+
+def _old_fmt_number(x: float) -> str:
+    """The number rule ``fmt_number`` had, written out: the infinities by
+    name, an integral value below 1e15 in magnitude as an integer, else
+    ``repr``."""
+    if x == INF:
+        return "inf"
+    if x == -INF:
+        return "-inf"
+    if x == int(x) and abs(x) < 1e15:
+        return str(int(x))
+    return repr(x)
+
+
+def test_fmt_number_keeps_the_written_out_rule(rng):
+    assert fmt_number(-0.0) == "0"
+    assert fmt_number(1e15) == "1000000000000000.0"
+    assert fmt_number(999999999999999.0) == "999999999999999"
+    assert fmt_number(math.nan) == "nan"  # never formatted; the old rule raised
+    edges = [0.0, -0.0, 1e15, -1e15, 999999999999999.0, -999999999999999.0, 1e16,
+             math.nextafter(1e15, 0), math.nextafter(1e15, INF), 0.5, 1e-5, 5e-324, -5e-324,
+             JUST_UNDER, -JUST_UNDER, INF, -INF]
+    draws = []
+    while len(draws) < 20_000:
+        kind = rng.randrange(3)
+        if kind == 0:  # any finite float: random bits, every exponent
+            x = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+            if not math.isfinite(x):
+                continue
+        else:  # integral at magnitudes up to 2**70, or half a unit past
+            k = rng.randrange(71)
+            x = float(rng.randrange(-2**k, 2**k + 1)) + (0.5 if kind == 2 else 0.0)
+        draws.append(x)
+    assert sum(x == int(x) and abs(x) < 1e15 for x in draws) > 3_000
+    for x in edges + draws:
+        assert fmt_number(x) == _old_fmt_number(x), x
 
 
 @given(st.floats(-50, 50), st.floats(-50, 50))
@@ -262,9 +301,14 @@ def _canonical(slot, cls, u, v):
     return slot, cls, (0.0 if cls & 1 else u), (0.0 if cls & 2 else v)
 
 
+def _hexed(fields: tuple) -> tuple:
+    return tuple(x.hex() if isinstance(x, float) else x for x in fields)
+
+
 @pytest.mark.parametrize("slot, classes", [
     (("central", -1), (4,)), (("central", 2), (4,)), (("R", 0), (0, 1, 2, 3)),
     (("L", 3), (0, 1, 2, 3)), (("R", -2), (0, 1, 2, 3)),
+    (("central", 10**30), (4,)), (("L", -5000), (0, 1, 2, 3)),
 ], ids=lambda x: str(x).replace(" ", "").replace("'", ""))
 def test_bar_at_agrees_with_the_interval_constructor(slot, classes):
     # every point, on and off the grid, in range or not: a point with a
@@ -298,6 +342,11 @@ def test_bar_at_agrees_with_the_interval_constructor(slot, classes):
                     continue
                 g = bar_at(slot, cls, u, v)
                 assert g == want and g.key == want.key and point(g) == point(want)
+                # bit for bit, the sign of zero included
+                assert _hexed(g.key) == _hexed(want.key) and _hexed(point(g)) == _hexed(point(want))
+                if abs(slot[1]) <= _SLOTS_KEPT:  # the slot's one tuple, whatever tuple is passed
+                    assert point(g)[0] is point(want)[0]
+                    assert point(bar_at(tuple([*slot]), cls, u, v))[0] is point(want)[0]
                 assert str(g) == str(want) and repr(g) == repr(want)
                 p = point(g)
                 assert point(bar_at(*p)) == p and bar_at(*p) == g

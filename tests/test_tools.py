@@ -3,6 +3,7 @@ import sys
 from pathlib import Path
 
 TOOLS = Path(__file__).parent.parent / "tools"
+FIXTURES = Path(__file__).parent / "fixtures"
 MOVE_DIGEST, PARSE_DIGEST = TOOLS / "move_digest.py", TOOLS / "parse_digest.py"
 
 LINES = [
@@ -64,6 +65,45 @@ def test_move_digest_compare_refuses_a_different_solve_line(tmp_path):
     assert out.returncode == 1
     assert "solve: 1 calls, 1 different" in out.stdout
     assert "match: 1 calls, 0 different" in out.stdout
+
+
+# a cli line: the command, its exit code, stdout's sha256 and line count, and stderr
+CLI = ("cli|dist circle_f.gbc circle_g.gbc|0|"
+       "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865 1|")
+
+
+def test_move_digest_compare_refuses_a_different_cli_line(tmp_path):
+    assert _compare(tmp_path, [*LINES, CLI], [*LINES, CLI]).returncode == 0
+    for other in (CLI.replace("|0|", "|1|"), CLI.replace(" 1|", " 2|"), CLI + "error: x"):
+        out = _compare(tmp_path, [*LINES, CLI], [*LINES, other])
+        assert out.returncode == 1
+        assert "cli: 1 calls, 1 different" in out.stdout
+        assert "match: 1 calls, 0 different" in out.stdout
+
+
+def test_move_digest_cli_section_runs_the_commands(tmp_path):
+    # the section's first lines: the fixture pair through every command
+    sys.path.insert(0, str(TOOLS))
+    try:
+        import move_digest
+    finally:
+        sys.path.remove(str(TOOLS))
+    from sheafdist.cli import main
+
+    lines = [move_digest._cli_line(main, FIXTURES, argv) for argv in (
+        ["dist", "circle_f.gbc", "circle_g.gbc"], ["convolve", "circle_f.gbc", "--eps", "1e308"],
+        ["convolve", "circle_f.gbc"], ["dist", "missing.gbc", "circle_g.gbc"])]
+    assert lines[0] == CLI
+    assert lines[1].startswith("cli|convolve circle_f.gbc --eps 1e308|2|")
+    assert lines[1].endswith(" 0|error: --eps 1e+308 takes [-1,1]@0 out of range: an endpoint "
+                             "reaches 2**1022 or rounding empties the bar")
+    # argparse's usage error, a SystemExit, is caught, and its lines are joined by \\n
+    code, _, err = lines[2].split("|")[2:]
+    assert code == "2" and err.startswith("usage: ") and "\n" not in err
+    assert err.endswith("\\nsheafdist convolve: error: the following arguments are required: --eps")
+    assert lines[3].split("|")[2:4] == [
+        "2", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 0"]
+    assert "<tmp>/missing.gbc" in lines[3] and str(FIXTURES) not in lines[3]
 
 
 def test_move_digest_compare_refuses_a_badly_rounded_convolve(tmp_path):

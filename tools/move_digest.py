@@ -13,9 +13,16 @@ benchmark cases of seeds 1-3, seed 1's ``halfopen`` ladder rungs from 50
 to 5,000 bars per side and one 800-bar central slot, all generated by
 ``perfbench/gen.py`` as ``perfbench/run.py`` generates them, and
 fixed-seed draws whose ends include both zeros, with first coordinates
-tied across the sides and pairs exactly at the per-pair bound.  Two
-digests of the same seed list the same calls in the same order, so
-``compare`` reads them side by side.
+tied across the sides and pairs exactly at the per-pair bound.  The
+``cli`` section calls ``sheafdist.cli.main`` in-process on the fixture
+pair ``tests/fixtures/circle_{f,g}.gbc`` and the first 20 ``many_slots``
+cases of seed 1: ``validate``, ``dist``, ``match``, ``component``,
+``gamma`` (with and without ``--compact``), ``convolve`` at six ``--eps``
+(negative ones, ones that collapse open bars and one out of range
+included) and ``interpolate`` at four ``--t`` (one past the distance).
+Each line holds the command (files by name), the exit code, the sha256
+and line count of stdout, and stderr.  Two digests of the same seed list
+the same calls in the same order, so ``compare`` reads them side by side.
 
     PYTHONPATH=<tree-a>/src python3 tools/move_digest.py digest > a.txt
     PYTHONPATH=<tree-b>/src python3 tools/move_digest.py digest > b.txt
@@ -27,16 +34,20 @@ also checks every result against the exact rule, each finite end being
 into "a collapse or over-shrink that b rounds correctly and a does not",
 "a raised an empty-interval error and b returns a correctly rounded
 bar", or unexplained.  It exits 1 when a ``pair_path``, ``interpolate``,
-``match`` or ``solve`` line differs, a difference is unexplained, one of
-b's ``convolve`` results is neither an error nor correctly rounded, or
-the digests differ in length.
+``match``, ``solve`` or ``cli`` line differs, a difference is unexplained,
+one of b's ``convolve`` results is neither an error nor correctly rounded,
+or the digests differ in length.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import math
 import random
 import sys
+import tempfile
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -47,6 +58,9 @@ SHAPES = ("closed", "open", "ro", "lo", "ray+", "ray-", "oray+", "oray-", "line"
 # bars per side: the benchmark's ladder rungs, and two past them
 LADDER = (50, 100, 200, 400, 700, 1000, 1400, 2000, 3000, 5000)
 GRID = (-1.0, -0.5, -0.25, -0.0, 0.0, 0.25, 0.5, 1.0)  # both zeros, and ties on a small grid
+CLI_CASES = 20  # the many_slots cases of seed 1 the cli section runs
+# 3 collapses most open bars, -3 over-shrinks most closed ones, 1e308 leaves the range
+EPS = ("0.25", "-0.25", "1e-3", "3", "-3", "1e308")
 
 
 def _bar(shape: str, a: float, b: float, degree: int):
@@ -156,6 +170,55 @@ def solve_pairs():
         yield f"zeros {k}", *_zero_pair(rng)
 
 
+def cli_inputs():
+    """``(F name, F text, G name, G text)`` for every pair the ``cli``
+    section runs, in a fixed order."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import run
+
+    f, g = (ROOT / "tests" / "fixtures" / f"circle_{x}.gbc" for x in "fg")
+    yield f.name, f.read_text(encoding="utf-8"), g.name, g.read_text(encoding="utf-8")
+    cases = run.WORKLOADS["many_slots"].cases(random.Random("many_slots:1"), False)
+    for k, case in enumerate(cases[:CLI_CASES]):
+        yield f"{k:03d}F.gbc", case.f_text, f"{k:03d}G.gbc", case.g_text
+
+
+def _cli_line(main, tmp: Path, argv: list[str]) -> str:
+    """One ``main`` call: its command, exit code, stdout's sha256 and line
+    count, and stderr, with the files named relative to ``tmp``."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main([str(tmp / a) if a.endswith(".gbc") else a for a in argv])
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    text = stdout.getvalue()
+    lines = text.count("\n")
+    digest = f"{hashlib.sha256(text.encode()).hexdigest()} {lines}"
+    err = stderr.getvalue().replace(str(tmp), "<tmp>").rstrip("\n").replace("\n", "\\n")
+    return "|".join(("cli", " ".join(argv), str(code), digest, err))
+
+
+def cli_digest(out) -> None:
+    from sheafdist import distance_with_matching, parse_barcode
+    from sheafdist.cli import main
+
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        for f, f_text, g, g_text in cli_inputs():
+            (tmp / f).write_text(f_text, encoding="utf-8")
+            (tmp / g).write_text(g_text, encoding="utf-8")
+            d = distance_with_matching(parse_barcode(f_text), parse_barcode(g_text))[0]
+            # the last time is past the distance, an error
+            ts = ["1"] if d == INF else [repr(d * k) for k in (0.25, 0.5, 1.0, 2.0)]
+            runs = [["validate", f], ["dist", f, g], ["match", f, g], ["component", f, g],
+                    ["gamma", f], ["gamma", f, "--compact"],
+                    *(["convolve", f, "--eps", e] for e in EPS),
+                    *(["interpolate", f, g, "--t", t] for t in ts)]
+            for argv in runs:
+                print(_cli_line(main, tmp, argv), file=out)
+
+
 def digest(out) -> None:
     from sheafdist import (Barcode, convolve_interval, deletion_cost, distance_with_matching,
                            interpolate, pair_cost, pair_path, parse_barcode, part_bottleneck)
@@ -234,6 +297,8 @@ def digest(out) -> None:
             F, G = parse_barcode(F).bars, parse_barcode(G).bars
         value, pairs = part_bottleneck(F, G)
         print("solve", name, "->", value.hex(), _view(pairs), sep="|", file=out)
+
+    cli_digest(out)
 
 
 def _exact(line: str) -> bool | None:

@@ -28,9 +28,10 @@ ROOT = Path(__file__).resolve().parent.parent
 FUZZ_TEXTS = 20_000
 LINE_ENDS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
              "\u2029")
-# well-formed degrees first, then malformed ones and degrees of more digits than ``int`` reads
+# well-formed degrees first, then malformed ones, degrees of more digits than
+# ``int`` reads, and the longest degree the readers take and one digit past it
 DEGREES = ("0", "1", "-1", "12", "007", "-0", "+1", "1_0", "\u0661", "x", "", "0.5",
-           "9" * 4301, "-" + "9" * 4301)
+           "9" * 4301, "-" + "9" * 4301, "-" + "9" * 4299, "9" * 4300)
 ENDS = ("0", "1", "-2", "0.5", ".5", "1.", "-1e-3", "1E2", "1e16", "4.4e307", "-4.4e307",
         "4.4942328371557898e307", "1e400", "inf", "+inf", "-inf", "nan", "1_0", "\u0661",
         "0x1", "", "-", ".", "1e", "1e+", "++1", "0.4999999999995", "5e-324")
