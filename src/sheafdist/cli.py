@@ -14,8 +14,9 @@ unrecognized argument.  The commands that print ``.gbc`` text
 (``convolve``, ``interpolate``, ``import-diagram``) print bars that
 ``validate`` reads back exactly; a ``convolve`` result that is no bar (an
 end at 2**1022 or beyond, or a half-open bar whose ends round onto each
-other, as ``[0,1)`` by ``1e16``) or whose degree has more digits than a
-reader reads (4,299) is a parse error naming ``--eps`` and the bar.
+other, as ``[0,1)`` by ``1e16``) is a parse error naming ``--eps`` and
+the bar, and so is one whose degree has more digits than a reader reads
+(4,299), which the bar builders refuse in the readers' words.
 
 Start-up: at module level this imports only ``barcode``, ``intervals``
 and ``matching``, all that ``validate``, ``dist``, ``match`` and
@@ -31,7 +32,7 @@ import math
 import sys
 
 from .barcode import Barcode, format_barcode, global_sections, parse_barcode
-from .intervals import _DEGREE_DIGITS, _NUMBER, INF, ParseError, fmt_number, parse_graded_interval
+from .intervals import _NUMBER, INF, ParseError, fmt_number, parse_graded_interval
 from .matching import distance_with_matching, same_component
 
 
@@ -138,18 +139,16 @@ def _run(args: argparse.Namespace) -> int:
         from .convolve import convolve_interval
 
         eps = _finite("--eps", args.eps)
-        bound = 10**_DEGREE_DIGITS  # the least degree magnitude no reader reads
         out = []
         for g in _load(args.barcode):
             try:
-                h = convolve_interval(g, eps)
-            except ValueError:
-                raise ParseError(f"--eps {fmt_number(eps)} takes {g} out of range: an endpoint "
-                                 "reaches 2**1022 or rounding empties the bar") from None
-            if not -bound < h.degree < bound:
-                raise ParseError(f"--eps {fmt_number(eps)} takes {g} out of range: its degree "
-                                 f"would have more than {_DEGREE_DIGITS} digits")
-            out.append(h)
+                out.append(convolve_interval(g, eps))
+            except ValueError as exc:
+                # a degree past the readers' limit is named in their words
+                cause = str(exc)
+                why = (cause[cause.index("degree of "):] if "degree of " in cause
+                       else "an endpoint reaches 2**1022 or rounding empties the bar")
+                raise ParseError(f"--eps {fmt_number(eps)} takes {g} out of range: {why}") from None
         sys.stdout.write(format_barcode(Barcode(tuple(out))))
         return 0
 

@@ -34,9 +34,10 @@ def convolve_interval(gi: GradedInterval, eps: float) -> GradedInterval:
     crosses it (eps < -half-width), both as the rounded ends decide.  A
     result endpoint of magnitude 2**1022 or more, which the parser would
     refuse, is a ValueError, and so is a half-open bar whose ends round
-    onto each other; each names the bar and eps.  ``bar_at`` refuses both;
-    only then is the range tested, to tell the two apart.  Infinite
-    endpoints stay infinite.
+    onto each other or a result whose degree has more digits than the
+    readers take (4,299); each names the bar and eps.  ``bar_at`` refuses
+    all three; only then is the range tested, to tell them apart.
+    Infinite endpoints stay infinite.
     """
     slot, cls, u, v = point(gi)
     side = slot[0]

@@ -5,10 +5,10 @@ sentinels (``math.inf``), never the result of overflow, and an infinite
 endpoint is always stored with an open flag: ``[2, inf)`` is fine,
 ``[2, inf]`` is not constructible.  A finite endpoint lies below
 ``2**1022`` (``_LIMIT``), so no width, midpoint or cost overflows.
-These checks of ``Interval`` are the one rule that admits a bar: the
-parser reads a literal as exactly the bar ``Interval`` builds from it,
-with no tolerance, so every bar the library builds prints as text that
-reads back exactly.
+These checks of ``Interval``, with the bar builders' limit on a degree's
+digits, are the one rule that admits a bar: the parser reads a literal
+as exactly the bar ``Interval`` builds from it, with no tolerance, so
+every bar the library builds prints as text that reads back exactly.
 
 A bar (``GradedInterval``) is the pair of two immutable values, both
 set when it is built and neither cached later:
@@ -27,12 +27,17 @@ set when it is built and neither cached later:
 ``interval`` and ``degree`` are views of the key, built on each read.
 A bar is built from its interval and degree or, by ``bar_at``, from its
 point (the inverse of ``point``, and the one place a moved point becomes
-a bar again); both apply ``Interval``'s rule, and a refused bar raises
-``Interval``'s message.  ``bar_at`` builds the key and point of a finite
-central point, or of a class-0 point with ``u < v``, directly, as
-``_graded`` would; rays, the line and every point it refuses go through
-``_graded``.  It also refuses a point with a finite end's coordinate at
-an infinity, which no bar of its class has.
+a bar again).  The builders own the two rules of a bar: both apply
+``Interval``'s rule, and a refused bar raises ``Interval``'s message;
+both refuse a degree of more than ``_DEGREE_DIGITS`` (4,299) digits, in
+the readers' words ("degree of N digits: a degree has at most 4299"), so
+every bar prints as a line the readers take.  ``bar_at`` builds the key
+and point of a finite central point, or of a class-0 point with
+``u < v``, directly, as ``_graded`` would; rays, the line and every point
+it refuses go through ``_graded``.  It also refuses a point with a finite
+end's coordinate at an infinity, which no bar of its class has.  The
+parser's fast loop calls ``_graded`` itself: its grammar already limits
+a degree's digits.
 
 Every value here is immutable; all operations are pure functions.  The
 records are written out by hand rather than with ``dataclasses``, whose
@@ -53,6 +58,13 @@ from operator import itemgetter
 INF = math.inf
 
 _LIMIT = 2.0**1022  # every finite end is below it: no difference of two ends overflows
+# the most digits a degree may have.  The commands print degrees one away from
+# a bar's (``match``'s central slot, ``gamma``'s sections, ``convolve``'s
+# collapse), and one away from 4,300 digits can need 4,301, which ``str``
+# refuses (``sys.get_int_max_str_digits``)
+_DEGREE_DIGITS = 4299
+_DEGREE_MAX = 10**_DEGREE_DIGITS - 1  # the largest degree magnitude of a bar
+_DEGREE_MIN = -_DEGREE_MAX  # kept: negating a 4,300-digit int at each test costs more than it
 
 
 class ParseError(ValueError):
@@ -79,6 +91,24 @@ def _refuse(lo: float, hi: float, lo_closed: bool, hi_closed: bool) -> None:
         raise ValueError("empty interval: equal endpoints need both flags closed")
     if _LIMIT <= abs(lo) < INF or _LIMIT <= abs(hi) < INF:
         raise ValueError("endpoint out of range: a finite end must be below 2**1022")
+
+
+def _long_degree(digits: int) -> ValueError:
+    """The refusal of a degree of ``digits`` digits, more than ``_DEGREE_DIGITS``."""
+    return ValueError(f"degree of {digits} digits: a degree has at most {_DEGREE_DIGITS}")
+
+
+def _refuse_degree(degree: int) -> None:
+    """Raise ``_long_degree`` for ``degree``, beyond ``±_DEGREE_MAX``.  Its
+    digits are counted without ``str``, which refuses more than 4,300."""
+    if not isinstance(degree, int):  # NaN or an infinity
+        raise ValueError(f"degree {degree!r} out of range: a degree has at most "
+                         f"{_DEGREE_DIGITS} digits")
+    n = abs(degree)
+    digits = int((n.bit_length() - 1) * 0.3010299956639812)  # times log10(2): at most the count
+    while n >= 10**digits:
+        digits += 1
+    raise _long_degree(digits)
 
 
 class Interval(namedtuple("Interval", "lo hi lo_closed hi_closed")):
@@ -236,8 +266,9 @@ class GradedInterval(_Frozen, tuple):
     """An interval placed in a cohomological degree.
 
     The pair (interval, degree) is the atom every barcode is made of.
-    Degrees are explicit integers; no shift bookkeeping is implied by
-    the notation.
+    Degrees are explicit integers of at most 4,299 digits, the readers'
+    limit (a ValueError in their words otherwise); no shift bookkeeping
+    is implied by the notation.
 
     A bar is the tuple of its two stored fields, ``(key, point)`` (see
     the module docstring), but it equals only a bar of the same class
@@ -249,6 +280,8 @@ class GradedInterval(_Frozen, tuple):
     __match_args__ = ("interval", "degree")
 
     def __new__(cls, interval: Interval, degree: int) -> "GradedInterval":
+        if not _DEGREE_MIN <= degree <= _DEGREE_MAX:
+            _refuse_degree(degree)
         lo, hi, lo_closed, hi_closed = interval
         return _graded(lo, hi, lo_closed, hi_closed, degree)
 
@@ -286,13 +319,11 @@ class GradedInterval(_Frozen, tuple):
         return f"{self.interval}@{self.degree}"
 
 
-def _graded(lo: float, hi: float, lo_closed: bool, hi_closed: bool, degree: int,
-            want: int | None = None) -> GradedInterval:
+def _graded(lo: float, hi: float, lo_closed: bool, hi_closed: bool, degree: int) -> GradedInterval:
     """The bar ``Interval(lo, hi, lo_closed, hi_closed)@degree``, or
-    ``Interval``'s ValueError.  It stores its key and its point, which
-    holds the CLR rule: the bar's slot, shape class and plane point.
-    Given ``want``, the class ``bar_at`` asks for, a bar of another class
-    is a ValueError too.
+    ``Interval``'s ValueError; the caller has checked the degree.  It
+    stores its key and its point, which holds the CLR rule: the bar's
+    slot, shape class and plane point.
 
     ``(a,b)@m`` sits at ``(b,a)`` and ``[x,y]@m+1`` at ``(x,y)``, both
     bounded, in class 4 of slot ``("central", m)``.  Other bars lie in
@@ -315,9 +346,6 @@ def _graded(lo: float, hi: float, lo_closed: bool, hi_closed: bool, degree: int,
         if not cls:  # a single point [x,x]
             p = (_CENTRAL[degree - 1], 4, lo, hi)
         else:
-            if want is not None and cls != want:
-                raise ValueError(f"the bar {_text(lo, not lo_closed, hi, not hi_closed)}@{degree} "
-                                 f"is of class {cls}, not {want}")
             side = _R if lo_closed or (cls & 1 and not hi_closed) else _L
             p = (side[degree], cls, 0.0 if cls & 1 else lo, 0.0 if cls & 2 else hi)
     return _new(GradedInterval, ((degree, lo, not lo_closed, hi, not hi_closed), p))
@@ -335,40 +363,44 @@ def bar_at(slot: tuple[str, int], cls: int, u: float, v: float) -> GradedInterva
     as no bar of that slot and class lies there; any other end out of
     range is ``Interval``'s ValueError.
 
+    A degree of the bar beyond ``±_DEGREE_MAX`` is a ValueError in the
+    readers' words, so every bar built here prints as a line they read.
+
     A central point with both coordinates below 2**1022 in magnitude, and
-    a class-0 point with ``-2**1022 < u < v < 2**1022``, is a bar
-    ``Interval`` admits: its key and point are built here, exactly as
-    ``_graded`` would build them, with the slot tuple taken from the
-    ``_Slots`` table.  Every other point (rays, the line, and each point
-    refused) goes through ``_graded``, which applies ``Interval``'s rule
-    and, told the class asked for, refuses a bar of another."""
+    a class-0 point with ``-2**1022 < u < v < 2**1022``, in a slot whose
+    degrees ``m`` and ``m + 1`` are both in range, is a bar ``Interval``
+    admits: its key and point are built here, exactly as ``_graded``
+    would build them, with the slot tuple taken from the ``_Slots`` table.
+    Every other point (rays, the line, and each point refused) is tested
+    for an infinite coordinate of a finite end and for its degree, then
+    goes through ``_graded``, which applies ``Interval``'s rule."""
     side, m = slot
-    if side == "central":
-        if -_LIMIT < u < _LIMIT and -_LIMIT < v < _LIMIT:
-            if u > v:
-                return _new(GradedInterval, ((m, v, True, u, True), (_CENTRAL[m], 4, u, v)))
-            return _new(GradedInterval, ((m + 1, u, False, v, False), (_CENTRAL[m], 4, u, v)))
-    elif not cls and -_LIMIT < u < v < _LIMIT:
-        if side == "R":
-            return _new(GradedInterval, ((m, u, False, v, True), (_R[m], 0, u, v)))
-        return _new(GradedInterval, ((m, u, True, v, False), (_L[m], 0, u, v)))
-    try:
+    if _DEGREE_MIN <= m < _DEGREE_MAX:
         if side == "central":
-            if u > v:
-                return _graded(v, u, False, False, m, 4)
-            return _graded(u, v, True, True, m + 1, 4)
+            if -_LIMIT < u < _LIMIT and -_LIMIT < v < _LIMIT:
+                if u > v:
+                    return _new(GradedInterval, ((m, v, True, u, True), (_CENTRAL[m], 4, u, v)))
+                return _new(GradedInterval, ((m + 1, u, False, v, False), (_CENTRAL[m], 4, u, v)))
+        elif not cls and -_LIMIT < u < v < _LIMIT:
+            if side == "R":
+                return _new(GradedInterval, ((m, u, False, v, True), (_R[m], 0, u, v)))
+            return _new(GradedInterval, ((m, u, True, v, False), (_L[m], 0, u, v)))
+    # an infinite coordinate of a finite end is the point's fault, whatever the bar's
+    if (abs(u) == INF and (side == "central" or not cls & 1)) or (
+            abs(v) == INF and (side == "central" or not cls & 2)):
+        raise ValueError(f"no bar of slot {slot!r} and class {cls} lies at ({u!r}, {v!r}): "
+                         "a finite end's coordinate is infinite")
+    if side == "central":  # open above the diagonal, closed on or below it
+        lo, hi, closed, degree = (v, u, False, m) if u > v else (u, v, True, m + 1)
+        lo_closed = hi_closed = closed
+    else:
         lo = -INF if cls & 1 else u
         hi = INF if cls & 2 else v
-        if side == "R":
-            return _graded(lo, hi, lo > -INF, False, m, cls)
-        return _graded(lo, hi, False, hi < INF, m, cls)
-    except ValueError:
-        # an infinite coordinate of a finite end is the point's fault, whatever the bar's
-        if (abs(u) == INF and (side == "central" or not cls & 1)) or (
-                abs(v) == INF and (side == "central" or not cls & 2)):
-            raise ValueError(f"no bar of slot {slot!r} and class {cls} lies at ({u!r}, {v!r}): "
-                             "a finite end's coordinate is infinite") from None
-        raise
+        lo_closed, hi_closed = (lo > -INF, False) if side == "R" else (False, hi < INF)
+        degree = m
+    if not _DEGREE_MIN <= degree <= _DEGREE_MAX:
+        _refuse_degree(degree)
+    return _graded(lo, hi, lo_closed, hi_closed, degree)
 
 
 def _src_shape(iv: Interval) -> str:
@@ -412,11 +444,6 @@ _FINITE = r"[+-]?+(?:\d++(?:\.\d*+)?+|\.\d++)(?:[eE][+-]?+\d++)?+"
 _NUMBER = re.compile(_FINITE, re.ASCII).fullmatch
 _INTERVAL = rf"([\[\(])({_FINITE}|[+-]?+inf),({_FINITE}|[+-]?+inf)([\]\)])"
 _DEGREE = re.compile(r"-?[0-9]+").fullmatch  # the one degree grammar of every reader
-# the most digits a degree may have.  The commands print degrees one away from
-# a bar's (``match``'s central slot, ``gamma``'s sections, ``convolve``'s
-# collapse), and one away from 4,300 digits can need 4,301, which ``str``
-# refuses (``sys.get_int_max_str_digits``)
-_DEGREE_DIGITS = 4299
 _SHAPE = re.compile(r"([\[\(])([^,\s]+),([^,\s]+)([\]\)])").fullmatch
 
 
@@ -425,7 +452,7 @@ def _degree(tok: str) -> int:
     ``_DEGREE_DIGITS`` digits is a ValueError."""
     digits = len(tok) - (tok[:1] == "-")
     if digits > _DEGREE_DIGITS:
-        raise ValueError(f"degree of {digits} digits: a degree has at most {_DEGREE_DIGITS}")
+        raise _long_degree(digits)
     return int(tok)
 
 

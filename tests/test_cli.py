@@ -137,8 +137,8 @@ def test_a_degree_one_away_from_the_limit_still_prints(tmp_path):
     for path, eps, bar in ((open_, "1", f"(0,1)@{nines}"), (closed, "-1", f"[0,1]@-{nines}")):
         out = run_cli("convolve", path, "--eps", eps)
         assert out.returncode == 2 and out.stdout == ""
-        assert out.stderr == (f"error: --eps {eps} takes {bar} out of range: its degree would "
-                              "have more than 4299 digits\n")
+        assert out.stderr == (f"error: --eps {eps} takes {bar} out of range: degree of 4300 "
+                              "digits: a degree has at most 4299\n")
 
 
 def test_missing_file_is_io_error():

@@ -104,6 +104,19 @@ def test_bars_that_rounding_empties_are_errors_naming_bar_and_eps(literal, eps, 
     assert str(exc.value) == f"convolving {g} by eps={eps!r}: {cause}"
 
 
+def test_a_result_of_a_degree_no_reader_reads_is_an_error():
+    # (0,1)@(10**4299-1) collapses one degree up, [0,1]@(1-10**4299)
+    # over-shrinks one down: each to a degree of 4,300 digits
+    big = 10**4299
+    for g, eps in ((G(Interval.open(0.0, 1.0), big - 1), 1.0),
+                   (G(Interval.closed(0.0, 1.0), 1 - big), -1.0)):
+        with pytest.raises(ValueError) as exc:
+            convolve_interval(g, eps)
+        assert str(exc.value) == (f"convolving {g} by eps={eps!r}: degree of 4300 digits: "
+                                  "a degree has at most 4299")
+        assert convolve_interval(g, eps / 4).degree == g.degree  # no collapse: the same degree
+
+
 def test_infinite_ends_stay_in_range():
     big = 4.4e307  # just under 2**1022
     for literal, eps in [("(0,inf)@1", -big), ("(-inf,0]@1", big), ("(-inf,inf)@0", 1e308),

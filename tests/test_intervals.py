@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sheafdist import (
+    Barcode,
     GradedInterval,
     Interval,
     ParseError,
+    format_barcode,
     parse_barcode,
     parse_interval,
 )
@@ -353,6 +355,41 @@ def test_bar_at_agrees_with_the_interval_constructor(slot, classes):
                 assert p == _canonical(slot, cls, u, v)
                 admitted += 1
     assert admitted  # the table admits points in every slot
+
+
+LONG = 10**4299  # the least degree magnitude of 4,300 digits, which no reader reads
+
+
+def test_builders_refuse_a_degree_no_reader_reads():
+    # GradedInterval and bar_at refuse a degree of 4,300 digits or more, in
+    # the readers' words, so every bar they build prints as a line that
+    # reads back; a degree of 4,299 digits does
+    def refused(digits):
+        return pytest.raises(ValueError, match=f"^degree of {digits} digits: a degree has at most 4299$")
+
+    opened, closed = Interval.open(0.0, 1.0), Interval.closed(0.0, 1.0)
+    for degree, digits in ((LONG, 4300), (-LONG, 4300), (10 * LONG, 4301), (-(10**9999), 10000)):
+        with refused(digits):
+            GradedInterval(opened, degree)
+    bars = [GradedInterval(opened, LONG - 1), GradedInterval(closed, 1 - LONG)]
+    # the open bar above the diagonal keeps the slot's degree, the closed bar
+    # on or below it is one degree up
+    assert bar_at(("central", LONG - 1), 4, 1.0, 0.0) == bars[0]
+    assert bar_at(("central", -LONG), 4, 0.0, 1.0) == bars[1]
+    for u, v in ((0.0, 1.0), (0.5, 0.5)):
+        with refused(4300):
+            bar_at(("central", LONG - 1), 4, u, v)
+    with refused(4300):
+        bar_at(("central", -LONG), 4, 1.0, 0.0)
+    for side in "RL":
+        for cls in range(4):
+            for m in (LONG - 1, 1 - LONG):
+                bars.append(bar_at((side, m), cls, 0.0, 1.0))
+                assert bars[-1].degree == m
+            for m in (LONG, -LONG):
+                with refused(4300):
+                    bar_at((side, m), cls, 0.0, 1.0)
+    assert parse_barcode(format_barcode(Barcode(tuple(bars)))) == Barcode(tuple(bars))
 
 
 def test_every_central_point_is_a_bar(rng):

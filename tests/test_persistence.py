@@ -53,6 +53,17 @@ def test_from_persistence_line_is_not_an_l_bar():
         from_persistence(line, "L")  # the full line is an R bar
 
 
+def test_from_persistence_refuses_a_degree_no_reader_reads():
+    big = 10**4299  # 4,300 digits
+    for side in "RL":
+        for degree in (big - 1, 1 - big):
+            bars = from_persistence(PersistenceDiagram(degree, ((0.0, 1.0), (-INF, 2.0))), side)
+            assert [g.degree for g in bars] == [degree, degree]
+        for degree in (big, -big):
+            with pytest.raises(ValueError, match="^degree of 4300 digits: a degree has at most 4299$"):
+                from_persistence(PersistenceDiagram(degree, ((0.0, 1.0),)), side)
+
+
 def test_round_trip_with_infinite_ends():
     bars = (
         GradedInterval(Interval.right_open(0, INF), 0),

@@ -4,7 +4,7 @@ from pathlib import Path
 
 TOOLS = Path(__file__).parent.parent / "tools"
 FIXTURES = Path(__file__).parent / "fixtures"
-MOVE_DIGEST, PARSE_DIGEST = TOOLS / "move_digest.py", TOOLS / "parse_digest.py"
+DIGEST = TOOLS / "digest.py"
 
 LINES = [
     "match|0x0.0p+0 0x1.0000000000000p+0 10 0|0x0.0p+0 0x1.0000000000000p+1 10 0|->|0x1.0p-1||"
@@ -19,26 +19,26 @@ LINES = [
 CONVOLVE = ("convolve|0x0.0p+0 0x1.0000000000000p+0 10 0|0x1.0000000000000p-1|->|"
             "-0x1.0000000000000p-1 0x1.0000000000000p-1 10 0")
 PARSE_LINES = [
-    "halfopen|1:000F|0x0.0p+0 0x1.0000000000000p+0 10 0 ; 0x0.0p+0 inf 10 1",
-    "fixture|circle_f.gbc|-0x1.0000000000000p+0 0x1.0000000000000p+0 11 0",
-    "fuzz|0|E line 1: bad degree 'x'",
-    "fuzz|1|",
+    "parse|halfopen 1:000F|0x0.0p+0 0x1.0000000000000p+0 10 0 ; 0x0.0p+0 inf 10 1",
+    "parse|fixture circle_f.gbc|-0x1.0000000000000p+0 0x1.0000000000000p+0 11 0",
+    "parse|fuzz 0|E line 1: bad degree 'x'",
+    "parse|fuzz 1|",
 ]
 
 
-def _compare(tmp_path, a, b, tool=MOVE_DIGEST):
+def _compare(tmp_path, a, b):
     pa, pb = tmp_path / "a.txt", tmp_path / "b.txt"
     pa.write_text("".join(line + "\n" for line in a), encoding="utf-8")
     pb.write_text("".join(line + "\n" for line in b), encoding="utf-8")
-    return subprocess.run([sys.executable, str(tool), "compare", str(pa), str(pb)],
+    return subprocess.run([sys.executable, str(DIGEST), "compare", str(pa), str(pb)],
                           capture_output=True, text=True)
 
 
 def test_move_digest_compare_equal(tmp_path):
     out = _compare(tmp_path, LINES, LINES)
     assert out.returncode == 0
-    assert "match: 1 calls, 0 different" in out.stdout
-    assert "solve: 1 calls, 0 different" in out.stdout
+    assert "match: 1 lines (0 errors in a), 0 different" in out.stdout
+    assert "solve: 1 lines (0 errors in a), 0 different" in out.stdout
     assert "lengths differ" not in out.stdout
 
 
@@ -47,7 +47,7 @@ def test_move_digest_compare_refuses_a_truncated_digest(tmp_path):
     for a, b in [(LINES, LINES[:2]), (LINES[:2], LINES)]:
         out = _compare(tmp_path, a, b)
         assert out.returncode == 1
-        assert "match: 1 calls, 0 different" in out.stdout
+        assert "match: 1 lines (0 errors in a), 0 different" in out.stdout
         assert f"lengths differ: a {len(a)} lines, b {len(b)}" in out.stdout
 
 
@@ -55,7 +55,7 @@ def test_move_digest_compare_refuses_a_different_witness(tmp_path):
     other = [LINES[0].replace("0x1.0p-1|", "0x1.8p-1|"), *LINES[1:]]
     out = _compare(tmp_path, LINES, other)
     assert out.returncode == 1
-    assert "match: 1 calls, 1 different" in out.stdout
+    assert "match: 1 lines (0 errors in a), 1 different" in out.stdout
 
 
 def test_move_digest_compare_refuses_a_different_solve_line(tmp_path):
@@ -63,8 +63,8 @@ def test_move_digest_compare_refuses_a_different_solve_line(tmp_path):
     other = [*LINES[:2], LINES[2].removesuffix("0x0.0p+0") + "-0x0.0p+0"]
     out = _compare(tmp_path, LINES, other)
     assert out.returncode == 1
-    assert "solve: 1 calls, 1 different" in out.stdout
-    assert "match: 1 calls, 0 different" in out.stdout
+    assert "solve: 1 lines (0 errors in a), 1 different" in out.stdout
+    assert "match: 1 lines (0 errors in a), 0 different" in out.stdout
 
 
 # a cli line: the command, its exit code, stdout's sha256 and line count, and stderr
@@ -77,20 +77,20 @@ def test_move_digest_compare_refuses_a_different_cli_line(tmp_path):
     for other in (CLI.replace("|0|", "|1|"), CLI.replace(" 1|", " 2|"), CLI + "error: x"):
         out = _compare(tmp_path, [*LINES, CLI], [*LINES, other])
         assert out.returncode == 1
-        assert "cli: 1 calls, 1 different" in out.stdout
-        assert "match: 1 calls, 0 different" in out.stdout
+        assert "cli: 1 lines (0 errors in a), 1 different" in out.stdout
+        assert "match: 1 lines (0 errors in a), 0 different" in out.stdout
 
 
 def test_move_digest_cli_section_runs_the_commands(tmp_path):
     # the section's first lines: the fixture pair through every command
     sys.path.insert(0, str(TOOLS))
     try:
-        import move_digest
+        import digest
     finally:
         sys.path.remove(str(TOOLS))
     from sheafdist.cli import main
 
-    lines = [move_digest._cli_line(main, FIXTURES, argv) for argv in (
+    lines = [digest._cli_line(main, FIXTURES, argv) for argv in (
         ["dist", "circle_f.gbc", "circle_g.gbc"], ["convolve", "circle_f.gbc", "--eps", "1e308"],
         ["convolve", "circle_f.gbc"], ["dist", "missing.gbc", "circle_g.gbc"])]
     assert lines[0] == CLI
@@ -113,30 +113,30 @@ def test_move_digest_compare_refuses_a_badly_rounded_convolve(tmp_path):
     off = [*LINES, CONVOLVE.replace("0x1.0000000000000p-1 10", "0x1.0000000000001p-1 10")]
     out = _compare(tmp_path, off, off)
     assert out.returncode == 1
-    assert "convolve: 1 calls, 0 different" in out.stdout
+    assert "convolve: 1 lines (0 errors in a), 0 different" in out.stdout
     assert "convolve results correctly rounded or errors: a 0, b 0" in out.stdout
 
 
 def test_parse_digest_compare_equal(tmp_path):
-    out = _compare(tmp_path, PARSE_LINES, PARSE_LINES, PARSE_DIGEST)
+    out = _compare(tmp_path, PARSE_LINES, PARSE_LINES)
     assert out.returncode == 0
-    assert "halfopen: 1 parses (0 ParseErrors in a), 0 different" in out.stdout
-    assert "fuzz: 2 parses (1 ParseErrors in a), 0 different" in out.stdout
+    assert "parse halfopen: 1 lines (0 errors in a), 0 different" in out.stdout
+    assert "parse fuzz: 2 lines (1 errors in a), 0 different" in out.stdout
     assert "lengths differ" not in out.stdout
 
 
 def test_parse_digest_compare_refuses_a_truncated_digest(tmp_path):
     for a, b in [(PARSE_LINES, PARSE_LINES[:3]), (PARSE_LINES[:3], PARSE_LINES)]:
-        out = _compare(tmp_path, a, b, PARSE_DIGEST)
+        out = _compare(tmp_path, a, b)
         assert out.returncode == 1
-        assert "fixture: 1 parses (0 ParseErrors in a), 0 different" in out.stdout
+        assert "parse fixture: 1 lines (0 errors in a), 0 different" in out.stdout
         assert f"lengths differ: a {len(a)} lines, b {len(b)}" in out.stdout
 
 
 def test_parse_digest_compare_refuses_a_different_parse(tmp_path):
     # an error message that differs is a different parse, as a bar is
-    other = [*PARSE_LINES[:2], "fuzz|0|E line 1: bad degree 'y'", PARSE_LINES[3]]
-    out = _compare(tmp_path, PARSE_LINES, other, PARSE_DIGEST)
+    other = [*PARSE_LINES[:2], "parse|fuzz 0|E line 1: bad degree 'y'", PARSE_LINES[3]]
+    out = _compare(tmp_path, PARSE_LINES, other)
     assert out.returncode == 1
-    assert "fuzz: 2 parses (1 ParseErrors in a), 1 different" in out.stdout
-    assert "halfopen: 1 parses (0 ParseErrors in a), 0 different" in out.stdout
+    assert "parse fuzz: 2 lines (1 errors in a), 1 different" in out.stdout
+    assert "parse halfopen: 1 lines (0 errors in a), 0 different" in out.stdout

@@ -1,42 +1,53 @@
-"""Digest of the calls that move bars, for comparing two source trees.
+"""Digest of the library's answers on fixed inputs, for comparing two source trees.
 
-Draws fixed-seed inputs off the dyadic grid, at magnitudes from 1 to
-1e300, and writes one line per call of ``pair_path``, ``interpolate`` and
-``convolve_interval``: the inputs and the result (or the error), every
-float as ``float.hex``.  Each pair of barcodes the interpolate section
-solves also gets one ``match`` line: the distance and the entries of the
-matching's ``central_pairs``, ``halfopen_pairs`` and ``deletions``.  The
-``solve`` section writes one line per pair of bar lists: the value of
-``part_bottleneck`` and its entries, bars by ``_show`` and costs by
-``float.hex``.  Its pairs are the full-size ``halfopen`` and ``many_slots``
-benchmark cases of seeds 1-3, seed 1's ``halfopen`` ladder rungs from 50
-to 5,000 bars per side and one 800-bar central slot, all generated by
-``perfbench/gen.py`` as ``perfbench/run.py`` generates them, and
-fixed-seed draws whose ends include both zeros, with first coordinates
-tied across the sides and pairs exactly at the per-pair bound.  The
-``cli`` section calls ``sheafdist.cli.main`` in-process on the fixture
-pair ``tests/fixtures/circle_{f,g}.gbc`` and the first 20 ``many_slots``
-cases of seed 1: ``validate``, ``dist``, ``match``, ``component``,
-``gamma`` (with and without ``--compact``), ``convolve`` at six ``--eps``
-(negative ones, ones that collapse open bars and one out of range
-included) and ``interpolate`` at four ``--t`` (one past the distance).
-Each line holds the command (files by name), the exit code, the sha256
-and line count of stdout, and stderr.  Two digests of the same seed list
-the same calls in the same order, so ``compare`` reads them side by side.
+Writes one line per call, each float as ``float.hex`` and each bar by
+``_show`` (its ends, flags and degree), in these kinds:
 
-    PYTHONPATH=<tree-a>/src python3 tools/move_digest.py digest > a.txt
-    PYTHONPATH=<tree-b>/src python3 tools/move_digest.py digest > b.txt
-    python3 tools/move_digest.py compare a.txt b.txt
+- ``pair_path``, ``interpolate`` and ``convolve``: calls of ``pair_path``,
+  ``interpolate`` and ``convolve_interval`` on fixed-seed inputs off the
+  dyadic grid, at magnitudes from 1 to 1e300: the inputs and the result
+  (or the error).  Each pair of barcodes the interpolate calls solve also
+  gets one ``match`` line: the distance and the entries of the matching's
+  ``central_pairs``, ``halfopen_pairs`` and ``deletions``.
+- ``parse``: ``parse_barcode`` of the ``halfopen`` and ``many_slots``
+  benchmark texts of seeds 1-3 (generated as ``perfbench/run.py``
+  generates them), of ``tests/fixtures/*.gbc``, and of fixed-seed fuzzed
+  texts whose lines end in every ``str.splitlines`` boundary and include
+  malformed lines and literals ``Interval`` refuses.  A line holds the
+  input's kind and name and either its bars or ``E`` and the exact
+  ParseError message.
+- ``solve``: the value of ``part_bottleneck`` and its entries.  Its pairs
+  are the parsed bars of each benchmark case above (each case is
+  generated and parsed once), seed 1's ``halfopen`` ladder rungs from 50
+  to 5,000 bars per side, one 800-bar central slot, and fixed-seed draws
+  whose ends include both zeros, with first coordinates tied across the
+  sides and pairs exactly at the per-pair bound.
+- ``cli``: ``sheafdist.cli.main`` in-process on the fixture pair
+  ``circle_{f,g}.gbc`` and the first 20 ``many_slots`` cases of seed 1:
+  ``validate``, ``dist``, ``match``, ``component``, ``gamma`` (with and
+  without ``--compact``), ``convolve`` at six ``--eps`` (negative ones,
+  ones that collapse open bars and one out of range included) and
+  ``interpolate`` at four ``--t`` (one past the distance).  Each line
+  holds the command (files by name), the exit code, the sha256 and line
+  count of stdout, and stderr.
 
-``compare`` counts the differing lines of each kind.  For ``convolve`` it
-also checks every result against the exact rule, each finite end being
-``float(Fraction(end) -/+ Fraction(eps))``, and sorts each difference
-into "a collapse or over-shrink that b rounds correctly and a does not",
-"a raised an empty-interval error and b returns a correctly rounded
-bar", or unexplained.  It exits 1 when a ``pair_path``, ``interpolate``,
-``match``, ``solve`` or ``cli`` line differs, a difference is unexplained,
-one of b's ``convolve`` results is neither an error nor correctly rounded,
-or the digests differ in length.
+Two digests list the same calls in the same order, so ``compare`` reads
+them side by side.
+
+    PYTHONPATH=<tree-a>/src python3 tools/digest.py digest > a.txt
+    PYTHONPATH=<tree-b>/src python3 tools/digest.py digest > b.txt
+    python3 tools/digest.py compare a.txt b.txt
+
+``compare`` prints, for each kind (``parse`` lines by input kind), its
+lines, the results in a that are errors and the lines that differ.  For
+``convolve`` it also checks every result against the exact rule, each
+finite end being ``float(Fraction(end) -/+ Fraction(eps))``, and sorts
+each difference into "a collapse or over-shrink that b rounds correctly
+and a does not", "a raised an empty-interval error and b returns a
+correctly rounded bar", or unexplained.  It exits 1 when a line other
+than a ``convolve`` line differs, a difference is unexplained, one of
+b's ``convolve`` results is neither an error nor correctly rounded, or
+the digests differ in length.
 """
 
 from __future__ import annotations
@@ -58,9 +69,21 @@ SHAPES = ("closed", "open", "ro", "lo", "ray+", "ray-", "oray+", "oray-", "line"
 # bars per side: the benchmark's ladder rungs, and two past them
 LADDER = (50, 100, 200, 400, 700, 1000, 1400, 2000, 3000, 5000)
 GRID = (-1.0, -0.5, -0.25, -0.0, 0.0, 0.25, 0.5, 1.0)  # both zeros, and ties on a small grid
-CLI_CASES = 20  # the many_slots cases of seed 1 the cli section runs
+CLI_CASES = 20  # the many_slots cases of seed 1 the cli lines run
 # 3 collapses most open bars, -3 over-shrinks most closed ones, 1e308 leaves the range
 EPS = ("0.25", "-0.25", "1e-3", "3", "-3", "1e308")
+FUZZ_TEXTS = 20_000
+LINE_ENDS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+             "\u2029")
+# well-formed degrees first, then malformed ones, degrees of more digits than
+# ``int`` reads, and the longest degree the readers take and one digit past it
+DEGREES = ("0", "1", "-1", "12", "007", "-0", "+1", "1_0", "\u0661", "x", "", "0.5",
+           "9" * 4301, "-" + "9" * 4301, "-" + "9" * 4299, "9" * 4300)
+ENDS = ("0", "1", "-2", "0.5", ".5", "1.", "-1e-3", "1E2", "1e16", "4.4e307", "-4.4e307",
+        "4.4942328371557898e307", "1e400", "inf", "+inf", "-inf", "nan", "1_0", "\u0661",
+        "0x1", "", "-", ".", "1e", "1e+", "++1", "0.4999999999995", "5e-324")
+PADS = ("", "", " ", "  ", "\t", " \t", "\xa0", "\u3000")
+COMMENTS = ("", "", "", "#", "# c", " # 0 [0,1)", "#x#y", "#\u0661")
 
 
 def _bar(shape: str, a: float, b: float, degree: int):
@@ -147,40 +170,53 @@ def _zero_pair(rng: random.Random) -> tuple[list, list]:
     return F, G
 
 
-def solve_pairs():
-    """``(name, F text or bars, G text or bars)`` for every pair the
-    ``solve`` section solves, in a fixed order."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import gen
-    import run  # the benchmark's own case lists, so the texts are those it solves
+def _line(rng: random.Random) -> str:
+    """A ``.gbc`` line: most often a bar, otherwise blank, a comment, a
+    malformed line or a literal ``Interval`` refuses."""
+    kind = rng.random()
+    if kind < 0.05:
+        return rng.choice(PADS)
+    if kind < 0.1:
+        return rng.choice(PADS) + rng.choice(COMMENTS[3:])
+    good = kind < 0.9
+    deg = rng.choice(DEGREES[:6] if good else DEGREES)
+    if good:  # ordered ends, most often finite and in range
+        a, b = sorted(rng.choices(ENDS[:11] if rng.random() < 0.9 else ENDS[:16], k=2), key=float)
+    else:
+        a, b = rng.choice(ENDS), rng.choice(ENDS)
+    lb, rb = rng.choice("[("), rng.choice("])")
+    if not good and rng.random() < 0.2:
+        lb, rb = rng.choice(("", "[", "(", "]")), rng.choice(("", "]", ")", "[", ",1]"))
+    sep = rng.choice((" ", " ", "\t", "  ", "" if not good else " "))
+    extra = "" if good or rng.random() < 0.7 else " " + rng.choice(("[0,1)", "0", "x"))
+    return (rng.choice(PADS) + deg + sep + f"{lb}{a},{b}{rb}" + extra + rng.choice(PADS)
+            + rng.choice(COMMENTS))
 
-    for name in ("halfopen", "many_slots"):
-        for seed in (1, 2, 3):
-            cases = run.WORKLOADS[name].cases(random.Random(f"{name}:{seed}"), False)
-            for k, case in enumerate(cases):
-                yield f"{name} {seed}:{k:03d}", case.f_text, case.g_text
-    rng = random.Random("halfopen:1:ladder")  # as perfbench/run.py seeds seed 1's ladder
-    for n in LADDER:
-        case = gen.halfopen_ladder_case(rng, n)
-        yield f"ladder 1:{n}", case.f_text, case.g_text
-    f, g = gen.central_slot(random.Random("central:1"), 800, 0)
-    yield "central 800", gen._text(f), gen._text(g)
-    rng = random.Random(22)
-    for k in range(2_000):
-        yield f"zeros {k}", *_zero_pair(rng)
+
+def _fuzz_text(rng: random.Random) -> str:
+    lines = [_line(rng) + rng.choice(LINE_ENDS) for _ in range(rng.randrange(0, 8))]
+    return "".join(lines) + (_line(rng) if rng.random() < 0.5 else "")
 
 
-def cli_inputs():
-    """``(F name, F text, G name, G text)`` for every pair the ``cli``
-    section runs, in a fixed order."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import run
+def _parse(label: str, text: str, out):
+    """Write the ``parse`` line of ``text``; return its bars, or None
+    when it is refused."""
+    from sheafdist import ParseError, parse_barcode
 
-    f, g = (ROOT / "tests" / "fixtures" / f"circle_{x}.gbc" for x in "fg")
-    yield f.name, f.read_text(encoding="utf-8"), g.name, g.read_text(encoding="utf-8")
-    cases = run.WORKLOADS["many_slots"].cases(random.Random("many_slots:1"), False)
-    for k, case in enumerate(cases[:CLI_CASES]):
-        yield f"{k:03d}F.gbc", case.f_text, f"{k:03d}G.gbc", case.g_text
+    try:
+        bars = parse_barcode(text).bars
+    except ParseError as exc:
+        print("parse", label, f"E {exc}", sep="|", file=out)
+        return None
+    print("parse", label, " ; ".join(map(_show, bars)), sep="|", file=out)
+    return bars
+
+
+def _solve(name: str, F, G, out) -> None:
+    from sheafdist import part_bottleneck
+
+    value, pairs = part_bottleneck(F, G)
+    print("solve", name, "->", value.hex(), _view(pairs), sep="|", file=out)
 
 
 def _cli_line(main, tmp: Path, argv: list[str]) -> str:
@@ -199,13 +235,14 @@ def _cli_line(main, tmp: Path, argv: list[str]) -> str:
     return "|".join(("cli", " ".join(argv), str(code), digest, err))
 
 
-def cli_digest(out) -> None:
+def _cli(pairs, out) -> None:
+    """The ``cli`` lines of each ``(F name, F text, G name, G text)``."""
     from sheafdist import distance_with_matching, parse_barcode
     from sheafdist.cli import main
 
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name)
-        for f, f_text, g, g_text in cli_inputs():
+        for f, f_text, g, g_text in pairs:
             (tmp / f).write_text(f_text, encoding="utf-8")
             (tmp / g).write_text(g_text, encoding="utf-8")
             d = distance_with_matching(parse_barcode(f_text), parse_barcode(g_text))[0]
@@ -221,7 +258,11 @@ def cli_digest(out) -> None:
 
 def digest(out) -> None:
     from sheafdist import (Barcode, convolve_interval, deletion_cost, distance_with_matching,
-                           interpolate, pair_cost, pair_path, parse_barcode, part_bottleneck)
+                           interpolate, pair_cost, pair_path, parse_barcode)
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import gen
+    import run  # the benchmark's own case lists, so the texts are those it parses and solves
 
     rng = random.Random(18)
     for _ in range(30_000):  # pair_path: one shape, open-closed both ways, deletions
@@ -292,13 +333,38 @@ def digest(out) -> None:
         args = (_show(g), eps.hex())
         print("convolve", *args, "->", _call(convolve_interval, g, eps), sep="|", file=out)
 
-    for name, F, G in solve_pairs():  # the solver alone, on lists of bars
-        if isinstance(F, str):
-            F, G = parse_barcode(F).bars, parse_barcode(G).bars
-        value, pairs = part_bottleneck(F, G)
-        print("solve", name, "->", value.hex(), _view(pairs), sep="|", file=out)
+    bench = {(name, seed): run.WORKLOADS[name].cases(random.Random(f"{name}:{seed}"), False)
+             for name in ("halfopen", "many_slots") for seed in (1, 2, 3)}
+    for (name, seed), cases in bench.items():  # each case parsed, then its bars solved
+        for k, case in enumerate(cases):
+            label = f"{name} {seed}:{k:03d}"
+            F, G = _parse(label + "F", case.f_text, out), _parse(label + "G", case.g_text, out)
+            if F is not None and G is not None:  # a refused text has no solve line
+                _solve(label, F, G, out)
+    rng = random.Random("halfopen:1:ladder")  # as perfbench/run.py seeds seed 1's ladder
+    for n in LADDER:
+        case = gen.halfopen_ladder_case(rng, n)
+        _solve(f"ladder 1:{n}", parse_barcode(case.f_text).bars,
+               parse_barcode(case.g_text).bars, out)
+    f, g = gen.central_slot(random.Random("central:1"), 800, 0)
+    _solve("central 800", parse_barcode(gen._text(f)).bars, parse_barcode(gen._text(g)).bars,
+           out)
+    rng = random.Random(22)
+    for k in range(2_000):
+        _solve(f"zeros {k}", *_zero_pair(rng), out)
 
-    cli_digest(out)
+    fixtures = {path.name: path.read_text(encoding="utf-8")
+                for path in sorted((ROOT / "tests" / "fixtures").glob("*.gbc"))}
+    for name, text in fixtures.items():
+        _parse(f"fixture {name}", text, out)
+    rng = random.Random(19)
+    for k in range(FUZZ_TEXTS):
+        _parse(f"fuzz {k}", _fuzz_text(rng), out)
+
+    f, g = "circle_f.gbc", "circle_g.gbc"
+    _cli([(f, fixtures[f], g, fixtures[g]),
+          *((f"{k:03d}F.gbc", case.f_text, f"{k:03d}G.gbc", case.g_text)
+            for k, case in enumerate(bench["many_slots", 1][:CLI_CASES]))], out)
 
 
 def _exact(line: str) -> bool | None:
@@ -322,12 +388,15 @@ def _exact(line: str) -> bool | None:
 
 
 def compare(path_a: str, path_b: str) -> int:
-    with open(path_a) as fa, open(path_b) as fb:
-        lines_a, lines_b = fa.read().splitlines(), fb.read().splitlines()
-    calls, diffs, why, exact = Counter(), Counter(), Counter(), Counter()
+    with open(path_a, encoding="utf-8") as fa, open(path_b, encoding="utf-8") as fb:
+        lines_a, lines_b = (f.read().removesuffix("\n").split("\n") for f in (fa, fb))
+    lines, errors, diffs, why, exact = Counter(), Counter(), Counter(), Counter(), Counter()
     for la, lb in zip(lines_a, lines_b):
-        kind = la.split("|", 1)[0]
-        calls[kind] += 1
+        kind, _, rest = la.partition("|")
+        if kind == "parse":  # counted by input kind
+            kind += " " + rest.split(" ", 1)[0]
+        lines[kind] += 1
+        errors[kind] += la.rpartition("|")[2].startswith("E ")
         if kind == "convolve":
             ea, eb = _exact(la), _exact(lb)
             exact["a"] += ea is not False
@@ -343,10 +412,10 @@ def compare(path_a: str, path_b: str) -> int:
             why["collapse or over-shrink, b correctly rounded where a is not"] += 1
         else:
             why["unexplained"] += 1
-    for kind in calls:
-        print(f"{kind}: {calls[kind]} calls, {diffs[kind]} different")
+    for kind in lines:
+        print(f"{kind}: {lines[kind]} lines ({errors[kind]} errors in a), {diffs[kind]} different")
     print(f"convolve results correctly rounded or errors: a {exact['a']}, b {exact['b']}")
-    wrong = calls["convolve"] - exact["b"]
+    wrong = lines["convolve"] - exact["b"]
     if wrong:
         print(f"b: {wrong} convolve results neither errors nor correctly rounded")
     for reason, n in why.items():
@@ -359,6 +428,7 @@ def compare(path_a: str, path_b: str) -> int:
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["digest"]:
+        sys.stdout.reconfigure(encoding="utf-8")
         digest(sys.stdout)
     elif sys.argv[1:2] == ["compare"] and len(sys.argv) == 4:
         sys.exit(compare(sys.argv[2], sys.argv[3]))
