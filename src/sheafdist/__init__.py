@@ -32,8 +32,7 @@ _HOME = {
         "barcode",
     ),
     **dict.fromkeys(
-        ("DEGREE1_RULE_DEVIATIONS", "RuleDeviation", "ext_oracle",
-         "generator_composite_nonzero", "hom_dim"),
+        ("ext_oracle", "generator_composite_nonzero", "hom_dim"),
         "homs",
     ),
     **dict.fromkeys(("convolve_barcode", "convolve_interval", "stalk_type"), "convolve"),

@@ -1,7 +1,8 @@
 """Command line surface.
 
 Exit codes: 0 on success (an infinite distance is still success, printed
-as ``inf``), 1 on domain errors, 2 on I/O, parse and usage errors.  A
+as ``inf``), 1 on domain errors, 2 on I/O, parse and usage errors, 141
+(SIGPIPE's shell status, nothing on stderr) when stdout has no reader.  A
 non-finite ``--eps`` or ``--t`` is a usage error; an input file that is
 not UTF-8 is a parse error.  These numbers are read by the grammar of a
 ``.gbc`` file: ASCII decimals and ``[+-]inf``, so ``1_0`` and digits of
@@ -223,7 +224,13 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: argument {name}: expected a value, got '--'", file=sys.stderr)
             return 2
     try:
-        return _run(args)
+        code = _run(args)
+        sys.stdout.flush()  # a closed stdout shows here, however it is buffered
+        return code
+    except BrokenPipeError:  # no reader; fd 1 to devnull keeps the final flush quiet
+        import os
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

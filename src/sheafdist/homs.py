@@ -21,14 +21,14 @@ The degree-1 rules are computed, not guessed: ``ext_oracle`` resolves
 the source by open intervals and the target by closed ones and takes
 H^0 of the totalized hom complex.  Around boundary-touching
 configurations the resulting dimensions differ from the naive
-"interiors overlap" intuition; every such case is enumerated in
-``DEGREE1_RULE_DEVIATIONS``, each with a witness extension.  See
-``docs/hom_boundary_cases.md``.
+"interiors overlap" intuition.  ``docs/hom_boundary_cases.md`` lists
+every such class with a witness extension, and
+``tests/test_acceptance.py`` holds the list against ``ext_oracle`` on
+the grid.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 
 from .intervals import INF, GradedInterval, Interval, _src_shape, _tgt_shape
@@ -244,74 +244,3 @@ def ext_oracle(source: GradedInterval, target: GradedInterval) -> int:
         assert all(x == 0 for row in comp for x in row), "hom complex differentials do not square to zero"
     return len(b_0) - _rank(d_0) - _rank(d_m1)
 
-
-# ---------------------------------------------------------------------
-# documented boundary cases
-# ---------------------------------------------------------------------
-
-class RuleDeviation(
-    namedtuple(
-        "RuleDeviation", "source_shape target_shape pattern naive actual witness condition"
-    )
-):
-    """A configuration class where the implemented hom dimension differs
-    from the naive endpoint rule one would first write down.
-
-    Fields: ``source_shape`` and ``target_shape`` (as read by
-    ``_src_shape`` / ``_tgt_shape``), ``pattern``, the ``naive`` and
-    ``actual`` dimensions, a ``witness`` extension, and ``condition``,
-    a predicate on ``(a, b, c, d)``, the source's and target's ends.
-    """
-
-    __slots__ = ()
-
-    def applies(self, src: Interval, tgt: Interval) -> bool:
-        return (
-            _src_shape(src) == self.source_shape
-            and _tgt_shape(tgt) == self.target_shape
-            and self.condition(src.lo, src.hi, tgt.lo, tgt.hi)
-        )
-
-
-#: Degree-1 classes where the computed dimension disagrees with the naive
-#: rule (naive = "the interiors of source and target overlap" for the
-#: closed/open entry, plain endpoint inequalities elsewhere; see
-#: tests/test_acceptance.py for the exact naive table used as reference).
-DEGREE1_RULE_DEVIATIONS: tuple[RuleDeviation, ...] = (
-    RuleDeviation(
-        "closed", "open", "closures touch on the right: b == c",
-        naive=0, actual=1,
-        witness="0 -> k(c,d) -> k[a,d) -> k[a,b] -> 0 does not split",
-        condition=lambda a, b, c, d: b == c,
-    ),
-    RuleDeviation(
-        "closed", "open", "closures touch on the left: a == d",
-        naive=0, actual=1,
-        witness="0 -> k(c,d) -> k(c,b] -> k[a,b] -> 0 does not split",
-        condition=lambda a, b, c, d: a == d,
-    ),
-    RuleDeviation(
-        "closed", "closed", "left endpoints flush: a == c, b <= d",
-        naive=1, actual=0,
-        witness="middle term k[c,b] (+) k[a,d] is the split sum when a == c",
-        condition=lambda a, b, c, d: a == c and b <= d,
-    ),
-    RuleDeviation(
-        "closed", "closed", "right endpoints flush: b == d, c <= a",
-        naive=1, actual=0,
-        witness="middle term k[c,b] (+) k[a,d] is the split sum when b == d",
-        condition=lambda a, b, c, d: b == d and c <= a,
-    ),
-    RuleDeviation(
-        "closed", "ro", "target entirely left of source: d < a",
-        naive=1, actual=0,
-        witness="supports have disjoint closures, so every morphism space vanishes",
-        condition=lambda a, b, c, d: c < a and d < a,
-    ),
-    RuleDeviation(
-        "closed", "lo", "target entirely right of source: b < c",
-        naive=1, actual=0,
-        witness="supports have disjoint closures, so every morphism space vanishes",
-        condition=lambda a, b, c, d: b < d and b < c,
-    ),
-)

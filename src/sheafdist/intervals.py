@@ -34,10 +34,10 @@ the readers' words ("degree of N digits: a degree has at most 4299"), so
 every bar prints as a line the readers take.  ``bar_at`` builds the key
 and point of a finite central point, or of a class-0 point with
 ``u < v``, directly, as ``_graded`` would; rays, the line and every point
-it refuses go through ``_graded``.  It also refuses a point with a finite
-end's coordinate at an infinity, which no bar of its class has.  The
-parser's fast loop calls ``_graded`` itself: its grammar already limits
-a degree's digits.
+it refuses go through ``GradedInterval``.  It also refuses a point with a
+finite end's coordinate at an infinity, which no bar of its class has.
+The parser's fast loop calls ``_graded`` itself: its grammar already
+limits a degree's digits.
 
 Every value here is immutable; all operations are pure functions.  The
 records are written out by hand rather than with ``dataclasses``, whose
@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 import re
 from collections import namedtuple
-from operator import itemgetter
+from operator import index, itemgetter
 
 INF = math.inf
 
@@ -98,17 +98,12 @@ def _long_degree(digits: int) -> ValueError:
     return ValueError(f"degree of {digits} digits: a degree has at most {_DEGREE_DIGITS}")
 
 
-def _refuse_degree(degree: int) -> None:
-    """Raise ``_long_degree`` for ``degree``, beyond ``±_DEGREE_MAX``.  Its
-    digits are counted without ``str``, which refuses more than 4,300."""
-    if not isinstance(degree, int):  # NaN or an infinity
-        raise ValueError(f"degree {degree!r} out of range: a degree has at most "
-                         f"{_DEGREE_DIGITS} digits")
-    n = abs(degree)
-    digits = int((n.bit_length() - 1) * 0.3010299956639812)  # times log10(2): at most the count
-    while n >= 10**digits:
-        digits += 1
-    raise _long_degree(digits)
+def _as_degree(degree) -> int:
+    """``degree`` as ``operator.index`` reads it (``True`` is 1), or a ValueError naming it."""
+    try:
+        return index(degree)
+    except TypeError:
+        raise ValueError(f"degree {degree!r} is not an integer") from None
 
 
 class Interval(namedtuple("Interval", "lo hi lo_closed hi_closed")):
@@ -230,7 +225,11 @@ class _Slots(dict):
     """The one ``(side, m)`` tuple of each slot of a side, made on first
     use, for ``|m| <= _SLOTS_KEPT``.  A slot of a larger degree gets a new
     (equal) tuple at each use, so the table stays bounded whatever degrees
-    the input holds."""
+    the input holds.  Sharing changes no result, but it spares each bar a
+    tuple that the garbage collector tracks (without it, parsing the
+    23,120 bars of one halfopen benchmark set-up ran one more full
+    collection, about 75 ms on a 2-vCPU host), and a dict finds a shared
+    slot key by identity, with no tuple compare."""
 
     __slots__ = ("side",)
 
@@ -267,8 +266,9 @@ class GradedInterval(_Frozen, tuple):
 
     The pair (interval, degree) is the atom every barcode is made of.
     Degrees are explicit integers of at most 4,299 digits, the readers'
-    limit (a ValueError in their words otherwise); no shift bookkeeping
-    is implied by the notation.
+    limit (a ValueError in their words otherwise), stored as the ``int``
+    ``operator.index`` gives: ``True`` is 1, a float such as ``1.5`` a
+    ValueError.  No shift bookkeeping is implied by the notation.
 
     A bar is the tuple of its two stored fields, ``(key, point)`` (see
     the module docstring), but it equals only a bar of the same class
@@ -280,8 +280,13 @@ class GradedInterval(_Frozen, tuple):
     __match_args__ = ("interval", "degree")
 
     def __new__(cls, interval: Interval, degree: int) -> "GradedInterval":
+        degree = _as_degree(degree)
         if not _DEGREE_MIN <= degree <= _DEGREE_MAX:
-            _refuse_degree(degree)
+            n = abs(degree)  # its digits, counted without ``str``, which refuses 4,301
+            digits = int((n.bit_length() - 1) * 0.3010299956639812)  # times log10(2): a lower bound
+            while n >= 10**digits:
+                digits += 1
+            raise _long_degree(digits)
         lo, hi, lo_closed, hi_closed = interval
         return _graded(lo, hi, lo_closed, hi_closed, degree)
 
@@ -372,8 +377,8 @@ def bar_at(slot: tuple[str, int], cls: int, u: float, v: float) -> GradedInterva
     admits: its key and point are built here, exactly as ``_graded``
     would build them, with the slot tuple taken from the ``_Slots`` table.
     Every other point (rays, the line, and each point refused) is tested
-    for an infinite coordinate of a finite end and for its degree, then
-    goes through ``_graded``, which applies ``Interval``'s rule."""
+    for an infinite coordinate of a finite end, then goes through
+    ``GradedInterval``, which applies both rules."""
     side, m = slot
     if _DEGREE_MIN <= m < _DEGREE_MAX:
         if side == "central":
@@ -398,9 +403,7 @@ def bar_at(slot: tuple[str, int], cls: int, u: float, v: float) -> GradedInterva
         hi = INF if cls & 2 else v
         lo_closed, hi_closed = (lo > -INF, False) if side == "R" else (False, hi < INF)
         degree = m
-    if not _DEGREE_MIN <= degree <= _DEGREE_MAX:
-        _refuse_degree(degree)
-    return _graded(lo, hi, lo_closed, hi_closed, degree)
+    return GradedInterval((lo, hi, lo_closed, hi_closed), degree)
 
 
 def _src_shape(iv: Interval) -> str:

@@ -22,6 +22,7 @@ from .intervals import (
     _DEGREE,
     GradedInterval,
     ParseError,
+    _as_degree,
     _degree,
     bar_at,
     fmt_number,
@@ -31,14 +32,16 @@ from .intervals import (
 
 
 class PersistenceDiagram(namedtuple("PersistenceDiagram", "degree pairs")):
-    """Multiset of (birth, death) pairs in one homological degree, kept
-    sorted.  ``_make`` and ``_replace`` build through the checks too."""
+    """Multiset of (birth, death) pairs in one homological degree (an
+    ``int``, taken as a bar's is), kept sorted.  ``_make`` and
+    ``_replace`` build through the checks too."""
 
     __slots__ = ()
 
     def __new__(
         cls, degree: int, pairs: tuple[tuple[float, float], ...] = ()
     ) -> "PersistenceDiagram":
+        degree = _as_degree(degree)
         pairs = tuple(sorted(pairs))
         for birth, death in pairs:
             if math.isnan(birth) or math.isnan(death) or not birth < death:

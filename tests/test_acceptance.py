@@ -30,7 +30,7 @@ from sheafdist import (
     stalk_type,
     to_persistence,
 )
-from sheafdist.homs import DEGREE1_RULE_DEVIATIONS, _src_shape, _tgt_shape
+from sheafdist.homs import _src_shape, _tgt_shape
 from sheafdist.intervals import INF, point
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -131,6 +131,19 @@ def _naive_hom1(s, t):
     return 1 if table.get((_src_shape(s), _tgt_shape(t)), False) else 0
 
 
+# the degree-1 classes where ``_hom1`` differs from ``_naive_hom1``, as
+# ``(source_shape, target_shape, naive, actual, condition on a, b, c, d)``;
+# docs/hom_boundary_cases.md names each class and gives its witness
+DEGREE1_DEVIATIONS = (
+    ("closed", "open", 0, 1, lambda a, b, c, d: b == c),
+    ("closed", "open", 0, 1, lambda a, b, c, d: a == d),
+    ("closed", "closed", 1, 0, lambda a, b, c, d: a == c and b <= d),
+    ("closed", "closed", 1, 0, lambda a, b, c, d: b == d and c <= a),
+    ("closed", "ro", 1, 0, lambda a, b, c, d: c < a and d < a),
+    ("closed", "lo", 1, 0, lambda a, b, c, d: b < d and b < c),
+)
+
+
 def test_criterion_2_hom_tables():
     t0 = time.perf_counter()
     full = _grid(rays=True)
@@ -139,18 +152,23 @@ def test_criterion_2_hom_tables():
             got = hom_dim(GradedInterval(s, 0), GradedInterval(t, 0))
             assert got == _reference_hom0(s, t), (str(s), str(t))
     bounded = _grid(rays=False)
-    undocumented = []
+    undocumented, matched = [], set()
     for s in bounded:
         for t in bounded:
             got = hom_dim(GradedInterval(s, 0), GradedInterval(t, 1))
             assert got == ext_oracle(GradedInterval(s, 0), GradedInterval(t, 1))
             naive = _naive_hom1(s, t)
-            documented = [d for d in DEGREE1_RULE_DEVIATIONS if d.applies(s, t)]
+            shapes = (_src_shape(s), _tgt_shape(t))
+            documented = [row for row in DEGREE1_DEVIATIONS
+                          if row[:2] == shapes and row[4](s.lo, s.hi, t.lo, t.hi)]
             if (naive != got) != bool(documented):
                 undocumented.append((str(s), str(t), naive, got))
-            for dev in documented:
-                assert dev.naive == naive and dev.actual == got
+            for row in documented:
+                assert row[2:4] == (naive, got), (row[:4], str(s), str(t))
+            matched.update(documented)
     assert not undocumented, undocumented
+    # every row names a class the grid holds
+    assert [row[:4] for row in DEGREE1_DEVIATIONS if row not in matched] == []
     _report(2, "degree-0 table exact on the full grid; degree-1 matches the "
                "resolution oracle with all deviations enumerated", t0, 5.0)
 

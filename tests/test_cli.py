@@ -141,6 +141,28 @@ def test_a_degree_one_away_from_the_limit_still_prints(tmp_path):
                               "digits: a degree has at most 4299\n")
 
 
+@pytest.mark.parametrize("args", [
+    ("validate", "circle_f.gbc"),
+    ("match", "circle_f.gbc", "circle_g.gbc"),
+    ("convolve", "circle_f.gbc", "--eps", "0.25"),
+])
+def test_a_closed_stdout_exits_141_with_nothing_on_stderr(args):
+    # the read end is closed before the child writes, so its first write or
+    # its flush fails, whatever the buffering: SIGPIPE's status in a shell,
+    # not an I/O error, and no "Exception ignored" at the final flush
+    argv = [str(FIXTURES / a) if a.endswith(".gbc") else a for a in args]
+    for unbuffered in ("", "1"):
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            out = subprocess.run([sys.executable, "-m", "sheafdist", *argv], stdout=w,
+                                 stderr=subprocess.PIPE, text=True,
+                                 env=dict(os.environ, PYTHONUNBUFFERED=unbuffered))
+        finally:
+            os.close(w)
+        assert (out.returncode, out.stderr) == (141, "")
+
+
 def test_missing_file_is_io_error():
     out = run_cli("dist", "/nonexistent.gbc", "/also-missing.gbc")
     assert out.returncode == 2

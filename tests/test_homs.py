@@ -11,7 +11,7 @@ from sheafdist import (
     hom_dim,
     pair_cost,
 )
-from sheafdist.homs import DEGREE1_RULE_DEVIATIONS, _src_shape, _tgt_shape
+from sheafdist.homs import _src_shape, _tgt_shape
 from sheafdist.intervals import INF
 
 
@@ -136,12 +136,6 @@ def test_degree1_touching_extensions():
     assert hom_dim(G(Interval.closed(0, 1), 0), G(Interval.closed(0, 2), 1)) == 0
     # disjoint closures kill every morphism space
     assert hom_dim(G(Interval.closed(5, 9), 0), G(Interval.right_open(0, 2), 1)) == 0
-
-
-def test_deviation_records_are_selfconsistent():
-    for dev in DEGREE1_RULE_DEVIATIONS:
-        assert dev.naive != dev.actual
-        assert dev.witness
 
 
 def test_shift_outside_0_1_vanishes(rng):

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import pytest
@@ -390,6 +391,21 @@ def test_builders_refuse_a_degree_no_reader_reads():
                 with refused(4300):
                     bar_at((side, m), cls, 0.0, 1.0)
     assert parse_barcode(format_barcode(Barcode(tuple(bars)))) == Barcode(tuple(bars))
+
+
+def test_builders_take_a_degree_through_index():
+    # a float degree printed as text no reader reads ("1.5 (0,1)", "2.0
+    # (0,1)"), and True as "True (0,1)"; the builder stores the int that
+    # operator.index gives, or refuses the degree, naming it
+    opened = Interval.open(0.0, 1.0)
+    for degree in (1.5, 2.0, math.nan, "1", None):
+        with pytest.raises(ValueError, match=f"^degree {re.escape(repr(degree))} is not an integer$"):
+            GradedInterval(opened, degree)
+    g = GradedInterval(opened, True)
+    assert type(g.degree) is int and g == GradedInterval(opened, 1)
+    assert point(g) == (("central", 1), 4, 1.0, 0.0)
+    assert format_barcode(Barcode((g,))) == "1 (0,1)\n"
+    assert parse_barcode(format_barcode(Barcode((g,)))) == Barcode((GradedInterval(opened, 1),))
 
 
 def test_every_central_point_is_a_bar(rng):

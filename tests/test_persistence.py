@@ -64,6 +64,16 @@ def test_from_persistence_refuses_a_degree_no_reader_reads():
                 from_persistence(PersistenceDiagram(degree, ((0.0, 1.0),)), side)
 
 
+def test_a_diagram_takes_its_degree_through_index():
+    # PersistenceDiagram(1.5, ...) gave from_persistence a bar that printed
+    # as "1.5 [0,1)", which no reader reads
+    with pytest.raises(ValueError, match=r"^degree 1\.5 is not an integer$"):
+        from_persistence(PersistenceDiagram(1.5, ((0.0, 1.0),)), "R")
+    diagram = PersistenceDiagram(True, ((0.0, 1.0),))
+    assert type(diagram.degree) is int and diagram == PersistenceDiagram(1, ((0.0, 1.0),))
+    assert from_persistence(diagram, "R") == (GradedInterval(Interval.right_open(0.0, 1.0), 1),)
+
+
 def test_round_trip_with_infinite_ends():
     bars = (
         GradedInterval(Interval.right_open(0, INF), 0),

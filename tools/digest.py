@@ -23,13 +23,15 @@ Writes one line per call, each float as ``float.hex`` and each bar by
   whose ends include both zeros, with first coordinates tied across the
   sides and pairs exactly at the per-pair bound.
 - ``cli``: ``sheafdist.cli.main`` in-process on the fixture pair
-  ``circle_{f,g}.gbc`` and the first 20 ``many_slots`` cases of seed 1:
-  ``validate``, ``dist``, ``match``, ``component``, ``gamma`` (with and
-  without ``--compact``), ``convolve`` at six ``--eps`` (negative ones,
-  ones that collapse open bars and one out of range included) and
-  ``interpolate`` at four ``--t`` (one past the distance).  Each line
-  holds the command (files by name), the exit code, the sha256 and line
-  count of stdout, and stderr.
+  ``circle_{f,g}.gbc``, a pair at the degree limit (F a 4,299-digit
+  ``(0,1)`` bar and its negative ``[0,1]``, G one 4,300-digit line, which
+  every reader refuses) and the first 20 ``many_slots`` cases of seed 1:
+  ``validate``, ``dist``, ``match`` (F with G and with itself),
+  ``component``, ``gamma`` (with and without ``--compact``), ``convolve``
+  at six ``--eps`` (negative ones, ones that collapse open bars and one
+  out of range included) and ``interpolate`` at four ``--t`` (one past
+  the distance).  Each line holds the command (files by name), the exit
+  code, the sha256 and line count of stdout, and stderr.
 
 Two digests list the same calls in the same order, so ``compare`` reads
 them side by side.
@@ -236,8 +238,9 @@ def _cli_line(main, tmp: Path, argv: list[str]) -> str:
 
 
 def _cli(pairs, out) -> None:
-    """The ``cli`` lines of each ``(F name, F text, G name, G text)``."""
-    from sheafdist import distance_with_matching, parse_barcode
+    """The ``cli`` lines of each ``(F name, F text, G name, G text)``; G
+    may be a text the readers refuse."""
+    from sheafdist import ParseError, distance_with_matching, parse_barcode
     from sheafdist.cli import main
 
     with tempfile.TemporaryDirectory() as name:
@@ -245,10 +248,14 @@ def _cli(pairs, out) -> None:
         for f, f_text, g, g_text in pairs:
             (tmp / f).write_text(f_text, encoding="utf-8")
             (tmp / g).write_text(g_text, encoding="utf-8")
-            d = distance_with_matching(parse_barcode(f_text), parse_barcode(g_text))[0]
+            try:
+                d = distance_with_matching(parse_barcode(f_text), parse_barcode(g_text))[0]
+            except ParseError:  # each command given G is a refusal
+                d = INF
             # the last time is past the distance, an error
             ts = ["1"] if d == INF else [repr(d * k) for k in (0.25, 0.5, 1.0, 2.0)]
-            runs = [["validate", f], ["dist", f, g], ["match", f, g], ["component", f, g],
+            runs = [["validate", f], ["dist", f, g], ["match", f, g], ["match", f, f],
+                    ["component", f, g],
                     ["gamma", f], ["gamma", f, "--compact"],
                     *(["convolve", f, "--eps", e] for e in EPS),
                     *(["interpolate", f, g, "--t", t] for t in ts)]
@@ -362,7 +369,9 @@ def digest(out) -> None:
         _parse(f"fuzz {k}", _fuzz_text(rng), out)
 
     f, g = "circle_f.gbc", "circle_g.gbc"
+    nines = "9" * 4299  # the longest degree a reader reads; one more digit is refused
     _cli([(f, fixtures[f], g, fixtures[g]),
+          ("edge.gbc", f"{nines} (0,1)\n-{nines} [0,1]\n", "long.gbc", f"9{nines} [0,1)\n"),
           *((f"{k:03d}F.gbc", case.f_text, f"{k:03d}G.gbc", case.g_text)
             for k, case in enumerate(bench["many_slots", 1][:CLI_CASES]))], out)
 
