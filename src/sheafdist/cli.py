@@ -1,10 +1,11 @@
 """Command line surface.
 
 Exit codes: 0 on success (an infinite distance is still success, printed
-as ``inf``), 1 on domain errors, 2 on I/O, parse and usage errors, 141
-(SIGPIPE's shell status, nothing on stderr) when stdout has no reader.  A
-non-finite ``--eps`` or ``--t`` is a usage error; an input file that is
-not UTF-8 is a parse error.  These numbers are read by the grammar of a
+as ``inf``), 1 on domain errors and when memory runs out, 2 on I/O,
+parse and usage errors, 141 (SIGPIPE's shell status, nothing on stderr)
+when stdout has no reader.  A parse error of a file, text that is not
+UTF-8 included, starts with its path.  A non-finite ``--eps`` or ``--t``
+is a usage error, and these numbers are read by the grammar of a
 ``.gbc`` file: ASCII decimals and ``[+-]inf``, so ``1_0`` and digits of
 other scripts are usage errors.  The value of ``--eps`` or ``--t`` may
 be a separate argument, negative ones included (``--eps -1e-3``).  A
@@ -14,10 +15,10 @@ Options are spelled out in full: an abbreviation such as ``--ep`` is an
 unrecognized argument.  The commands that print ``.gbc`` text
 (``convolve``, ``interpolate``, ``import-diagram``) print bars that
 ``validate`` reads back exactly; a ``convolve`` result that is no bar (an
-end at 2**1022 or beyond, or a half-open bar whose ends round onto each
-other, as ``[0,1)`` by ``1e16``) is a parse error naming ``--eps`` and
-the bar, and so is one whose degree has more digits than a reader reads
-(4,299), which the bar builders refuse in the readers' words.
+end at 2**1022 or beyond, a half-open bar whose ends round onto each
+other, as ``[0,1)`` by ``1e16``, or a degree of more than the readers'
+4,299 digits) is a parse error: ``--eps`` and the value, then
+``convolve_interval``'s own message, which names the bar.
 
 Start-up: at module level this imports only ``barcode``, ``intervals``
 and ``matching``, all that ``validate``, ``dist``, ``match`` and
@@ -98,16 +99,16 @@ def _finite(name: str, tok: str) -> float:
     return x
 
 
-def _read(path: str) -> str:
+def _load(path: str, parse=parse_barcode):
+    """``parse`` of the text of file ``path``, the one file read of a command.
+    Text that is not UTF-8, or a ValueError of ``parse``, is a ParseError naming the path."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            return parse(fh.read())
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-
-
-def _load(path: str) -> Barcode:
-    return parse_barcode(_read(path))
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -137,20 +138,15 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "convolve":
-        from .convolve import convolve_interval
+        from .convolve import convolve_barcode
 
         eps = _finite("--eps", args.eps)
-        out = []
-        for g in _load(args.barcode):
-            try:
-                out.append(convolve_interval(g, eps))
-            except ValueError as exc:
-                # a degree past the readers' limit is named in their words
-                cause = str(exc)
-                why = (cause[cause.index("degree of "):] if "degree of " in cause
-                       else "an endpoint reaches 2**1022 or rounding empties the bar")
-                raise ParseError(f"--eps {fmt_number(eps)} takes {g} out of range: {why}") from None
-        sys.stdout.write(format_barcode(Barcode(tuple(out))))
+        b = _load(args.barcode)
+        try:
+            b = convolve_barcode(b, eps)
+        except ValueError as exc:
+            raise ParseError(f"--eps {fmt_number(eps)}: {exc}") from None
+        sys.stdout.write(format_barcode(b))
         return 0
 
     if args.command == "interpolate":
@@ -183,12 +179,11 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "import-diagram":
         from .persistence import from_persistence, parse_diagrams
 
-        diagrams = parse_diagrams(_read(args.diagram))
-        try:
-            bars = [g for d in diagrams for g in from_persistence(d, args.side)]
-        except ValueError as exc:
-            raise ParseError(f"{args.diagram}: {exc}") from None
-        sys.stdout.write(format_barcode(Barcode(tuple(bars))))
+        def barcode(text: str) -> Barcode:  # a pair with no bar on the side: the file's fault
+            return Barcode(tuple(g for d in parse_diagrams(text)
+                                 for g in from_persistence(d, args.side)))
+
+        sys.stdout.write(format_barcode(_load(args.diagram, barcode)))
         return 0
 
     raise AssertionError(f"unhandled command {args.command}")
@@ -236,6 +231,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -29,13 +29,14 @@ A bar is built from its interval and degree or, by ``bar_at``, from its
 point (the inverse of ``point``, and the one place a moved point becomes
 a bar again).  The builders own the two rules of a bar: both apply
 ``Interval``'s rule, and a refused bar raises ``Interval``'s message;
-both refuse a degree of more than ``_DEGREE_DIGITS`` (4,299) digits, in
-the readers' words ("degree of N digits: a degree has at most 4299"), so
-every bar prints as a line the readers take.  ``bar_at`` builds the key
-and point of a finite central point, or of a class-0 point with
-``u < v``, directly, as ``_graded`` would; rays, the line and every point
-it refuses go through ``GradedInterval``.  It also refuses a point with a
-finite end's coordinate at an infinity, which no bar of its class has.
+both refuse a degree of more than ``_DEGREE_DIGITS`` (4,299) digits
+(``_as_degree``), in the readers' words ("degree of N digits: a degree
+has at most 4299"), so every bar prints as a line the readers take.
+``bar_at`` builds the key and point of a finite central point, or of a
+class-0 point with ``u < v``, directly, as ``_graded`` would; rays, the
+line and every point it refuses go through ``GradedInterval``.  It also
+refuses a point with a finite end's coordinate at an infinity, which no
+bar of its class has.
 The parser's fast loop calls ``_graded`` itself: its grammar already
 limits a degree's digits.
 
@@ -63,6 +64,7 @@ _LIMIT = 2.0**1022  # every finite end is below it: no difference of two ends ov
 # collapse), and one away from 4,300 digits can need 4,301, which ``str``
 # refuses (``sys.get_int_max_str_digits``)
 _DEGREE_DIGITS = 4299
+_LONG_DEGREE = f"degree of %d digits: a degree has at most {_DEGREE_DIGITS}"  # the readers' words
 _DEGREE_MAX = 10**_DEGREE_DIGITS - 1  # the largest degree magnitude of a bar
 _DEGREE_MIN = -_DEGREE_MAX  # kept: negating a 4,300-digit int at each test costs more than it
 
@@ -93,17 +95,20 @@ def _refuse(lo: float, hi: float, lo_closed: bool, hi_closed: bool) -> None:
         raise ValueError("endpoint out of range: a finite end must be below 2**1022")
 
 
-def _long_degree(digits: int) -> ValueError:
-    """The refusal of a degree of ``digits`` digits, more than ``_DEGREE_DIGITS``."""
-    return ValueError(f"degree of {digits} digits: a degree has at most {_DEGREE_DIGITS}")
-
-
 def _as_degree(degree) -> int:
-    """``degree`` as ``operator.index`` reads it (``True`` is 1), or a ValueError naming it."""
+    """``degree`` as ``operator.index`` reads it (``True`` is 1), or a ValueError:
+    naming it, or past ``_DEGREE_DIGITS`` digits in the readers' words."""
     try:
-        return index(degree)
+        degree = index(degree)
     except TypeError:
         raise ValueError(f"degree {degree!r} is not an integer") from None
+    if not _DEGREE_MIN <= degree <= _DEGREE_MAX:
+        n = abs(degree)  # its digits, counted without ``str``, which refuses 4,301
+        digits = int((n.bit_length() - 1) * 0.3010299956639812)  # times log10(2): a lower bound
+        while n >= 10**digits:
+            digits += 1
+        raise ValueError(_LONG_DEGREE % digits)
+    return degree
 
 
 class Interval(namedtuple("Interval", "lo hi lo_closed hi_closed")):
@@ -281,12 +286,6 @@ class GradedInterval(_Frozen, tuple):
 
     def __new__(cls, interval: Interval, degree: int) -> "GradedInterval":
         degree = _as_degree(degree)
-        if not _DEGREE_MIN <= degree <= _DEGREE_MAX:
-            n = abs(degree)  # its digits, counted without ``str``, which refuses 4,301
-            digits = int((n.bit_length() - 1) * 0.3010299956639812)  # times log10(2): a lower bound
-            while n >= 10**digits:
-                digits += 1
-            raise _long_degree(digits)
         lo, hi, lo_closed, hi_closed = interval
         return _graded(lo, hi, lo_closed, hi_closed, degree)
 
@@ -367,9 +366,6 @@ def bar_at(slot: tuple[str, int], cls: int, u: float, v: float) -> GradedInterva
     unless ``cls & 2``) at an infinity is a ValueError naming the point,
     as no bar of that slot and class lies there; any other end out of
     range is ``Interval``'s ValueError.
-
-    A degree of the bar beyond ``±_DEGREE_MAX`` is a ValueError in the
-    readers' words, so every bar built here prints as a line they read.
 
     A central point with both coordinates below 2**1022 in magnitude, and
     a class-0 point with ``-2**1022 < u < v < 2**1022``, in a slot whose
@@ -455,7 +451,7 @@ def _degree(tok: str) -> int:
     ``_DEGREE_DIGITS`` digits is a ValueError."""
     digits = len(tok) - (tok[:1] == "-")
     if digits > _DEGREE_DIGITS:
-        raise _long_degree(digits)
+        raise ValueError(_LONG_DEGREE % digits)
     return int(tok)
 
 

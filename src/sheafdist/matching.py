@@ -288,8 +288,8 @@ def _slot_groups(
 ) -> tuple[dict, dict]:
     """One walk over the bars: ``(groups, need)``.
 
-    ``groups`` maps each slot either side fills to its left bars, their
-    points, its right bars and theirs, each in the order given.  ``need``
+    ``groups`` maps each slot either side fills to its left bars and its
+    right bars, each in the order given.  ``need``
     maps each ``(slot, class)`` of undeletable bars (central bars, rays to
     -inf, rays to inf, the line) to its count of left bars minus right
     ones.  This is the component rule: the distance is finite exactly when
@@ -298,14 +298,13 @@ def _slot_groups(
     """
     groups: dict = {}
     need: dict = {}
-    for k, sign, bars in ((0, 1, left), (2, -1, right)):
+    for k, sign, bars in ((0, 1, left), (1, -1, right)):
         for g in bars:
             pt = point(g)
             group = groups.get(pt[0])
             if group is None:
-                group = groups[pt[0]] = ([], [], [], [])
+                group = groups[pt[0]] = ([], [])
             group[k].append(g)
-            group[k + 1].append(pt)
             if pt[1]:
                 key = pt[:2]
                 need[key] = need.get(key, 0) + sign
@@ -365,12 +364,12 @@ def _rows(
     bar_r: Bars = []
     col = [INF] * (len(left) + len(right))  # col[j]: the cheapest listed edge of right bar j
     for slot in sorted(groups, key=lambda slot: (_SIDES[slot[0]], slot[1])):
-        ls, lpts, rs, rpts = groups[slot]
+        ls, rs = groups[slot]
         lo = len(nbrs)
         blocks: dict = {}
         dr = []  # the deletion cost of each right bar
         j = lo
-        for _, s, u, v in rpts:
+        for _, s, u, v in map(point, rs):
             d = INF if s else (v - u) / 2.0
             dr.append(d)
             block = blocks.get(s)
@@ -385,7 +384,7 @@ def _rows(
             blocks[s] = us, vs, js, ds, len(us), max(ds)
         lb = -INF
         vertex = lo + len(rs)  # the next left copy's right vertex
-        for _, s, u, v in lpts:
+        for _, s, u, v in map(point, ls):
             if s:
                 di, row = INF, []
             else:

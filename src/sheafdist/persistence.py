@@ -13,13 +13,14 @@ distance zero translate to the same diagram.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 
 from .barcode import CLRSplit
 from .intervals import (
     _BY_KEY,
     _DEGREE,
+    _LIMIT,
+    INF,
     GradedInterval,
     ParseError,
     _as_degree,
@@ -32,9 +33,11 @@ from .intervals import (
 
 
 class PersistenceDiagram(namedtuple("PersistenceDiagram", "degree pairs")):
-    """Multiset of (birth, death) pairs in one homological degree (an
-    ``int``, taken as a bar's is), kept sorted.  ``_make`` and
-    ``_replace`` build through the checks too."""
+    """Multiset of (birth, death) pairs in one homological degree, kept
+    sorted.  The degree is checked as a bar's is (``_as_degree``), and a
+    pair needs ``birth < death`` with each finite end below 2**1022, so
+    every diagram prints as lines ``parse_diagrams`` reads back.  ``_make``
+    and ``_replace`` build through the checks too."""
 
     __slots__ = ()
 
@@ -44,7 +47,7 @@ class PersistenceDiagram(namedtuple("PersistenceDiagram", "degree pairs")):
         degree = _as_degree(degree)
         pairs = tuple(sorted(pairs))
         for birth, death in pairs:
-            if math.isnan(birth) or math.isnan(death) or not birth < death:
+            if not birth < death or _LIMIT <= abs(birth) < INF or _LIMIT <= abs(death) < INF:
                 raise ValueError(f"bad diagram pair ({birth}, {death})")
         return tuple.__new__(cls, (degree, pairs))
 
@@ -68,14 +71,14 @@ def to_persistence(split: CLRSplit, side: str, degree: int) -> PersistenceDiagra
 
 def from_persistence(diagram: PersistenceDiagram, side: str) -> tuple[GradedInterval, ...]:
     """Inverse of ``to_persistence``; returns the slot's bars.  A pair
-    with no bar on ``side`` (``(-inf, inf)``, the full line, on L), or
-    with a finite end of magnitude 2**1022 or more, is a ``ValueError``."""
+    with no bar on ``side`` (``(-inf, inf)``, the full line, on L) is a
+    ``ValueError``."""
     if side not in ("R", "L"):
         raise ValueError(f"side must be 'R' or 'L', got {side!r}")
     slot, bars = (side, diagram.degree), []
     for birth, death in diagram.pairs:
         lo, hi = (birth, death) if side == "R" else (-death, -birth)
-        g = bar_at(slot, (lo == -math.inf) + 2 * (hi == math.inf), lo, hi)
+        g = bar_at(slot, (lo == -INF) + 2 * (hi == INF), lo, hi)
         if point(g)[0][0] != side:
             pair = f"({fmt_number(birth)}, {fmt_number(death)})"
             raise ValueError(f"pair {pair} reads as {g}, not an {side} bar")

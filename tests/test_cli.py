@@ -123,7 +123,8 @@ def test_a_degree_one_away_from_the_limit_still_prints(tmp_path):
     for args in (("match", closed, closed), ("gamma", open_), ("convolve", open_, "--eps", "1")):
         out = run_cli(*args)
         assert out.returncode == 2 and out.stdout == "", args
-        assert out.stderr == "error: line 1: degree of 4300 digits: a degree has at most 4299\n"
+        assert out.stderr == (f"error: {args[1]}: line 1: degree of 4300 digits: a degree has "
+                              "at most 4299\n")
     nines = nines[1:]
     closed = gbc(tmp_path, "closed.gbc", f"-{nines} [0,1]\n")
     open_ = gbc(tmp_path, "open.gbc", f"{nines} (0,1)\n")
@@ -137,8 +138,8 @@ def test_a_degree_one_away_from_the_limit_still_prints(tmp_path):
     for path, eps, bar in ((open_, "1", f"(0,1)@{nines}"), (closed, "-1", f"[0,1]@-{nines}")):
         out = run_cli("convolve", path, "--eps", eps)
         assert out.returncode == 2 and out.stdout == ""
-        assert out.stderr == (f"error: --eps {eps} takes {bar} out of range: degree of 4300 "
-                              "digits: a degree has at most 4299\n")
+        assert out.stderr == (f"error: --eps {eps}: convolving {bar} by eps={float(eps)!r}: "
+                              "degree of 4300 digits: a degree has at most 4299\n")
 
 
 @pytest.mark.parametrize("args", [
@@ -177,6 +178,41 @@ def test_non_utf8_file_is_parse_error(tmp_path, verb, name):
     assert out.returncode == 2
     assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
     assert str(path) in out.stderr and "UTF-8" in out.stderr
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(("validate", "{bad}"), id="validate"),
+    pytest.param(("dist", "{ok}", "{bad}"), id="dist"),
+    pytest.param(("match", "{ok}", "{bad}"), id="match"),
+    pytest.param(("interpolate", "{ok}", "{bad}", "--t", "0"), id="interpolate"),
+    pytest.param(("component", "{ok}", "{bad}"), id="component"),
+    pytest.param(("gamma", "{bad}"), id="gamma"),
+    pytest.param(("convolve", "{bad}", "--eps", "1"), id="convolve"),
+    pytest.param(("import-diagram", "{pdg}", "--side", "R"), id="import-diagram"),
+])
+def test_a_parse_error_names_its_file(tmp_path, args):
+    # the fault is in the second file of a pair, where "line 1" alone once
+    # left the reader to guess which file it was in
+    ok, bad = gbc(tmp_path, "ok.gbc", "0 [0,1)\n"), gbc(tmp_path, "bad.gbc", "0 [2,1]\n")
+    pdg = gbc(tmp_path, "bad.pdg", "0 0\n")
+    out = run_cli(*(a.format(ok=ok, bad=bad, pdg=pdg) for a in args))
+    path = pdg if args[0] == "import-diagram" else bad
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith(f"error: {path}: line 1: ") and out.stderr.count("\n") == 1
+
+
+def test_running_out_of_memory_is_one_error_line(monkeypatch, capsys):
+    from sheafdist import cli
+
+    def exhausted(F, G):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "distance_with_matching", exhausted)
+    f = str(FIXTURES / "circle_f.gbc")
+    for verb in ("dist", "match"):
+        assert cli.main([verb, f, f]) == 1
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "error: out of memory\n")
 
 
 # Each row of a table whose arguments are tuples carries the id it has always

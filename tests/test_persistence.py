@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -62,6 +63,25 @@ def test_from_persistence_refuses_a_degree_no_reader_reads():
         for degree in (big, -big):
             with pytest.raises(ValueError, match="^degree of 4300 digits: a degree has at most 4299$"):
                 from_persistence(PersistenceDiagram(degree, ((0.0, 1.0),)), side)
+
+
+def test_a_diagram_holds_only_what_its_reader_reads():
+    # a diagram at degree 10**4299 printed a line parse_diagrams refuses, at
+    # 10**4300 format_diagrams raised int's string-limit error, and a pair
+    # with an end at 2**1022 printed a number the reader refuses
+    big = 10**4299
+    for degree, digits in ((big, 4300), (-big, 4300), (10 * big, 4301)):
+        with pytest.raises(ValueError, match=f"^degree of {digits} digits: a degree has at most 4299$"):
+            PersistenceDiagram(degree, ((0.0, 1.0),))
+    with pytest.raises(ValueError, match="^degree of 4300 digits"):
+        PersistenceDiagram(0, ((0.0, 1.0),))._replace(degree=big)
+    for pair in ((0.0, 2.0**1022), (-(2.0**1022), 0.0), (-1e308, INF), (float("nan"), 1.0)):
+        with pytest.raises(ValueError, match="^bad diagram pair"):
+            PersistenceDiagram(0, (pair,))
+    edge = math.nextafter(2.0**1022, 0)
+    for degree in (big - 1, 1 - big):
+        d = PersistenceDiagram(degree, ((-edge, edge), (-INF, INF)))
+        assert parse_diagrams(format_diagrams([d])) == (d,)
 
 
 def test_a_diagram_takes_its_degree_through_index():

@@ -95,8 +95,8 @@ def test_move_digest_cli_section_runs_the_commands(tmp_path):
         ["convolve", "circle_f.gbc"], ["dist", "missing.gbc", "circle_g.gbc"])]
     assert lines[0] == CLI
     assert lines[1].startswith("cli|convolve circle_f.gbc --eps 1e308|2|")
-    assert lines[1].endswith(" 0|error: --eps 1e+308 takes [-1,1]@0 out of range: an endpoint "
-                             "reaches 2**1022 or rounding empties the bar")
+    assert lines[1].endswith(" 0|error: --eps 1e+308: convolving [-1,1]@0 by eps=1e+308 moves an "
+                             "endpoint to 2**1022 or beyond")
     # argparse's usage error, a SystemExit, is caught, and its lines are joined by \\n
     code, _, err = lines[2].split("|")[2:]
     assert code == "2" and err.startswith("usage: ") and "\n" not in err
