@@ -14,7 +14,6 @@ from sheafdist import (
     from_persistence,
     parse_barcode,
     part_bottleneck,
-    split_clr,
     to_persistence,
 )
 
@@ -24,15 +23,14 @@ b = parse_barcode("""
 0 (-2,5]
 1 (0,2]
 """)
-split = split_clr(b)
 
 print("barcode:")
 for g in b:
     print(f"  {g}")
 
-r0 = to_persistence(split, "R", 0)
-l0 = to_persistence(split, "L", 0)
-l1 = to_persistence(split, "L", 1)
+r0 = to_persistence(b, "R", 0)
+l0 = to_persistence(b, "L", 0)
+l1 = to_persistence(b, "L", 1)
 print("\nas diagrams (.pdg lines):")
 print(format_diagrams([r0, l0, l1]), end="")
 

@@ -27,8 +27,7 @@ _HOME = {
         "intervals",
     ),
     **dict.fromkeys(
-        ("Barcode", "CLRSplit", "format_barcode", "global_sections", "parse_barcode",
-         "split_clr"),
+        ("Barcode", "format_barcode", "global_sections", "parse_barcode"),
         "barcode",
     ),
     **dict.fromkeys(

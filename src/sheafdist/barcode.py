@@ -2,15 +2,15 @@
 
 A barcode is the complete isomorphism invariant this library computes
 with.  Beyond the container itself this module provides the text format
-(``.gbc`` files), the central/right/left split that dictates how bars
-may be matched, and the graded dimensions of global sections (ordinary
-and compactly supported), which are invariants of finite distance.
+(``.gbc`` files) and the graded dimensions of global sections (ordinary
+and compactly supported), which are invariants of finite distance.  The
+central/right/left split that dictates how bars may be matched is
+``matching.split_clr``.
 """
 
 from __future__ import annotations
 
 import re
-from collections import namedtuple
 
 from .intervals import (
     _BY_KEY,
@@ -27,7 +27,6 @@ from .intervals import (
     _text,
     _tgt_shape,
     parse_interval,
-    point,
 )
 
 # one match per line of a text whose lines are joined by ``\n``: a line of a
@@ -148,39 +147,6 @@ def format_barcode(b: Barcode) -> str:
     return "".join(
         f"{d} {_text(lo, lo_open, hi, hi_open)}\n" for (d, lo, lo_open, hi, hi_open), _ in b.bars
     )
-
-
-# ---------------------------------------------------------------------
-# CLR split
-# ---------------------------------------------------------------------
-
-
-class CLRSplit(namedtuple("CLRSplit", "central right left")):
-    """Barcode regrouped for matching: ``central[m]``, ``right[j]`` and
-    ``left[j]`` hold the bars that ``point`` puts in slot
-    ``("central", m)``, ``("R", j)`` and ``("L", j)``.  Each field
-    defaults to a new empty dict."""
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        central: dict[int, tuple[GradedInterval, ...]] | None = None,
-        right: dict[int, tuple[GradedInterval, ...]] | None = None,
-        left: dict[int, tuple[GradedInterval, ...]] | None = None,
-    ) -> "CLRSplit":
-        return tuple.__new__(cls, ({} if central is None else central,
-                                   {} if right is None else right,
-                                   {} if left is None else left))
-
-
-def split_clr(b: Barcode) -> CLRSplit:
-    parts: dict[str, dict[int, list[GradedInterval]]] = {"central": {}, "R": {}, "L": {}}
-    for g in b:
-        (side, m), _, _, _ = point(g)
-        parts[side].setdefault(m, []).append(g)
-    freeze = lambda d: {m: tuple(v) for m, v in sorted(d.items())}
-    return CLRSplit(freeze(parts["central"]), freeze(parts["R"]), freeze(parts["L"]))
 
 
 # ---------------------------------------------------------------------

@@ -17,8 +17,8 @@ unrecognized argument.  The commands that print ``.gbc`` text
 ``validate`` reads back exactly; a ``convolve`` result that is no bar (an
 end at 2**1022 or beyond, a half-open bar whose ends round onto each
 other, as ``[0,1)`` by ``1e16``, or a degree of more than the readers'
-4,299 digits) is a parse error: ``--eps`` and the value, then
-``convolve_interval``'s own message, which names the bar.
+4,299 digits) is a parse error: ``--eps``, then ``convolve_interval``'s
+own message, which names the bar and the value of eps.
 
 Start-up: at module level this imports only ``barcode``, ``intervals``
 and ``matching``, all that ``validate``, ``dist``, ``match`` and
@@ -145,7 +145,7 @@ def _run(args: argparse.Namespace) -> int:
         try:
             b = convolve_barcode(b, eps)
         except ValueError as exc:
-            raise ParseError(f"--eps {fmt_number(eps)}: {exc}") from None
+            raise ParseError(f"--eps: {exc}") from None
         sys.stdout.write(format_barcode(b))
         return 0
 

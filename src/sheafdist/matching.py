@@ -10,8 +10,10 @@ partial one.  Every cost within a shape class is finite (``Interval``
 keeps ends below 2**1022), so a slot's distance is infinite exactly when
 a class of undeletable bars differs in size between the sides.  This
 rule, the matching form of the paper's description of the connected
-components, is counted in one place, ``_slot_groups``: ``_rows`` reads it
-before building the graph, and ``same_component`` reads it alone.
+components, is counted in one place, ``split_clr``, which also groups the
+bars by slot (the paper's central, R and L parts): ``_rows`` reads it
+before building the graph, ``same_component`` reads it alone, and
+``bruteforce_distance`` solves its groups.
 
 One graph per barcode pair serves every slot (``part_bottleneck``), and
 in it each slot solves for its own value: the least eps whose threshold
@@ -55,8 +57,9 @@ direction fixes the sign of the gap, so each step subtracts with no
 ``abs``; a listed cost is still the float ``pair_cost`` returns, the
 sign of a zero included.
 
-``bruteforce_distance`` re-solves every slot by one exhaustive
-enumeration of partial matchings, purely as an oracle for the fast path.
+``bruteforce_distance`` re-solves every group of ``split_clr`` by one
+exhaustive enumeration of partial matchings, purely as an oracle for the
+fast path.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from heapq import heappop, heappush
 
-from .barcode import Barcode, split_clr
+from .barcode import Barcode
 from .costs import deletion_cost, pair_cost
 from .intervals import INF, GradedInterval, point
 
@@ -283,18 +286,20 @@ Bars = list[GradedInterval | None]
 _SIDES = {"central": 0, "R": 1, "L": 2}  # the order of slots: central, R, L
 
 
-def _slot_groups(
+def split_clr(
     left: Sequence[GradedInterval], right: Sequence[GradedInterval]
 ) -> tuple[dict, dict]:
-    """One walk over the bars: ``(groups, need)``.
+    """The central/R/L split of two lists of bars, in one walk over them:
+    ``(groups, need)``.
 
-    ``groups`` maps each slot either side fills to its left bars and its
-    right bars, each in the order given.  ``need``
-    maps each ``(slot, class)`` of undeletable bars (central bars, rays to
-    -inf, rays to inf, the line) to its count of left bars minus right
-    ones.  This is the component rule: the distance is finite exactly when
-    every count is 0, since every other bar can be deleted and every cost
-    within a class is finite.
+    ``groups`` maps each slot either side fills (``point``'s
+    ``("central", m)``, ``("R", j)`` or ``("L", j)``) to its left bars and
+    its right bars, each in the order given.  ``need`` maps each
+    ``(slot, class)`` of undeletable bars (central bars, rays to -inf, rays
+    to inf, the line) to its count of left bars minus right ones.  This is
+    the component rule: the distance is finite exactly when every count is
+    0, since every other bar can be deleted and every cost within a class
+    is finite.
     """
     groups: dict = {}
     need: dict = {}
@@ -314,8 +319,8 @@ def _slot_groups(
 def same_component(F: Barcode, G: Barcode) -> bool:
     """Whether the barcodes lie in one connected component, that is, at a
     finite distance: each slot holds as many undeletable bars of F as of
-    G in each class (``_slot_groups``).  Nothing is solved."""
-    return not any(_slot_groups(F.bars, G.bars)[1].values())
+    G in each class (``split_clr``).  Nothing is solved."""
+    return not any(split_clr(F.bars, G.bars)[1].values())
 
 
 def _rows(
@@ -325,7 +330,7 @@ def _rows(
     """The graph of ``part_bottleneck``, built in one walk over the bars:
     ``(nbrs, ecost, slots, lbs, bar_l, bar_r)``, or ``None`` when a class
     of undeletable bars differs in size between the sides (the ``need`` of
-    ``_slot_groups``, which groups the bars by slot).  Else no row is
+    ``split_clr``, which groups the bars by slot).  Else no row is
     empty, as every cost within a class is finite: a deletable bar has its
     copy, an undeletable one an edge to each bar of its class.
 
@@ -353,7 +358,7 @@ def _rows(
     ``+0.0``, whenever ``h >= g``, so every listed cost is the float
     ``pair_cost`` returns, sign included.
     """
-    groups, need = _slot_groups(left, right)
+    groups, need = split_clr(left, right)
     if any(need.values()):
         return None
     nbrs: list[tuple[int, ...]] = []
@@ -496,19 +501,6 @@ def part_bottleneck(
     return value, tuple(out)
 
 
-def _slots(F: Barcode, G: Barcode):
-    """Yield ``(kind, F bars, G bars)`` for every slot either barcode
-    fills: central indices first, then R and L degrees, each ascending."""
-    sf, sg = split_clr(F), split_clr(G)
-    for name, fp, gp in (
-        ("central", sf.central, sg.central),
-        ("R", sf.right, sg.right),
-        ("L", sf.left, sg.left),
-    ):
-        for j in sorted(set(fp) | set(gp)):
-            yield (name, j), fp.get(j, ()), gp.get(j, ())
-
-
 def distance_with_matching(F: Barcode, G: Barcode) -> tuple[float, Matching]:
     """Bottleneck distance together with an optimal matching: one
     ``part_bottleneck`` call solves every slot, and its entries are the
@@ -548,14 +540,15 @@ def _brute(left, right) -> float:
 
 
 def bruteforce_distance(F: Barcode, G: Barcode, limit: int = 6) -> float:
-    """Distance by exhaustive enumeration of matchings, slot by slot.
+    """Distance by exhaustive enumeration of matchings, slot by slot: the
+    max of ``_brute`` over the groups of ``split_clr``.
 
     Refuses slots larger than ``limit`` bars per side.  Semantically
     identical to ``distance_with_matching`` and kept that way: the fast
     path is tested against this function.
     """
     total = 0.0
-    for _, left, right in _slots(F, G):
+    for left, right in split_clr(F.bars, G.bars)[0].values():
         if max(len(left), len(right)) > limit:
             raise ValueError(f"slot larger than limit={limit}")
         total = max(total, _brute(left, right))

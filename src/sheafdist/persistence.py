@@ -5,7 +5,9 @@ and death b; an L-part bar ``(a,b]@j`` becomes ``(-b,-a)`` after
 reflecting the line, so one diagram convention serves both sides.  The
 translation is lossless in both directions and turns the half-open slot
 bottleneck into the classical persistence bottleneck (same sup cost,
-same half-length deletion cost).
+same half-length deletion cost).  The half-open slots are the R and L
+groups of ``matching.split_clr``; ``to_persistence`` reads one straight
+off a ``Barcode``, by ``point``.
 
 Diagrams identify barcodes, not finer module structure: two modules at
 distance zero translate to the same diagram.
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .barcode import CLRSplit
+from .barcode import Barcode
 from .intervals import (
     _BY_KEY,
     _DEGREE,
@@ -56,17 +58,16 @@ class PersistenceDiagram(namedtuple("PersistenceDiagram", "degree pairs")):
         return cls(*iterable)
 
 
-def to_persistence(split: CLRSplit, side: str, degree: int) -> PersistenceDiagram:
-    """Diagram of one half-open slot.  ``side`` is "R" or "L"."""
-    if side == "R":
-        part = split.right.get(degree, ())
-        pairs = tuple((g.interval.lo, g.interval.hi) for g in part)
-    elif side == "L":
-        part = split.left.get(degree, ())
-        pairs = tuple((-g.interval.hi, -g.interval.lo) for g in part)
-    else:
+def to_persistence(barcode: Barcode, side: str, degree: int) -> PersistenceDiagram:
+    """Diagram of one half-open slot of ``barcode``, ``side`` "R" or "L":
+    the bars that ``point`` puts in slot ``(side, degree)``, their ends
+    read off each bar's key."""
+    if side not in ("R", "L"):
         raise ValueError(f"side must be 'R' or 'L', got {side!r}")
-    return PersistenceDiagram(degree, pairs)
+    slot = (side, degree)
+    ends = [(g.key[1], g.key[3]) for g in barcode.bars if point(g)[0] == slot]
+    pairs = ends if side == "R" else [(-hi, -lo) for lo, hi in ends]
+    return PersistenceDiagram(degree, tuple(pairs))
 
 
 def from_persistence(diagram: PersistenceDiagram, side: str) -> tuple[GradedInterval, ...]:

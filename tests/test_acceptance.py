@@ -26,7 +26,6 @@ from sheafdist import (
     interpolate,
     parse_barcode,
     part_bottleneck,
-    split_clr,
     stalk_type,
     to_persistence,
 )
@@ -337,7 +336,7 @@ def test_criterion_9_bridge_isometry():
     for _ in range(200):
         left, right = random_r_part(rng), random_r_part(rng)
         slot_value, _ = part_bottleneck(left, right)
-        dl = to_persistence(split_clr(Barcode(tuple(left))), "R", 0).pairs
-        dr = to_persistence(split_clr(Barcode(tuple(right))), "R", 0).pairs
+        dl = to_persistence(Barcode(tuple(left)), "R", 0).pairs
+        dr = to_persistence(Barcode(tuple(right)), "R", 0).pairs
         assert slot_value == classical_bottleneck(list(dl), list(dr))
     _report(9, "slot bottleneck equals the classical diagram bottleneck on 200 parts", t0, 30.0)

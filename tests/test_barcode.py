@@ -21,10 +21,10 @@ from sheafdist import (
     parse_diagrams,
     parse_graded_interval,
     same_component,
-    split_clr,
 )
 from sheafdist.barcode import _LINES
-from sheafdist.intervals import _DEGREE, _NUMBER, INF, parse_interval
+from sheafdist.intervals import _DEGREE, _NUMBER, INF, parse_interval, point
+from sheafdist.matching import split_clr
 
 CIRCLE_F = "0 [-1,1]\n0 (-1,1)\n"
 
@@ -394,26 +394,28 @@ def test_format_is_canonical():
 
 
 def test_split_clr_circle():
-    split = split_clr(parse_barcode(CIRCLE_F))
-    assert set(split.central) == {-1, 0}
-    assert [str(g) for g in split.central[-1]] == ["[-1,1]@0"]
-    assert [str(g) for g in split.central[0]] == ["(-1,1)@0"]
-    assert split.right == {} and split.left == {}
+    groups, need = split_clr(parse_barcode(CIRCLE_F).bars, ())
+    assert {slot: ([str(g) for g in ls], rs) for slot, (ls, rs) in groups.items()} == {
+        ("central", -1): (["[-1,1]@0"], []), ("central", 0): (["(-1,1)@0"], [])}
+    assert need == {(("central", -1), 4): 1, (("central", 0), 4): 1}
 
 
 def test_split_clr_ray_and_empty():
-    split = split_clr(parse_barcode("0 [0,inf)\n"))
-    assert set(split.right) == {0} and not split.central and not split.left
-    empty = split_clr(Barcode())
-    assert not empty.central and not empty.right and not empty.left
+    ray = parse_barcode("0 [0,inf)\n").bars
+    assert split_clr((), ray) == ({("R", 0): ([], list(ray))}, {(("R", 0), 2): -1})
+    assert split_clr((), ()) == ({}, {})
 
 
 def test_split_clr_partitions(rng):
     for _ in range(200):
-        b = random_barcode(rng, max_bars=10)
-        split = split_clr(b)
-        merged = [g for part in (split.central, split.right, split.left) for v in part.values() for g in v]
-        assert Barcode(tuple(merged)) == b
+        F, G = random_barcode(rng, max_bars=10), random_barcode(rng, max_bars=10)
+        groups, need = split_clr(F.bars, G.bars)
+        for k, b in enumerate((F, G)):
+            merged = [g for slot, part in groups.items() for g in part[k]
+                      if point(g)[0] == slot]
+            assert Barcode(tuple(merged)) == b
+        undeletable = [(point(g)[:2], s) for b, s in ((F, 1), (G, -1)) for g in b if point(g)[1]]
+        assert need == {key: sum(s for k, s in undeletable if k == key) for key, _ in undeletable}
 
 
 def test_global_sections_circle():

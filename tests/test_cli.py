@@ -1,11 +1,16 @@
+import math
 import os
 import random
 import subprocess
 import sys
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
+from tempfile import TemporaryDirectory
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sheafdist import format_barcode, parse_barcode
 
@@ -138,7 +143,7 @@ def test_a_degree_one_away_from_the_limit_still_prints(tmp_path):
     for path, eps, bar in ((open_, "1", f"(0,1)@{nines}"), (closed, "-1", f"[0,1]@-{nines}")):
         out = run_cli("convolve", path, "--eps", eps)
         assert out.returncode == 2 and out.stdout == ""
-        assert out.stderr == (f"error: --eps {eps}: convolving {bar} by eps={float(eps)!r}: "
+        assert out.stderr == (f"error: --eps: convolving {bar} by eps={float(eps)!r}: "
                               "degree of 4300 digits: a degree has at most 4299\n")
 
 
@@ -308,6 +313,14 @@ def test_convolve_out_of_range_is_parse_error(tmp_path, text, eps, bar):
     assert out.returncode == 2 and out.stdout == ""
     assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
     assert bar in out.stderr and "--eps" in out.stderr
+
+
+def test_convolve_refusal_spells_eps_once(tmp_path):
+    # convolve_interval's message gives eps by repr; --eps is not followed by it again
+    out = run_cli("convolve", gbc(tmp_path, "a.gbc", "0 [0,1)\n"), "--eps", "1e308")
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr == ("error: --eps: convolving [0,1)@0 by eps=1e+308 moves an endpoint "
+                          "to 2**1022 or beyond\n")
 
 
 def test_convolve_prints_a_narrow_bar_that_reads_back(tmp_path):
@@ -585,3 +598,113 @@ def test_cli_fuzz_ends_in_an_exit_code(tmp_path, capsys):
             # printed .gbc text reads back as it was printed
             assert format_barcode(parse_barcode(out)) == out, argv
     assert set(outcomes) >= {0, 1, 2, "exit 2"}, outcomes
+
+
+# ---------------------------------------------------------------------
+# no run ends in a traceback: a property over commands, options and bytes
+# ---------------------------------------------------------------------
+
+_EDGE = repr(2.0**1022)  # the least finite magnitude no reader takes
+_BELOW_EDGE = repr(math.nextafter(2.0**1022, 0))
+_GBC_LINES = [
+    "0 [0,1)", "0 (0,1]", "0 [-1,1]", "0 (-1,1)", "1 [0,0]", "0 [0,inf)", "0 (-inf,1)",
+    "-1 (-inf,inf)", "0 (3,inf)", "2 (0,2]", f"0 [0,{_BELOW_EDGE})", f"0 (-{_BELOW_EDGE},0]",
+    f"0 [{_BELOW_EDGE},inf)", f"{'9' * 4299} (0,1)", f"-{'9' * 4299} [0,1]", "0 [0,1e-12)",
+]
+_PDG_LINES = ["0 0 1", "0 -inf 2", "1 3 inf", "0 -inf inf", "0 0 1e-12", f"0 0 {_BELOW_EDGE}",
+              f"{'9' * 4299} 0 1"]
+_BAD_LINES = [f"0 [0,{_EDGE})", f"1{'0' * 4299} [0,1)", "0 [1,1)", "x [0,1)", f"0 0 {_EDGE}",
+              f"1{'0' * 4299} 0 1", "0 2 1"]
+# U+0085 (NEL) ends a line for str.splitlines; NUL does not
+_ENDINGS = ["\n", "\r\n", "\x85", " # c\n"]
+_BOM = "\ufeff".encode()
+
+
+def _mostly(common: list, rare: list):
+    """A draw from ``common``, or one time in eight from ``rare``."""
+    return st.integers(0, 7).flatmap(lambda k: st.sampled_from(rare if k == 0 else common))
+
+
+_COMMANDS = {  # files each command reads, and its own option
+    "validate": (1, None), "dist": (2, None), "match": (2, None), "convolve": (1, "--eps"),
+    "interpolate": (2, "--t"), "hom": (0, None), "gamma": (1, "--compact"),
+    "component": (2, None), "import-diagram": (1, "--side"), "frobnicate": (1, None),
+}
+_VALUES = {
+    "--eps": ["0", "0.5", "-0.5", "1", "-1e-3", "3", "1e16", "1e308", "-1.7e308", _BELOW_EDGE],
+    "--t": ["0", "0", "1e-12", "0.25", "0.5", "1", "-1", "0.4999999999995", "1e308"],
+    "--side": ["R", "L"],
+}
+_BAD_VALUES = ["inf", "nan", "1_0", "", "--", "C", "-x"]
+
+
+@st.composite
+def _file_bytes(draw, own_lines: list[str]) -> bytes:
+    lines = draw(_mostly([own_lines], [_GBC_LINES + _PDG_LINES]))  # now and then both formats
+    text = "".join(draw(st.lists(
+        st.tuples(_mostly(lines, _BAD_LINES), _mostly(_ENDINGS, ["\x00", ""])).map("".join),
+        max_size=4)))
+    data = (_BOM if draw(st.integers(0, 7)) == 0 else b"") + text.encode()
+    for _ in range(draw(_mostly([0], [1, 2]))):  # splice a few bytes in
+        i = draw(st.integers(0, len(data)))
+        data = data[:i] + draw(st.binary(max_size=2)) + data[i + draw(st.integers(0, 2)):]
+    return data
+
+
+@st.composite
+def _runs(draw) -> tuple[list[str], list[bytes]]:
+    """A command line, with ``f0``, ``f1`` and ``missing`` for its files,
+    and the bytes of files ``f0`` and ``f1``: lines of the command's
+    format, now and then of the other one, bad lines, other endings and
+    spliced bytes."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    reads, own = _COMMANDS[command]
+    lines = _PDG_LINES if command == "import-diagram" else _GBC_LINES
+    files = draw(st.lists(_file_bytes(lines), min_size=2, max_size=2))
+    argv = [command, *draw(st.lists(_mostly(["f0", "f1"], ["missing"]),
+                                    min_size=reads, max_size=reads))]
+    if reads == 2 and draw(st.booleans()):  # a pair at distance 0
+        argv[2] = argv[1]
+    if command == "hom":
+        argv += draw(st.lists(_mostly(["[0,1]@0", "(0,1)@1", "[0,inf)@-1"], ["[0,1)@x", "[0,1)"]),
+                              min_size=2, max_size=2))
+    options = [own] if own and draw(st.integers(0, 9)) else []
+    if draw(st.integers(0, 7)) == 0:  # perhaps another command's option
+        options.append(draw(st.sampled_from(["--eps", "--t", "--side", "--compact"])))
+    for option in options:
+        if option == "--compact":
+            argv.append(option)
+            continue
+        value = draw(_mostly(_VALUES[option], _BAD_VALUES))
+        argv += [f"{option}={value}"] if draw(st.booleans()) else [option, value]
+    return argv, files
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_runs())
+def test_no_run_ends_in_a_traceback(run):
+    # in process: 0, 1 or 2 (argparse's SystemExit(2) too), one error line
+    # or argparse's usage on failure, and printed .gbc text reads back
+    from sheafdist.cli import main
+
+    argv, files = run
+    with TemporaryDirectory() as tmp:
+        for name, data in zip(("f0", "f1"), files):
+            Path(tmp, name).write_bytes(data)
+        argv = [str(Path(tmp, a)) if a in ("f0", "f1", "missing") else a for a in argv]
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in out + err
+    if code:
+        assert (err.startswith("error: ") and err.count("\n") == 1) or (
+            err.startswith("usage: ") and ": error: " in err.splitlines()[-1]), err
+    else:
+        assert err == ""
+        if argv[0] in ("convolve", "interpolate", "import-diagram"):
+            assert format_barcode(parse_barcode(out)) == out

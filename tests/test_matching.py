@@ -308,6 +308,15 @@ def test_geodesic_bounds_off_grid(pair, frac):
     assert distance_with_matching(U, G)[0] <= eps - t + 1e-9
 
 
+def _slots(F: Barcode, G: Barcode):
+    """``(slot, F bars, G bars)`` for every group of ``split_clr``, in the
+    solver's order: central indices first, then R and L degrees, each
+    ascending."""
+    groups = matching.split_clr(F.bars, G.bars)[0]
+    for slot in sorted(groups, key=lambda slot: (("central", "R", "L").index(slot[0]), slot[1])):
+        yield slot, *groups[slot]
+
+
 def test_part_bottleneck_witness_is_optimal_in_every_slot():
     # one call over whole barcodes: each slot's part of the witness costs
     # that slot's own value, not just at most the value of the pair
@@ -317,7 +326,7 @@ def test_part_bottleneck_witness_is_optimal_in_every_slot():
         F = random_barcode(rng, max_bars=12)
         G = perturbed_barcode(rng, F) if k % 4 else random_barcode(rng, max_bars=12)
         value, pairs = part_bottleneck(F.bars, G.bars)
-        alone = {kind: part_bottleneck(fs, gs)[0] for kind, fs, gs in matching._slots(F, G)}
+        alone = {kind: part_bottleneck(fs, gs)[0] for kind, fs, gs in _slots(F, G)}
         assert value == max(alone.values(), default=0.0)
         if value == INF:
             assert pairs == ()
@@ -336,7 +345,7 @@ def _slot_by_slot(F: Barcode, G: Barcode):
     entries concatenated: the oracle for the one-call solve."""
     entries: list = []
     achieved = 0.0
-    for _, fs, gs in matching._slots(F, G):
+    for _, fs, gs in _slots(F, G):
         value, pairs = part_bottleneck(fs, gs)
         if value == INF:
             return INF, ()
@@ -762,7 +771,7 @@ def _assert_rows(left, right):
         assert classes != Counter(point(g)[:2] for g in right if point(g)[1])
         return
     nbrs, ecost, slots, lbs, *_ = graph
-    keys = [kind for kind, *_ in matching._slots(Barcode(tuple(left)), Barcode(tuple(right)))]
+    keys = [kind for kind, *_ in _slots(Barcode(tuple(left)), Barcode(tuple(right)))]
     assert [lo for lo, *_ in slots] == [0] + [hi for *_, hi in slots[:-1]]
     assert len(slots) == len(keys) and slots[-1][3] == len(nbrs)
     for (lo, _, _, hi), lb, key in zip(slots, lbs, keys):
@@ -992,7 +1001,7 @@ def test_cheapest_path_in_a_central_slot(paths):
 
 
 def test_cheapest_path_finds_none_only_by_a_bug():
-    # no perfect matching: the count check of _slot_groups rules this out
+    # no perfect matching: the count check of split_clr rules this out
     mate_l, mate_r = [0, -1], [0, -1]
     with pytest.raises(AssertionError, match="no augmenting path"):
         _cheapest_path([[0], [0]], [[1.0], [2.0]], (0, 2, 2, 2), mate_l, mate_r, 1.0)

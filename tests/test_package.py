@@ -13,13 +13,11 @@ import pytest
 import sheafdist
 from sheafdist import (
     Barcode,
-    CLRSplit,
     GradedInterval,
     Interval,
     Matching,
     PersistenceDiagram,
     parse_barcode,
-    split_clr,
 )
 from sheafdist.intervals import INF
 
@@ -100,13 +98,11 @@ BARCODE = parse_barcode("0 [0,1)\n0 (-1,1)\n1 [0,0]\n")
 
 def _records():
     """(value, an equal value built separately, a field name) per record."""
-    split = split_clr(BARCODE)
     pairs = ((BAR, BAR, 0.0),)
     return [
         (IV, Interval(0.0, 1.5, True, False), "lo"),
         (BAR, GradedInterval(Interval(0.0, 1.5, True, False), 2), "degree"),
         (BARCODE, parse_barcode("1 [0,0]\n0 (-1,1)\n0 [0,1)\n"), "bars"),
-        (split, CLRSplit(dict(split.central), dict(split.right), dict(split.left)), "right"),
         (Matching(pairs, 0.0), Matching(pairs, 0.0), "pairs"),
         (PersistenceDiagram(1, ((0.0, 2.0), (-INF, 1.0))),
          PersistenceDiagram(1, ((-INF, 1.0), (0.0, 2.0))), "pairs"),
@@ -116,8 +112,7 @@ def _records():
 @pytest.mark.parametrize("value, twin, field", _records(), ids=lambda x: type(x).__name__)
 def test_records_are_immutable_values(value, twin, field):
     assert value == twin and value is not twin and not value != twin
-    if not isinstance(value, CLRSplit):  # its fields are dicts
-        assert hash(value) == hash(twin)
+    assert hash(value) == hash(twin)
     with pytest.raises(AttributeError):
         setattr(value, field, getattr(value, field))
     with pytest.raises(AttributeError):
@@ -135,7 +130,6 @@ def test_graded_interval_keeps_key_and_point_out_of_equality():
     assert GradedInterval(IV, 3) != a and Barcode((a,)) != Barcode((GradedInterval(IV, 3),))
     assert repr(Barcode((a,))) == f"Barcode(bars=({a!r},))"
     assert repr(Matching.infeasible()) == "Matching(pairs=(), achieved=inf)"
-    assert CLRSplit() == CLRSplit({}, {}, {}) and CLRSplit().central is not CLRSplit().central
 
 
 INTERVAL_ERRORS = [

@@ -13,18 +13,19 @@ from sheafdist import (
     from_persistence,
     parse_diagrams,
     part_bottleneck,
-    split_clr,
     to_persistence,
 )
 from sheafdist.intervals import INF, ParseError
+from sheafdist.matching import split_clr
 
 
 def test_to_persistence_examples():
-    split = split_clr(Barcode((GradedInterval(Interval.right_open(0, 3), 0),)))
-    assert to_persistence(split, "R", 0) == PersistenceDiagram(0, ((0.0, 3.0),))
-    assert to_persistence(split, "R", 1) == PersistenceDiagram(1, ())
-    split = split_clr(Barcode((GradedInterval(Interval.left_open(-2, 5), 1),)))
-    assert to_persistence(split, "L", 1) == PersistenceDiagram(1, ((-5.0, 2.0),))
+    b = Barcode((GradedInterval(Interval.right_open(0, 3), 0),))
+    assert to_persistence(b, "R", 0) == PersistenceDiagram(0, ((0.0, 3.0),))
+    assert to_persistence(b, "R", 1) == PersistenceDiagram(1, ())
+    assert to_persistence(b, "L", 0) == PersistenceDiagram(0, ())
+    b = Barcode((GradedInterval(Interval.left_open(-2, 5), 1),))
+    assert to_persistence(b, "L", 1) == PersistenceDiagram(1, ((-5.0, 2.0),))
 
 
 def test_from_persistence_examples():
@@ -43,7 +44,7 @@ def test_side_is_checked_on_any_diagram(pairs):
         from_persistence(PersistenceDiagram(0, pairs), "X")
     assert str(exc.value) == message
     with pytest.raises(ValueError) as exc:
-        to_persistence(split_clr(Barcode()), "X", 0)
+        to_persistence(Barcode(), "X", 0)
     assert str(exc.value) == message
 
 
@@ -100,15 +101,14 @@ def test_round_trip_with_infinite_ends():
         GradedInterval(Interval.open(-INF, 2), 0),   # reads as [-inf, 2) on the R side
         GradedInterval(Interval.right_open(1, 4), 0),
     )
-    split = split_clr(Barcode(bars))
-    diagram = to_persistence(split, "R", 0)
+    diagram = to_persistence(Barcode(bars), "R", 0)
     assert from_persistence(diagram, "R") == tuple(sorted(bars, key=lambda g: g.key))
     lbars = (
         GradedInterval(Interval.open(3, INF), 2),        # (3, inf) is L-type
         GradedInterval(Interval.left_open(-INF, 0), 2),
         GradedInterval(Interval.left_open(0, 1), 2),
     )
-    ld = to_persistence(split_clr(Barcode(lbars)), "L", 2)
+    ld = to_persistence(Barcode(lbars), "L", 2)
     assert from_persistence(ld, "L") == tuple(sorted(lbars, key=lambda g: g.key))
 
 
@@ -117,13 +117,11 @@ def test_random_round_trips(rng):
 
     for _ in range(200):
         b = random_barcode(rng, max_bars=8)
-        split = split_clr(b)
-        for side, table in (("R", split.right), ("L", split.left)):
-            for degree, part in table.items():
-                diagram = to_persistence(split, side, degree)
-                assert from_persistence(diagram, side) == tuple(
-                    sorted(part, key=lambda g: g.key)
-                )
+        # the diagram of each half-open group of the split is that group
+        for (side, degree), (part, _) in split_clr(b.bars, ())[0].items():
+            if side != "central":
+                diagram = to_persistence(b, side, degree)
+                assert from_persistence(diagram, side) == tuple(part)
 
 
 def test_diagram_validation():
@@ -132,7 +130,7 @@ def test_diagram_validation():
     with pytest.raises(ValueError):
         PersistenceDiagram(0, ((4.0, 1.0),))
     with pytest.raises(ValueError):
-        to_persistence(split_clr(Barcode()), "X", 0)
+        to_persistence(Barcode(), "X", 0)
 
 
 def test_pdg_round_trip():
@@ -204,6 +202,6 @@ def test_bridge_isometry(rng):
     for _ in range(200):
         left, right = random_r_part(rng), random_r_part(rng)
         slot_value, _ = part_bottleneck(left, right)
-        dl = to_persistence(split_clr(Barcode(tuple(left))), "R", 0).pairs
-        dr = to_persistence(split_clr(Barcode(tuple(right))), "R", 0).pairs
+        dl = to_persistence(Barcode(tuple(left)), "R", 0).pairs
+        dr = to_persistence(Barcode(tuple(right)), "R", 0).pairs
         assert slot_value == classical_bottleneck(list(dl), list(dr))

@@ -95,7 +95,7 @@ def test_move_digest_cli_section_runs_the_commands(tmp_path):
         ["convolve", "circle_f.gbc"], ["dist", "missing.gbc", "circle_g.gbc"])]
     assert lines[0] == CLI
     assert lines[1].startswith("cli|convolve circle_f.gbc --eps 1e308|2|")
-    assert lines[1].endswith(" 0|error: --eps 1e+308: convolving [-1,1]@0 by eps=1e+308 moves an "
+    assert lines[1].endswith(" 0|error: --eps: convolving [-1,1]@0 by eps=1e+308 moves an "
                              "endpoint to 2**1022 or beyond")
     # argparse's usage error, a SystemExit, is caught, and its lines are joined by \\n
     code, _, err = lines[2].split("|")[2:]
@@ -115,6 +115,17 @@ def test_move_digest_compare_refuses_a_badly_rounded_convolve(tmp_path):
     assert out.returncode == 1
     assert "convolve: 1 lines (0 errors in a), 0 different" in out.stdout
     assert "convolve results correctly rounded or errors: a 0, b 0" in out.stdout
+
+
+def test_move_digest_compare_refuses_any_different_convolve_line(tmp_path):
+    # a raised an error where b returns a correctly rounded bar: still a
+    # different answer, so the digests do not match
+    raised = (CONVOLVE.rpartition("|")[0]
+              + "|E empty interval: equal endpoints need both flags closed")
+    out = _compare(tmp_path, [*LINES, raised], [*LINES, CONVOLVE])
+    assert out.returncode == 1
+    assert "convolve: 1 lines (1 errors in a), 1 different" in out.stdout
+    assert "convolve results correctly rounded or errors: a 1, b 1" in out.stdout
 
 
 def test_parse_digest_compare_equal(tmp_path):
