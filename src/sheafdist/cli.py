@@ -2,91 +2,110 @@
 
 Exit codes: 0 on success (an infinite distance is still success, printed
 as ``inf``), 1 on domain errors and when memory runs out, 2 on I/O,
-parse and usage errors, 141 (SIGPIPE's shell status, nothing on stderr)
-when stdout has no reader.  A parse error of a file, text that is not
-UTF-8 included, starts with its path.  A non-finite ``--eps`` or ``--t``
-is a usage error, and these numbers are read by the grammar of a
-``.gbc`` file: ASCII decimals and ``[+-]inf``, so ``1_0`` and digits of
-other scripts are usage errors.  The value of ``--eps`` or ``--t`` may
-be a separate argument, negative ones included (``--eps -1e-3``).  A
-value that argparse hands over as ``[]``, as it reads ``--side=--`` or a
-second ``--``, is a usage error.
-Options are spelled out in full: an abbreviation such as ``--ep`` is an
-unrecognized argument.  The commands that print ``.gbc`` text
-(``convolve``, ``interpolate``, ``import-diagram``) print bars that
-``validate`` reads back exactly; a ``convolve`` result that is no bar (an
-end at 2**1022 or beyond, a half-open bar whose ends round onto each
-other, as ``[0,1)`` by ``1e16``, or a degree of more than the readers'
-4,299 digits) is a parse error: ``--eps``, then ``convolve_interval``'s
-own message, which names the bar and the value of eps.
+parse and usage errors, 130 on Ctrl-C and 141 when stdout has no reader
+(SIGINT's and SIGPIPE's shell statuses, with nothing on stderr).  A
+parse error of a file, text that is not UTF-8 included, starts with its
+path.  ``_COMMANDS`` is the grammar.  Options may come anywhere after
+the command, as ``--x V`` or ``--x=V``, spelled out in full, and the
+last one wins; a valued option takes the next argument verbatim, so
+``--eps -1e-3`` is the value ``-1e-3``.  ``--`` ends the options and a
+lone ``-`` is a positional.  ``-h`` or ``--help``, alone or after a
+command, prints help.  A usage error is one ``error:`` line and exit 2,
+before any file is read: a non-finite ``--eps`` or ``--t`` included,
+which are read by the grammar of a ``.gbc`` file (ASCII decimals and
+``[+-]inf``, so not ``1_0`` or digits of other scripts).  The commands
+that print ``.gbc`` text (``convolve``, ``interpolate``,
+``import-diagram``) print bars that ``validate`` reads back exactly; a
+``convolve`` result that is no bar (an end at 2**1022 or beyond, a
+half-open bar whose ends round onto each other, as ``[0,1)`` by
+``1e16``, or a degree of more than the readers' 4,299 digits) is a
+parse error: ``--eps``, then ``convolve_interval``'s own message, which
+names the bar and the value of eps.
 
 Start-up: at module level this imports only ``barcode``, ``intervals``
 and ``matching``, all that ``validate``, ``dist``, ``match`` and
-``component`` run.
+``component`` run, and no argument parser.
 Every other command imports its own module in its branch of ``_run``.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import math
 import sys
+from types import SimpleNamespace
 
 from .barcode import Barcode, format_barcode, global_sections, parse_barcode
 from .intervals import _NUMBER, INF, ParseError, fmt_number, parse_graded_interval
 from .matching import distance_with_matching, same_component
 
+# command: (its positionals, its options, its help line).  An option maps to
+# None for a flag, else to the name of its value or, as "R|L", to the values
+# it takes; an option with a value is required.
+_COMMANDS = {
+    "validate": (("barcode",), {}, "check a .gbc file"),
+    "dist": (("left", "right"), {}, "bottleneck distance of two .gbc files"),
+    "match": (("left", "right"), {}, "distance plus an optimal matching"),
+    "convolve": (("barcode",), {"--eps": "E"}, "smooth a barcode, print .gbc"),
+    "interpolate": (("left", "right"), {"--t": "T"}, "barcode at time t between two files"),
+    "hom": (("source", "target"), {}, 'morphism dimension between graded bars, as "[0,1]@0"'),
+    "gamma": (("barcode",), {"--compact": None}, "graded global section dimensions"),
+    "component": (("left", "right"), {}, "same connected component?"),
+    "import-diagram": (("diagram",), {"--side": "R|L"}, "convert a .pdg file to .gbc"),
+}
 
-@functools.cache  # built once per process: in-process callers run main many times
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sheafdist",
-        description="graded barcodes on the line: distances, matchings, smoothing",
-        allow_abbrev=False,
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, help: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, allow_abbrev=False, help=help)
+def _usage(command: str) -> str:
+    names, options, _ = _COMMANDS[command]
+    return " ".join([command, *(name.upper() for name in names),
+                     *(f"[{o}]" if v is None else f"{o} {v}" for o, v in options.items())])
 
-    p = command("validate", "check a .gbc file")
-    p.add_argument("barcode")
 
-    p = command("dist", "bottleneck distance of two .gbc files")
-    p.add_argument("left")
-    p.add_argument("right")
+def _help(command: str | None) -> str:
+    if command is not None:
+        return f"usage: sheafdist {_usage(command)}\n  {_COMMANDS[command][2]}\n"
+    return "".join(["usage: sheafdist COMMAND ...  (sheafdist COMMAND -h for its help)\n",
+                    *(f"  {_usage(name):<37} {line}\n" for name, (*_, line) in _COMMANDS.items())])
 
-    p = command("match", "distance plus an optimal matching")
-    p.add_argument("left")
-    p.add_argument("right")
 
-    p = command("convolve", "smooth a barcode, print .gbc")
-    p.add_argument("barcode")
-    p.add_argument("--eps", required=True)
-
-    p = command("interpolate", "barcode at time t between two files")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--t", required=True)
-
-    p = command("hom", "morphism dimension between graded bars")
-    p.add_argument("source", help='graded interval literal, e.g. "[0,1]@0"')
-    p.add_argument("target")
-
-    p = command("gamma", "graded global section dimensions")
-    p.add_argument("barcode")
-    p.add_argument("--compact", action="store_true", help="compactly supported sections")
-
-    p = command("component", "same connected component?")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = command("import-diagram", "convert a .pdg file to .gbc")
-    p.add_argument("diagram")
-    p.add_argument("--side", choices=("R", "L"), required=True)
-
-    return parser
+def _parse(argv: list[str]) -> SimpleNamespace | str:
+    """The command and its arguments by name, as ``_run`` reads them, or,
+    for ``-h``, the help text to print.  A usage error is a ParseError."""
+    if not argv:
+        raise ParseError(f"no command given; commands: {', '.join(_COMMANDS)}")
+    command, *rest = argv
+    if command in ("-h", "--help"):
+        return _help(None)
+    if command not in _COMMANDS:
+        raise ParseError(f"unknown command {command!r}; commands: {', '.join(_COMMANDS)}")
+    names, options, _ = _COMMANDS[command]
+    positionals, given = [], {o[2:]: False for o, kind in options.items() if kind is None}
+    tokens = iter(rest)
+    for tok in tokens:
+        if tok == "-" or tok[:1] != "-":
+            positionals.append(tok)
+        elif tok == "--":
+            positionals.extend(tokens)
+        elif tok in ("-h", "--help"):
+            return _help(command)
+        else:
+            option, eq, value = tok.partition("=")
+            if option not in options:
+                raise ParseError(f"{command} has no option {option}")
+            kind = options[option]
+            if kind is None and eq:
+                raise ParseError(f"{option} takes no value")
+            if kind is not None and not eq and (value := next(tokens, None)) is None:
+                raise ParseError(f"{option} needs a value")
+            if kind is not None and "|" in kind and value not in kind.split("|"):
+                raise ParseError(f"{option} must be {kind}, got {value!r}")
+            given[option[2:]] = True if kind is None else value
+    if len(positionals) != len(names):
+        raise ParseError(f"{command} takes {' '.join(name.upper() for name in names)}, "
+                         f"got {len(positionals)} argument(s)")
+    for option, kind in options.items():
+        if kind is not None and option[2:] not in given:
+            raise ParseError(f"{command} needs {option}")
+    return SimpleNamespace(command=command, **dict(zip(names, positionals)), **given)
 
 
 def _finite(name: str, tok: str) -> float:
@@ -111,7 +130,7 @@ def _load(path: str, parse=parse_barcode):
         raise ParseError(f"{path}: {exc}") from None
 
 
-def _run(args: argparse.Namespace) -> int:
+def _run(args: SimpleNamespace) -> int:
     if args.command == "validate":
         b = _load(args.barcode)
         print(f"OK {len(b)} bars")
@@ -189,37 +208,14 @@ def _run(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled command {args.command}")
 
 
-_NUMBER_OPTIONS = ("--eps", "--t")
-
-
-def _attach_numbers(argv: list[str]) -> list[str]:
-    """``--eps -1e-3`` as ``--eps=-1e-3``, likewise for ``--t``.  argparse
-    reads a separate value that starts with ``-`` as an option unless it is
-    a plain decimal, so ``-1e-3``, ``-inf`` or a bad ``-1_0`` would end in
-    a usage dump, not ``_finite``'s one line; ``--x`` stays an option.  No
-    parser takes an abbreviation."""
-    out: list[str] = []
-    for tok in argv:
-        if out and out[-1] in _NUMBER_OPTIONS and tok[:1] == "-" and tok[:2] != "--":
-            out[-1] += "=" + tok
-        else:
-            out.append(tok)
-    return out
-
-
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser().parse_args(_attach_numbers(argv))
-    # argparse hands over an attached ``--`` (``--side=--``), or a second
-    # one among the positionals, as [], past ``choices``; refuse it before
-    # any file is read
-    for dest, value in vars(args).items():
-        if value == []:
-            name = f"--{dest}" if f"--{dest}=--" in argv else dest
-            print(f"error: argument {name}: expected a value, got '--'", file=sys.stderr)
-            return 2
     try:
-        code = _run(args)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):  # -h
+            sys.stdout.write(args)
+            code = 0
+        else:
+            code = _run(args)
         sys.stdout.flush()  # a closed stdout shows here, however it is buffered
         return code
     except BrokenPipeError:  # no reader; fd 1 to devnull keeps the final flush quiet
@@ -235,6 +231,8 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # Ctrl-C, as while a fifo's open blocks: SIGINT's status
+        return 130
 
 
 if __name__ == "__main__":

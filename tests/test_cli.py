@@ -279,13 +279,110 @@ def test_numbers_and_degrees_are_ascii(tmp_path, args, text):
 def test_options_are_never_abbreviated(tmp_path, args):
     f = gbc(tmp_path, "a.gbc", "0 [0,1)\n")
     out = run_cli(*(a.format(f=f) for a in args))
-    assert out.returncode == 2 and out.stdout == ""
-    assert out.stderr.startswith("usage: ")
+    option = next(a for a in args[2:] if a.startswith("--") and a != "--eps")
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == f"error: {args[0]} has no option {option}\n"
 
 
 def test_unknown_verb_usage_error():
     out = run_cli("frobnicate")
     assert out.returncode == 2
+
+
+_NAMES = "validate, dist, match, convolve, interpolate, hom, gamma, component, import-diagram"
+
+
+_USAGE_ERRORS = [
+    ([], f"no command given; commands: {_NAMES}"),
+    (["frobnicate", "f.gbc"], f"unknown command 'frobnicate'; commands: {_NAMES}"),
+    (["--eps", "1"], f"unknown command '--eps'; commands: {_NAMES}"),
+    (["validate"], "validate takes BARCODE, got 0 argument(s)"),
+    (["dist", "f.gbc", "f.gbc", "f.gbc"], "dist takes LEFT RIGHT, got 3 argument(s)"),
+    (["hom", "[0,1]@0"], "hom takes SOURCE TARGET, got 1 argument(s)"),
+    (["validate", "f.gbc", "--tol", "0"], "validate has no option --tol"),
+    (["convolve", "f.gbc", "--ep", "1"], "convolve has no option --ep"),
+    (["convolve", "f.gbc", "--eps", "1", "--t", "0"], "convolve has no option --t"),
+    (["match", "f.gbc", "f.gbc", "-x"], "match has no option -x"),
+    (["convolve", "f.gbc", "--eps"], "--eps needs a value"),
+    (["interpolate", "f.gbc", "f.gbc", "--t"], "--t needs a value"),
+    (["import-diagram", "d.pdg", "--side"], "--side needs a value"),
+    (["gamma", "f.gbc", "--compact=1"], "--compact takes no value"),
+    (["gamma", "f.gbc", "--compact="], "--compact takes no value"),
+    (["import-diagram", "d.pdg", "--side", "C"], "--side must be R|L, got 'C'"),
+    (["import-diagram", "d.pdg", "--side=--"], "--side must be R|L, got '--'"),
+    (["import-diagram", "d.pdg", "--side", "r"], "--side must be R|L, got 'r'"),
+    (["convolve", "f.gbc"], "convolve needs --eps"),
+    (["interpolate", "f.gbc", "f.gbc"], "interpolate needs --t"),
+    (["import-diagram", "d.pdg"], "import-diagram needs --side"),
+    (["convolve", "f.gbc", "--", "--eps", "1"], "convolve takes BARCODE, got 3 argument(s)"),
+    (["convolve", "f.gbc", "--eps", "nan"], "--eps must be a number, got 'nan'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _USAGE_ERRORS,
+                         ids=[" ".join(argv) or "no command" for argv, _ in _USAGE_ERRORS])
+def test_a_usage_error_is_one_line_before_any_file_is_read(monkeypatch, capsys, argv, message):
+    from sheafdist import cli
+
+    def read(*args):
+        pytest.fail("a file was read")
+
+    monkeypatch.setattr(cli, "_load", read)
+    assert cli.main(argv) == 2  # returned: no SystemExit
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, first", [
+    (["-h"], "usage: sheafdist COMMAND ..."),
+    (["--help", "frobnicate"], "usage: sheafdist COMMAND ..."),
+    (["convolve", "-h"], "usage: sheafdist convolve BARCODE --eps E"),
+    (["gamma", "f.gbc", "--help"], "usage: sheafdist gamma BARCODE [--compact]"),
+    (["import-diagram", "--help", "--side", "C"], "usage: sheafdist import-diagram DIAGRAM --side R|L"),
+])
+def test_help_goes_to_stdout_and_returns_0(capsys, argv, first):
+    from sheafdist.cli import main
+
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(first + " ") or out.startswith(first + "\n")
+    assert err == ""
+    if argv[0] != "-h":
+        return
+    for name in _NAMES.split(", "):  # every command, with its help line
+        assert any(line.split()[0] == name for line in out.splitlines()[1:]), name
+
+
+def test_options_anywhere_last_wins_and_double_dash_ends_them(tmp_path, monkeypatch, capsys):
+    from sheafdist.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    for name in ("-", "-x.gbc"):
+        gbc(tmp_path, name, "0 (-1,1)\n")
+    runs = [
+        (["convolve", "-x.gbc", "--eps", "1"], 2, ""),
+        (["convolve", "--eps", "1", "--", "-x.gbc"], 0, "1 [0,0]\n"),
+        (["convolve", "--eps=5", "-", "--eps", "1"], 0, "1 [0,0]\n"),  # a lone - is a file name
+        (["convolve", "--eps", "-0.25", "--eps=-0.5", "-"], 0, "0 (-1.5,1.5)\n"),
+        (["gamma", "--compact", "-", "--compact"], 0, "1 1\n"),
+        (["import-diagram", "--side", "C", "--side", "R", "-"], 2, ""),  # each value is checked
+    ]
+    for argv, code, out in runs:
+        assert main(argv) == code, argv
+        assert capsys.readouterr().out == out, argv
+
+
+def test_ctrl_c_exits_130_with_nothing_on_stderr(monkeypatch, capsys):
+    # as SIGINT while validate blocks opening a fifo: SIGINT's status, no traceback
+    from sheafdist import cli
+
+    def interrupted(F, G):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "distance_with_matching", interrupted)
+    f = str(FIXTURES / "circle_f.gbc")
+    for verb in ("dist", "match"):
+        assert cli.main([verb, f, f]) == 130
+        assert capsys.readouterr() == ("", "")
 
 
 def test_convolve_golden(tmp_path):
@@ -444,15 +541,14 @@ def test_import_diagram_line_is_not_an_l_bar(tmp_path):
 
 
 def test_tol_flag_and_env(tmp_path):
-    # the parser has no tolerance: --tol is an unrecognized argument, a
-    # usage error, and SHEAFDIST_TOL is not read
+    # the parser has no tolerance: --tol is an unknown option, a usage
+    # error, and SHEAFDIST_TOL is not read
     narrow = gbc(tmp_path, "n.gbc", "0 (0,1e-12)\n")
     assert run_cli("validate", narrow).stdout == "OK 1 bars\n"
     for args in (["--tol", "0"], ["--tol=1e-15"]):
         out = run_cli("validate", narrow, *args)
-        assert out.returncode == 2 and out.stdout == "" and "Traceback" not in out.stderr
-        assert out.stderr.startswith("usage: ")
-        assert out.stderr.splitlines()[-1].endswith(f"error: unrecognized arguments: {' '.join(args)}")
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == "error: validate has no option --tol\n"
     out = run_cli("validate", narrow, env_extra={"SHEAFDIST_TOL": "abc"})
     assert (out.returncode, out.stdout, out.stderr) == (0, "OK 1 bars\n", "")
 
@@ -510,23 +606,21 @@ def test_bad_numbers_are_usage_errors(args):
         pytest.param(("import-diagram", "{m}", "--side=--"), "--side", id="args2---side"),
         pytest.param(("convolve", "{f}", "--eps=--"), "--eps", id="args3---eps"),
         pytest.param(("interpolate", "{f}", "{f}", "--t=--"), "--t", id="args4---t"),
-        # no such option: argparse names it
+        # no such option: the error names it
         pytest.param(("validate", "{f}", "--tol=--"), "--tol", id="args5---tol"),
         pytest.param(("dist", "{f}", "--", "--"), None, id="args6-None"),  # once a traceback
         pytest.param(("hom", "[0,1]@0", "--", "--"), None, id="args7-None"),
     ],
 )
 def test_an_attached_double_dash_is_a_usage_error(tmp_path, args, name):
-    # argparse reads ``--x=--``, and a second ``--``, as the value [] (newer
-    # versions as "--", which its own checks refuse): one error line
-    # naming the option, or argparse's usage error
+    # ``--x=--`` is the value "--", which --side and the numbers refuse, and
+    # a second ``--`` is a positional: one error line, naming the option
     d, e = gbc(tmp_path, "d.pdg", "0 0 1\n"), gbc(tmp_path, "e.pdg", "")
     f, m = str(FIXTURES / "circle_f.gbc"), str(tmp_path / "missing.pdg")
     out = run_cli(*(a.format(d=d, e=e, f=f, m=m) for a in args))
     assert out.returncode == 2 and out.stdout == ""
-    assert out.stderr.count("\n") == 1 or out.stderr.startswith("usage: ")
-    assert "error: " in out.stderr
-    assert name is None or name in out.stderr.splitlines()[-1]
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+    assert name is None or name in out.stderr
 
 
 _FUZZ_NUMBERS = [
@@ -559,8 +653,8 @@ def _fuzz_pdg(rng) -> str:
 
 
 def test_cli_fuzz_ends_in_an_exit_code(tmp_path, capsys):
-    # in process: every call returns 0, 1 or 2, or argparse exits with 2;
-    # no other exception, and so no traceback, gets out of main
+    # in process: every call returns 0, 1 or 2, and a failure writes one
+    # error line; no exception, and so no traceback, gets out of main
     from sheafdist.cli import main
 
     rng = random.Random(0xF022)
@@ -587,17 +681,16 @@ def test_cli_fuzz_ends_in_an_exit_code(tmp_path, capsys):
     outcomes = Counter()
     for _ in range(2000):
         argv = rng.choice(commands)()
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse: usage errors and --help
-            code = f"exit {exc.code}"
-        assert code in (0, 1, 2, "exit 0", "exit 2"), argv
+        code = main(argv)
+        assert code in (0, 1, 2), argv
         outcomes[code] += 1
-        out = capsys.readouterr().out
-        if code == 0 and argv[0] in ("convolve", "interpolate", "import-diagram"):
+        out, err = capsys.readouterr()
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        elif argv[0] in ("convolve", "interpolate", "import-diagram"):
             # printed .gbc text reads back as it was printed
             assert format_barcode(parse_barcode(out)) == out, argv
-    assert set(outcomes) >= {0, 1, 2, "exit 2"}, outcomes
+    assert set(outcomes) >= {0, 1, 2}, outcomes
 
 
 # ---------------------------------------------------------------------
@@ -683,8 +776,8 @@ def _runs(draw) -> tuple[list[str], list[bytes]]:
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_runs())
 def test_no_run_ends_in_a_traceback(run):
-    # in process: 0, 1 or 2 (argparse's SystemExit(2) too), one error line
-    # or argparse's usage on failure, and printed .gbc text reads back
+    # in process: 0, 1 or 2, one error line on failure, and printed .gbc
+    # text reads back
     from sheafdist.cli import main
 
     argv, files = run
@@ -694,16 +787,12 @@ def test_no_run_ends_in_a_traceback(run):
         argv = [str(Path(tmp, a)) if a in ("f0", "f1", "missing") else a for a in argv]
         out, err = StringIO(), StringIO()
         with redirect_stdout(out), redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
+            code = main(argv)
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in out + err
     if code:
-        assert (err.startswith("error: ") and err.count("\n") == 1) or (
-            err.startswith("usage: ") and ": error: " in err.splitlines()[-1]), err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
     else:
         assert err == ""
         if argv[0] in ("convolve", "interpolate", "import-diagram"):

@@ -222,10 +222,7 @@ def _cli_line(main, tmp: Path, argv: list[str]) -> str:
     count, and stderr, with the files named relative to ``tmp``."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        try:
-            code = main([str(tmp / a) if a.endswith(".gbc") else a for a in argv])
-        except SystemExit as exc:  # argparse's usage errors
-            code = exc.code
+        code = main([str(tmp / a) if a.endswith(".gbc") else a for a in argv])
     text = stdout.getvalue()
     lines = text.count("\n")
     digest = f"{hashlib.sha256(text.encode()).hexdigest()} {lines}"
