@@ -828,6 +828,24 @@ def test_greedy_seed_that_blocks_is_augmented():
     _assert_optimal(left, right, value, pairs)
 
 
+@pytest.mark.parametrize("nbrs, cnt, slot, want", [
+    # left 1's first edge is taken by left 0, its second is free
+    pytest.param([(0,), (0, 1)], [1, 2], (0, 2, 2, 2), ([0, 1], [0, 1], []),
+                 id="second-of-prefix"),
+    # right 1 lies just past left 1's prefix: it stays free, and so does left 1
+    pytest.param([(0,), (0, 1)], [1, 1], (0, 2, 2, 2), ([0, -1], [0, -1], [0]),
+                 id="free-vertex-past-prefix"),
+    # left 0 takes its copy, right 2; the left copy 3 has an empty prefix
+    # and skips right copy 2 for the next free one, 3
+    pytest.param([(2, 0), (1, 3), (0,), (1,)], [1, 1, 1, 0], (0, 2, 2, 4),
+                 ([2, 1, 0, 3], [2, 1, 0, 3], []), id="empty-prefix-takes-a-copy"),
+])
+def test_greedy_takes_the_first_free_vertex_of_each_prefix(nbrs, cnt, slot, want):
+    mate_l, mate_r = [-1] * len(nbrs), [-1] * len(nbrs)
+    short = _max_matching(nbrs, cnt, [slot], mate_l, mate_r)
+    assert (mate_l, mate_r, short) == want
+
+
 def _random_graph(rng, p, q, copies_l, copies_r):
     """Rows in ``_max_matching``'s form: ``p`` left bars, ``copies_r``
     left copies, ``q`` right bars and ``copies_l`` right copies; each row
