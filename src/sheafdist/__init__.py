@@ -30,10 +30,7 @@ _HOME = {
         ("Barcode", "format_barcode", "global_sections", "parse_barcode"),
         "barcode",
     ),
-    **dict.fromkeys(
-        ("ext_oracle", "generator_composite_nonzero", "hom_dim"),
-        "homs",
-    ),
+    **dict.fromkeys(("hom_dim",), "homs"),
     **dict.fromkeys(("convolve_barcode", "convolve_interval", "stalk_type"), "convolve"),
     **dict.fromkeys(("deletion_cost", "pair_cost"), "costs"),
     **dict.fromkeys(

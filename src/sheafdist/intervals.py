@@ -171,25 +171,6 @@ class Interval(namedtuple("Interval", "lo hi lo_closed hi_closed")):
     def bounded(self) -> bool:
         return self.lo != -INF and self.hi != INF
 
-    @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def center(self) -> float:
-        if not self.bounded:
-            raise ValueError("center of an unbounded interval")
-        return (self.lo + self.hi) / 2.0
-
-    def contains(self, x: float) -> bool:
-        above = self.lo < x or (x == self.lo and self.lo_closed)
-        below = x < self.hi or (x == self.hi and self.hi_closed)
-        return above and below
-
     def intersection(self, other: "Interval") -> "Interval | None":
         """Set intersection, or None when it is empty."""
         lo = max(self.lo, other.lo)
@@ -199,11 +180,6 @@ class Interval(namedtuple("Interval", "lo hi lo_closed hi_closed")):
         if lo > hi or (lo == hi and not (lo_c and hi_c)):
             return None
         return Interval(lo, hi, lo_c, hi_c)
-
-    def translate(self, s: float) -> "Interval":
-        lo = self.lo if self.lo == -INF else self.lo + s
-        hi = self.hi if self.hi == INF else self.hi + s
-        return Interval(lo, hi, self.lo_closed, self.hi_closed)
 
     def __str__(self) -> str:
         return _text(self.lo, not self.lo_closed, self.hi, not self.hi_closed)

@@ -67,7 +67,7 @@ def perturbed_barcode(rng: random.Random, b: Barcode, scale: float = 1.0) -> Bar
         iv = g.interval
         if point(g)[0][0] == "central":
             if not iv.lo_closed and rng.random() < 0.25:  # an open bar
-                bars.append(convolve_interval(g, iv.width / 2 + abs(dyadic(rng, 0, 1, 16))))
+                bars.append(convolve_interval(g, (iv.hi - iv.lo) / 2 + abs(dyadic(rng, 0, 1, 16))))
                 continue
             lo = iv.lo + dyadic(rng, -scale, scale, 16)
             hi = iv.hi + dyadic(rng, -scale, scale, 16)

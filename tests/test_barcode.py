@@ -302,7 +302,7 @@ def test_narrow_open_bars_read_back():
         convolve_barcode(parse_barcode("0 (0,1)\n"), 0.4999999999),  # width 2e-10
     ]
     for b in built:
-        assert len(b) == 1 and b.bars[0].interval.width < 1e-9
+        assert len(b) == 1 and b.bars[0].interval.hi - b.bars[0].interval.lo < 1e-9
         assert parse_barcode(format_barcode(b)) == b
 
 

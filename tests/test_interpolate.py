@@ -68,8 +68,9 @@ def test_pair_path_round_off_at_the_collapse_takes_the_centre_point():
     F = parse_barcode("1 [-4.2210699996141525e+299,4.4942328371557893e+307]\n")
     H = parse_barcode("0 (-7.214844075832685e+299,-7.214843888934097e+299)\n")
     d, m = distance_with_matching(F, H)
-    mid = H.bars[0].interval.center
-    assert interpolate(F, H, m, d - H.bars[0].interval.width / 2) == Barcode(
+    iv = H.bars[0].interval
+    mid = (iv.lo + iv.hi) / 2.0
+    assert interpolate(F, H, m, d - (iv.hi - iv.lo) / 2) == Barcode(
         (G(Interval.point(mid), 1),))
 
 

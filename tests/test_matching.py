@@ -496,7 +496,8 @@ def _random_slot(
     right = []
     for g in left:
         if central and g.degree == 0 and rng.random() < 0.25:
-            right.append(convolve_interval(g, g.interval.width / 2 + abs(dyadic(rng, 0, 1, 16))))
+            half = (g.interval.hi - g.interval.lo) / 2
+            right.append(convolve_interval(g, half + abs(dyadic(rng, 0, 1, 16))))
         elif not (g.interval.bounded and not central and rng.random() < 0.2):
             right.append(_jitter(rng, g))
     if not central:
@@ -1108,7 +1109,7 @@ def _off_grid(rng: random.Random, b: Barcode) -> Barcode:
     for g in b:
         iv = g.interval
         lo = iv.lo if iv.lo == -INF else iv.lo + rng.uniform(-0.7, 0.7)
-        if iv.is_point:
+        if iv.lo == iv.hi:
             hi = lo
         else:
             hi = iv.hi if iv.hi == INF else max(iv.hi + rng.uniform(-0.7, 0.7), lo + 0.01)

@@ -1,5 +1,6 @@
 """The package root, the modules a command loads, and the record classes."""
 
+import ast
 import copy
 import importlib
 import math
@@ -22,6 +23,7 @@ from sheafdist import (
 from sheafdist.intervals import INF
 
 FIXTURES = Path(__file__).parent / "fixtures"
+PACKAGE = Path(sheafdist.__file__).parent
 
 
 def run_python(code: str) -> str:
@@ -87,6 +89,29 @@ def test_match_loads_only_the_modules_it_runs():
             "print(sorted(m for m in unwanted if m in sys.modules))\n"
         )
         assert out.splitlines()[-1] == "[]", command
+
+
+def test_hom_loads_neither_fractions_nor_decimal():
+    # hom runs hom_dim alone: the resolution oracle, with its exact rational
+    # arithmetic, lives with the tests (tests/oracles.py)
+    out = run_python(
+        "import sys\n"
+        "import sheafdist.cli\n"
+        "assert sheafdist.cli.main(['hom', '[0,1]@0', '(1,2)@1']) == 0\n"
+        "print(sorted(m for m in ('fractions', 'decimal') if m in sys.modules))\n"
+    )
+    assert out.splitlines() == ["1", "[]"]
+
+
+def test_the_library_has_no_assert_statement():
+    # python -O strips an assert, so a check the library makes must raise
+    found = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 # ---------------------------------------------------------------------

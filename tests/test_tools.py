@@ -24,6 +24,17 @@ PARSE_LINES = [
     "parse|fuzz 0|E line 1: bad degree 'x'",
     "parse|fuzz 1|",
 ]
+# [0,1]@0 -> (1,2)@1: a touching pair carries a degree-1 morphism
+HOM = "hom|0x0.0p+0 0x1.0000000000000p+0 11 0|0x1.0000000000000p+0 0x1.0000000000000p+1 00 1|->|1"
+
+
+def _digest():
+    sys.path.insert(0, str(TOOLS))
+    try:
+        import digest
+    finally:
+        sys.path.remove(str(TOOLS))
+    return digest
 
 
 def _compare(tmp_path, a, b):
@@ -83,14 +94,9 @@ def test_move_digest_compare_refuses_a_different_cli_line(tmp_path):
 
 def test_move_digest_cli_section_runs_the_commands(tmp_path):
     # the section's first lines: the fixture pair through every command
-    sys.path.insert(0, str(TOOLS))
-    try:
-        import digest
-    finally:
-        sys.path.remove(str(TOOLS))
     from sheafdist.cli import main
 
-    lines = [digest._cli_line(main, FIXTURES, argv) for argv in (
+    lines = [_digest()._cli_line(main, FIXTURES, argv) for argv in (
         ["dist", "circle_f.gbc", "circle_g.gbc"], ["convolve", "circle_f.gbc", "--eps", "1e308"],
         ["convolve", "circle_f.gbc"], ["dist", "missing.gbc", "circle_g.gbc"])]
     assert lines[0] == CLI
@@ -151,3 +157,32 @@ def test_parse_digest_compare_refuses_a_different_parse(tmp_path):
     assert out.returncode == 1
     assert "parse fuzz: 2 lines (1 errors in a), 1 different" in out.stdout
     assert "parse halfopen: 1 lines (0 errors in a), 0 different" in out.stdout
+
+
+def test_hom_digest_covers_the_test_grid_at_every_shift(tmp_path):
+    from test_homs import grid_intervals
+
+    digest = _digest()
+    assert [g.interval for g in digest._hom_grid()] == grid_intervals()
+    assert {g.degree for g in digest._hom_grid()} == {0}
+    assert _compare(tmp_path, [*LINES, HOM], [*LINES, HOM]).returncode == 0
+    out = _compare(tmp_path, [*LINES, HOM], [*LINES, HOM.removesuffix("1") + "0"])
+    assert out.returncode == 1
+    assert "hom: 1 lines (0 errors in a), 1 different" in out.stdout
+    assert "match: 1 lines (0 errors in a), 0 different" in out.stdout
+
+
+def test_hom_digest_cli_lines_run_the_command():
+    from sheafdist.cli import main
+
+    digest = _digest()
+    touching, disjoint, malformed = (digest._cli_line(main, FIXTURES, ["hom", *args])
+                                     for args in digest.HOM_ARGS)
+    # stdout "1\n" and "0\n", one line each; a malformed literal is one error line
+    assert touching == ("cli|hom [0,1]@0 (1,2)@1|0|"
+                        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865 1|")
+    assert disjoint.split("|")[2:] == [
+        "0", "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa 1", ""]
+    assert malformed.split("|")[2:] == [
+        "2", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 0",
+        "error: bad interval literal '[0,1'"]

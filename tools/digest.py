@@ -9,6 +9,10 @@ Writes one line per call, each float as ``float.hex`` and each bar by
   (or the error).  Each pair of barcodes the interpolate calls solve also
   gets one ``match`` line: the distance and the entries of the matching's
   ``central_pairs``, ``halfopen_pairs`` and ``deletions``.
+- ``hom``: ``hom_dim`` from each interval of the grid of
+  ``tests/test_homs.py::grid_intervals`` (the bounded intervals and
+  points on ends 0-3, the rays from them and the line) in degree 0 to
+  each in degrees -1, 0, 1 and 2: the two bars and the dimension.
 - ``parse``: ``parse_barcode`` of the ``halfopen`` and ``many_slots``
   benchmark texts of seeds 1-3 (generated as ``perfbench/run.py``
   generates them), of ``tests/fixtures/*.gbc``, and of fixed-seed fuzzed
@@ -30,8 +34,10 @@ Writes one line per call, each float as ``float.hex`` and each bar by
   ``component``, ``gamma`` (with and without ``--compact``), ``convolve``
   at six ``--eps`` (negative ones, ones that collapse open bars and one
   out of range included) and ``interpolate`` at four ``--t`` (one past
-  the distance).  Each line holds the command (files by name), the exit
-  code, the sha256 and line count of stdout, and stderr.
+  the distance); then ``hom`` on the touching pair ``[0,1]@0 (1,2)@1``,
+  on ``(0,1]@0 [5,9]@0`` and on a malformed literal.  Each line holds
+  the command (files by name), the exit code, the sha256 and line count
+  of stdout, and stderr.
 
 Two digests list the same calls in the same order, so ``compare`` reads
 them side by side.
@@ -82,6 +88,8 @@ ENDS = ("0", "1", "-2", "0.5", ".5", "1.", "-1e-3", "1E2", "1e16", "4.4e307", "-
         "0x1", "", "-", ".", "1e", "1e+", "++1", "0.4999999999995", "5e-324")
 PADS = ("", "", " ", "  ", "\t", " \t", "\xa0", "\u3000")
 COMMENTS = ("", "", "", "#", "# c", " # 0 [0,1)", "#x#y", "#\u0661")
+# the touching pair, a left-open source beside a disjoint closed target, a malformed literal
+HOM_ARGS = (("[0,1]@0", "(1,2)@1"), ("(0,1]@0", "[5,9]@0"), ("[0,1@0", "(1,2)@1"))
 
 
 def _bar(shape: str, a: float, b: float, degree: int):
@@ -95,6 +103,18 @@ def _bar(shape: str, a: float, b: float, degree: int):
         "line": (-INF, INF, False, False),
     }[shape]
     return GradedInterval(Interval(lo, hi, lc, hc), degree)
+
+
+def _hom_grid() -> list:
+    """The intervals of ``tests/test_homs.py::grid_intervals()``, as
+    degree-0 bars: every bounded shape and the points on ends 0-3, the
+    rays from those ends and the line."""
+    ends = (0.0, 1.0, 2.0, 3.0)
+    bars = [_bar(shape, a, b, 0) for i, a in enumerate(ends) for b in ends[i + 1:]
+            for shape in ("closed", "ro", "lo", "open")]
+    bars += [_bar("closed", v, v, 0) for v in ends]
+    bars += [_bar(shape, v, v, 0) for v in ends for shape in ("ray+", "oray+", "oray-", "ray-")]
+    return bars + [_bar("line", 0.0, 0.0, 0)]
 
 
 def _show(g) -> str:
@@ -254,11 +274,14 @@ def _cli(pairs, out) -> None:
                     *(["interpolate", f, g, "--t", t] for t in ts)]
             for argv in runs:
                 print(_cli_line(main, tmp, argv), file=out)
+        for args in HOM_ARGS:
+            print(_cli_line(main, tmp, ["hom", *args]), file=out)
 
 
 def digest(out) -> None:
-    from sheafdist import (Barcode, convolve_interval, deletion_cost, distance_with_matching,
-                           interpolate, pair_cost, pair_path, parse_barcode)
+    from sheafdist import (Barcode, GradedInterval, convolve_interval, deletion_cost,
+                           distance_with_matching, hom_dim, interpolate, pair_cost, pair_path,
+                           parse_barcode)
 
     sys.path.insert(0, str(ROOT / "perfbench"))
     import gen
@@ -332,6 +355,14 @@ def digest(out) -> None:
         eps *= 1 + rng.choice((0, 0, 1e-16, -1e-16, 1e-12))
         args = (_show(g), eps.hex())
         print("convolve", *args, "->", _call(convolve_interval, g, eps), sep="|", file=out)
+
+    grid = _hom_grid()
+    for src in grid:  # shifts 0 and 1, where a morphism may exist, and one on each side
+        for tgt in grid:
+            for shift in (-1, 0, 1, 2):
+                tgt_at = GradedInterval(tgt.interval, shift)
+                print("hom", _show(src), _show(tgt_at), "->", hom_dim(src, tgt_at), sep="|",
+                      file=out)
 
     bench = {(name, seed): run.WORKLOADS[name].cases(random.Random(f"{name}:{seed}"), False)
              for name in ("halfopen", "many_slots") for seed in (1, 2, 3)}
