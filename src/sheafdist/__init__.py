@@ -27,10 +27,10 @@ _HOME = {
         "intervals",
     ),
     **dict.fromkeys(
-        ("Barcode", "format_barcode", "global_sections", "parse_barcode"),
+        ("Barcode", "format_barcode", "parse_barcode"),
         "barcode",
     ),
-    **dict.fromkeys(("hom_dim",), "homs"),
+    **dict.fromkeys(("global_sections", "hom_dim"), "homs"),
     **dict.fromkeys(("convolve_barcode", "convolve_interval", "stalk_type"), "convolve"),
     **dict.fromkeys(("deletion_cost", "pair_cost"), "costs"),
     **dict.fromkeys(

@@ -2,8 +2,8 @@
 
 A barcode is the complete isomorphism invariant this library computes
 with.  Beyond the container itself this module provides the text format
-(``.gbc`` files) and the graded dimensions of global sections (ordinary
-and compactly supported), which are invariants of finite distance.  The
+(``.gbc`` files).  The graded dimensions of global sections are
+``homs.global_sections``, morphisms from the constant sheaf, and the
 central/right/left split that dictates how bars may be matched is
 ``matching.split_clr``.
 """
@@ -23,9 +23,7 @@ from .intervals import (
     _Frozen,
     _degree,
     _graded,
-    _src_shape,
     _text,
-    _tgt_shape,
     parse_interval,
 )
 
@@ -147,37 +145,3 @@ def format_barcode(b: Barcode) -> str:
     return "".join(
         f"{d} {_text(lo, lo_open, hi, hi_open)}\n" for (d, lo, lo_open, hi, hi_open), _ in b.bars
     )
-
-
-# ---------------------------------------------------------------------
-# global sections
-# ---------------------------------------------------------------------
-
-# relative degree of the one-dimensional piece a bar of each shape contributes
-_SECTION_DEGREE = {"closed": 0, "open": 1}
-
-
-def global_sections(b: Barcode, compact_support: bool = False) -> dict[int, int]:
-    """Graded dimensions of (compactly supported) global sections.
-
-    Each bar contributes one dimension in a single degree, shifted by
-    the bar's own degree: closed bars in their own degree, open bars one
-    up, half-open bars nothing.  A ray's shape is read as in ``homs``:
-    its infinite bound counts as closed for ordinary sections (the
-    target reading) and as open for compactly supported ones (the source
-    reading).  Two barcodes at finite distance always agree on both
-    flavours.  The converse fails: equal sections are necessary for a
-    finite distance, not sufficient, so neither flavour tells whether two
-    barcodes lie in one connected component.  ``same_component`` (in
-    ``matching``) is the test that does: it counts the undeletable bars
-    of each slot and class on both sides.
-    """
-    shape = _src_shape if compact_support else _tgt_shape
-    dims: dict[int, int] = {}
-    for g in b:
-        rel = _SECTION_DEGREE.get(shape(g.interval))
-        if rel is None:
-            continue
-        d = g.degree + rel
-        dims[d] = dims.get(d, 0) + 1
-    return dict(sorted(dims.items()))

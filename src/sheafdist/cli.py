@@ -25,7 +25,8 @@ names the bar and the value of eps.
 Start-up: at module level this imports only ``barcode``, ``intervals``
 and ``matching``, all that ``validate``, ``dist``, ``match`` and
 ``component`` run, and no argument parser.
-Every other command imports its own module in its branch of ``_run``.
+Every other command imports its own module in its branch of ``_run``
+(``hom`` and ``gamma`` both ``homs``).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import math
 import sys
 from types import SimpleNamespace
 
-from .barcode import Barcode, format_barcode, global_sections, parse_barcode
+from .barcode import Barcode, format_barcode, parse_barcode
 from .intervals import _NUMBER, INF, ParseError, fmt_number, parse_graded_interval
 from .matching import distance_with_matching, same_component
 
@@ -141,19 +142,17 @@ def _run(args: SimpleNamespace) -> int:
         print(fmt_number(value))
         return 0
 
-    if args.command == "match":
+    if args.command == "match":  # one write, as print writes each line and its end apart
         value, matching = distance_with_matching(_load(args.left), _load(args.right))
-        print(fmt_number(value))
-        if value == INF:
-            return 0
-        for m, l, r, c in matching.central_pairs:
-            print(f"C {m} {l} {r} {fmt_number(c)}")
-        for side, j, l, r, c in matching.halfopen_pairs:
-            print(f"{side} {j} {l} {r} {fmt_number(c)}")
-        for side, j, origin, bar, c in matching.deletions:
-            left = str(bar) if origin == "left" else "DELETED"
-            right = str(bar) if origin == "right" else "DELETED"
-            print(f"{side} {j} {left} {right} {fmt_number(c)}")
+        out = [f"{fmt_number(value)}\n"]
+        if value != INF:
+            out += (f"C {m} {l} {r} {fmt_number(c)}\n" for m, l, r, c in matching.central_pairs)
+            out += (f"{side} {j} {l} {r} {fmt_number(c)}\n"
+                    for side, j, l, r, c in matching.halfopen_pairs)
+            out += (f"{side} {j} {bar if origin == 'left' else 'DELETED'} "
+                    f"{bar if origin == 'right' else 'DELETED'} {fmt_number(c)}\n"
+                    for side, j, origin, bar, c in matching.deletions)
+        sys.stdout.write("".join(out))
         return 0
 
     if args.command == "convolve":
@@ -186,6 +185,8 @@ def _run(args: SimpleNamespace) -> int:
         return 0
 
     if args.command == "gamma":
+        from .homs import global_sections
+
         dims = global_sections(_load(args.barcode), compact_support=args.compact)
         for degree, dim in dims.items():
             print(f"{degree} {dim}")

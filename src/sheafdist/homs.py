@@ -10,7 +10,8 @@ boundary shapes.  An interval with an infinite bound can be written in
 more than one shape; the convention here is that such a bound reads as
 *open* on the source side and as *closed* on the target side (so
 ``(a,inf)`` is an open source but an ``(a,b]``-shaped target, and the
-full line is an open source but a closed target).
+full line is an open source but a closed target).  ``_src_shape`` and
+``_tgt_shape`` hold it, and nothing outside this module reads them.
 
 One degree-0 cell is easy to get wrong: a left-open source into a
 closed target, ``(a,b] -> [c,d]``, needs ``a < d <= b`` (the mirror
@@ -26,11 +27,43 @@ configurations the resulting dimensions differ from the naive
 every such class with a witness extension, and
 ``tests/test_acceptance.py`` holds the list against ``ext_oracle`` on
 the grid.
+
+Global sections are morphisms too, and ``global_sections`` reads them off
+the tables against the full line: Gamma(R;F) = Hom(k_R, F), and by Verdier
+duality (omega_R = k_R[1]) Gamma_c(R;F) is dual to Hom(F, k_R[1]).
 """
 
 from __future__ import annotations
 
-from .intervals import GradedInterval, Interval, _src_shape, _tgt_shape
+from .barcode import Barcode
+from .intervals import INF, GradedInterval, Interval
+
+
+def _src_shape(iv: Interval) -> str:
+    """Boundary shape of a morphism source: "closed", "ro" (``[a,b)``),
+    "lo" (``(a,b]``) or "open".  Infinite bounds are stored open, which
+    is exactly the source reading."""
+    if iv.lo_closed and iv.hi_closed:
+        return "closed"
+    if iv.lo_closed:
+        return "ro"
+    if iv.hi_closed:
+        return "lo"
+    return "open"
+
+
+def _tgt_shape(iv: Interval) -> str:
+    """Boundary shape of a morphism target: an infinite bound reads as
+    closed."""
+    lc = iv.lo_closed or iv.lo == -INF
+    hc = iv.hi_closed or iv.hi == INF
+    if lc and hc:
+        return "closed"
+    if lc:
+        return "ro"
+    if hc:
+        return "lo"
+    return "open"
 
 
 def _hom0(src: Interval, tgt: Interval) -> int:
@@ -106,3 +139,30 @@ def hom_dim(source: GradedInterval, target: GradedInterval) -> int:
     if shift == 1:
         return _hom1(source.interval, target.interval)
     return 0
+
+
+_LINE = Interval.line()  # the support of the constant sheaf k_R
+
+
+def global_sections(b: Barcode, compact_support: bool = False) -> dict[int, int]:
+    """Graded dimensions of (compactly supported) global sections.
+
+    A bar ``I@d`` adds 1 to degree ``d + k`` of Gamma = Hom(k_R, F) when
+    ``(_hom0, _hom1)[k](line, I)`` is 1, and to degree ``d + 1 - k`` of
+    Gamma_c, dual to Hom(F, k_R[1]), when ``(_hom0, _hom1)[k](I, line)``
+    is 1: a closed bar counts in its own degree, an open bar one up, a
+    half-open bar nowhere, and a ray's infinite bound reads as its side
+    reads it (closed as Gamma's target, open as Gamma_c's source).  Two
+    barcodes at finite distance agree on both flavours, but equal sections
+    are necessary for a finite distance, not sufficient: neither flavour
+    tells whether two barcodes lie in one connected component, which
+    ``matching.same_component`` does.
+    """
+    dims: dict[int, int] = {}
+    for g in b:
+        iv = g.interval
+        for k, hom in enumerate((_hom0, _hom1)):
+            if hom(iv, _LINE) if compact_support else hom(_LINE, iv):
+                d = g.degree + (1 - k if compact_support else k)
+                dims[d] = dims.get(d, 0) + 1
+    return dict(sorted(dims.items()))

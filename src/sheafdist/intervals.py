@@ -47,6 +47,9 @@ as much as its computation: ``Interval`` is a named tuple whose
 constructor runs the checks, ``GradedInterval`` a tuple of its key and
 point that equals only another bar and orders against nothing.
 Assigning or deleting a field of either raises ``AttributeError``.
+An interval stores its four fields and no reading of them: how an
+infinite bound reads in a morphism (open as a source, closed as a
+target) is ``homs``' convention, and ``homs`` alone applies it.
 """
 
 from __future__ import annotations
@@ -166,10 +169,6 @@ class Interval(namedtuple("Interval", "lo hi lo_closed hi_closed")):
         return Interval(-INF, INF, False, False)
 
     # -- queries -----------------------------------------------------
-
-    @property
-    def bounded(self) -> bool:
-        return self.lo != -INF and self.hi != INF
 
     def intersection(self, other: "Interval") -> "Interval | None":
         """Set intersection, or None when it is empty."""
@@ -376,33 +375,6 @@ def bar_at(slot: tuple[str, int], cls: int, u: float, v: float) -> GradedInterva
         lo_closed, hi_closed = (lo > -INF, False) if side == "R" else (False, hi < INF)
         degree = m
     return GradedInterval((lo, hi, lo_closed, hi_closed), degree)
-
-
-def _src_shape(iv: Interval) -> str:
-    """Boundary shape of a morphism source: "closed", "ro" (``[a,b)``),
-    "lo" (``(a,b]``) or "open".  Infinite bounds are stored open, which
-    is exactly the source reading."""
-    if iv.lo_closed and iv.hi_closed:
-        return "closed"
-    if iv.lo_closed:
-        return "ro"
-    if iv.hi_closed:
-        return "lo"
-    return "open"
-
-
-def _tgt_shape(iv: Interval) -> str:
-    """Boundary shape of a morphism target: an infinite bound reads as
-    closed."""
-    lc = iv.lo_closed or iv.lo == -INF
-    hc = iv.hi_closed or iv.hi == INF
-    if lc and hc:
-        return "closed"
-    if lc:
-        return "ro"
-    if hc:
-        return "lo"
-    return "open"
 
 
 # ---------------------------------------------------------------------

@@ -75,11 +75,12 @@ def perturbed_barcode(rng: random.Random, b: Barcode, scale: float = 1.0) -> Bar
                 hi = lo + 0.125
             bars.append(GradedInterval(Interval(lo, hi, iv.lo_closed, iv.hi_closed), g.degree))
         else:
-            if iv.bounded and rng.random() < 0.25:
+            bounded = iv.lo != -INF and iv.hi != INF
+            if bounded and rng.random() < 0.25:
                 continue
             lo = iv.lo if iv.lo == -INF else iv.lo + dyadic(rng, -scale, scale, 16)
             hi = iv.hi if iv.hi == INF else iv.hi + dyadic(rng, -scale, scale, 16)
-            if iv.bounded and hi <= lo:
+            if bounded and hi <= lo:
                 hi = lo + 0.25
             bars.append(GradedInterval(Interval(lo, hi, iv.lo_closed, iv.hi_closed), g.degree))
     if rng.random() < 0.4:

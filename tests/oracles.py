@@ -4,7 +4,8 @@
 independently of the closed-form rules of ``sheafdist.homs.hom_dim``;
 ``generator_composite_nonzero`` composes two canonical generators, as
 the oracle's differentials need; ``contains`` is interval membership
-read off the four fields.  None of these runs in the library.
+and ``bounded`` says both ends are finite, each read off the fields.
+None of these runs in the library.
 
 The tests import this module as they import ``conftest``.
 """
@@ -13,8 +14,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from sheafdist.homs import _hom0, hom_dim
-from sheafdist.intervals import INF, GradedInterval, Interval, _src_shape, _tgt_shape
+from sheafdist.homs import _hom0, _src_shape, _tgt_shape, hom_dim
+from sheafdist.intervals import INF, GradedInterval, Interval
 
 
 def contains(iv: Interval, x: float) -> bool:
@@ -22,6 +23,11 @@ def contains(iv: Interval, x: float) -> bool:
     above = iv.lo < x or (x == iv.lo and iv.lo_closed)
     below = x < iv.hi or (x == iv.hi and iv.hi_closed)
     return above and below
+
+
+def bounded(iv: Interval) -> bool:
+    """Whether both ends of ``iv`` are finite."""
+    return iv.lo != -INF and iv.hi != INF
 
 
 def generator_composite_nonzero(i: Interval, j: Interval, k: Interval) -> bool:
@@ -109,7 +115,7 @@ def ext_oracle(source: GradedInterval, target: GradedInterval) -> int:
     shift = target.degree - source.degree
     if shift not in (0, 1):
         raise ValueError(f"ext_oracle: unsupported degree shift {shift}")
-    if not (source.interval.bounded and target.interval.bounded):
+    if not (bounded(source.interval) and bounded(target.interval)):
         raise ValueError("ext_oracle: bounded intervals only")
 
     a_minus1, a_0 = _open_resolution(source.interval)

@@ -99,6 +99,25 @@ def test_match_line_order(tmp_path):
     )
 
 
+def test_match_writes_its_lines_at_once(monkeypatch):
+    # print writes a line and its end apart, two writes a line when stdout
+    # is unbuffered; match builds its text and writes it once
+    from sheafdist.cli import main
+
+    class Counted(StringIO):
+        writes = 0
+
+        def write(self, text):
+            Counted.writes += 1
+            return super().write(text)
+
+    out = Counted()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["match", str(FIXTURES / "circle_f.gbc"), str(FIXTURES / "circle_g.gbc")]) == 0
+    assert out.getvalue() == "1\nC -1 [-1,1]@0 [0,0]@0 1\nC 0 (-1,1)@0 [0,0]@1 1\n"
+    assert Counted.writes == 1
+
+
 def test_validate(tmp_path):
     out = run_cli("validate", str(FIXTURES / "circle_f.gbc"))
     assert out.returncode == 0 and out.stdout.strip() == "OK 2 bars"
@@ -478,12 +497,17 @@ def test_trailing_newline_in_a_literal_is_a_parse_error(literal):
     assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
 
 
-def test_gamma():
+def test_gamma(tmp_path):
     out = run_cli("gamma", str(FIXTURES / "circle_f.gbc"))
     assert out.returncode == 0
     assert out.stdout.splitlines() == ["0 1", "1 1"]
     out = run_cli("gamma", str(FIXTURES / "circle_g.gbc"), "--compact")
     assert out.stdout.splitlines() == ["0 1", "1 1"]
+    # a ray's infinite bound reads as closed for sections, as open for
+    # compactly supported ones, so the two flavours differ here
+    rays = gbc(tmp_path, "rays.gbc", "0 [0,inf)\n0 (0,inf)\n")
+    assert run_cli("gamma", rays).stdout == "0 1\n"
+    assert run_cli("gamma", rays, "--compact").stdout == "1 1\n"
 
 
 def test_component(tmp_path):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import dyadic, perturbed_barcode, random_barcode, random_graded
-from oracles import contains
+from oracles import bounded, contains
 from sheafdist import (
     Barcode,
     GradedInterval,
@@ -147,7 +147,7 @@ def test_semigroup_law_exact(rng):
         iv = g.interval
         if (
             rng.random() < 0.3
-            and iv.bounded
+            and bounded(iv)
             and not iv.lo_closed
             and not iv.hi_closed
             and (iv.hi - iv.lo) / 2 >= e2

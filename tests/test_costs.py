@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 from conftest import dyadic, random_graded
+from oracles import bounded
 from sheafdist import GradedInterval, Interval, convolve_interval, deletion_cost, pair_cost
 from sheafdist.intervals import INF, point
 
@@ -122,7 +123,7 @@ def test_finite_pairs_agree_on_deletability(rng):
         for b in pool:
             if pair_cost(a, b) < INF:
                 assert (deletion_cost(a) < INF) == (deletion_cost(b) < INF), (a, b)
-                seen.add((deletion_cost(a) < INF, a.interval.bounded))
+                seen.add((deletion_cost(a) < INF, bounded(a.interval)))
     assert seen == {(True, True), (False, True), (False, False)}
 
 
@@ -171,7 +172,7 @@ def _rule_pair_cost(a, b):
 
 
 def _rule_deletion_cost(a):
-    if _rule_kind(a)[0] != "central" and a.interval.bounded:
+    if _rule_kind(a)[0] != "central" and bounded(a.interval):
         return (a.interval.hi - a.interval.lo) / 2.0
     return INF
 

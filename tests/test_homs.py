@@ -4,9 +4,12 @@ import pytest
 
 from oracles import ext_oracle, generator_composite_nonzero
 from sheafdist import (
+    Barcode,
     GradedInterval,
     Interval,
     convolve_interval,
+    deletion_cost,
+    global_sections,
     hom_dim,
     pair_cost,
 )
@@ -223,3 +226,54 @@ def test_interleaving_maps_exist_at_pair_cost(rng):
         assert hom_dim(G(conv_s.interval, 0), G(dst.interval, fwd_shift)) == 1, (src, dst)
         assert hom_dim(G(conv_d.interval, 0), G(src.interval, bwd_shift)) == 1, (src, dst)
         checked += 1
+
+
+# ---------------------------------------------------------------------
+# global sections: morphisms from the constant sheaf
+# ---------------------------------------------------------------------
+
+# the largest degree magnitude a bar may have; its sections one up have 4,300 digits
+EDGE = 10**4299 - 1
+# 66 shapes: the bounded ones, points, rays and the line, with ends off the unit grid
+SECTION_SHAPES = grid_intervals((-2.5, 0.0, 0.1, 1.0, 3.0))
+
+
+def written_out_sections(b: Barcode, compact_support: bool = False) -> dict[int, int]:
+    """Global sections by a rule of shapes, not by the hom tables: a closed
+    bar counts in its own degree, an open bar one up, a half-open bar
+    nowhere, an infinite bound read as closed for ordinary sections and as
+    open for compactly supported ones."""
+    dims: dict[int, int] = {}
+    for g in b:
+        iv = g.interval
+        lc = iv.lo_closed or (not compact_support and iv.lo == -INF)
+        hc = iv.hi_closed or (not compact_support and iv.hi == INF)
+        if lc == hc:
+            d = g.degree + (0 if lc else 1)
+            dims[d] = dims.get(d, 0) + 1
+    return dict(sorted(dims.items()))
+
+
+def test_global_sections_follow_the_written_out_rule(rng):
+    bars = [G(iv, d) for iv in SECTION_SHAPES for d in (0, 1, -1, 2, EDGE, -EDGE)]
+    draws = [(g,) for g in bars] + [tuple(rng.sample(bars, rng.randrange(2, 12)))
+                                    for _ in range(300)] + [tuple(bars)]
+    for chosen in draws:
+        b = Barcode(chosen)
+        for compact in (False, True):
+            assert global_sections(b, compact) == written_out_sections(b, compact), (chosen, compact)
+
+
+def test_a_bar_is_deletable_exactly_when_its_sections_vanish():
+    # the obstruction the costs module cites: central bars, rays and the
+    # line all have sections of one flavour or the other
+    assert len(SECTION_SHAPES) == 66
+    seen = set()
+    for iv in SECTION_SHAPES:
+        for degree in (-1, 0, 1):
+            g = G(iv, degree)
+            b = Barcode((g,))
+            vanish = not global_sections(b) and not global_sections(b, compact_support=True)
+            assert (deletion_cost(g) < INF) == vanish, g
+            seen.add(vanish)
+    assert seen == {True, False}

@@ -5,7 +5,7 @@ import struct
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import contains
+from oracles import bounded, contains
 from sheafdist import (
     Barcode,
     GradedInterval,
@@ -30,7 +30,7 @@ from sheafdist.intervals import (
 def test_constructors_and_validation():
     assert Interval.closed(0, 1).lo_closed
     assert Interval.point(2.0).lo == Interval.point(2.0).hi
-    assert not Interval.line().bounded
+    assert not bounded(Interval.line())
     with pytest.raises(ValueError):
         Interval(2, 1, True, True)
     with pytest.raises(ValueError):

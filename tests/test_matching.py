@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import dyadic, perturbed_barcode, random_barcode, random_interval
+from oracles import bounded
 from sheafdist import (
     Barcode,
     GradedInterval,
@@ -452,7 +453,7 @@ def _jitter(rng: random.Random, g: GradedInterval) -> GradedInterval:
     iv = g.interval
     lo = iv.lo if iv.lo == -INF else iv.lo + dyadic(rng, -1, 1, 16)
     hi = iv.hi if iv.hi == INF else iv.hi + dyadic(rng, -1, 1, 16)
-    if iv.bounded and hi - lo < 0.125:
+    if bounded(iv) and hi - lo < 0.125:
         hi = lo + 0.125
     return GradedInterval(Interval(lo, hi, iv.lo_closed, iv.hi_closed), g.degree)
 
@@ -498,7 +499,7 @@ def _random_slot(
         if central and g.degree == 0 and rng.random() < 0.25:
             half = (g.interval.hi - g.interval.lo) / 2
             right.append(convolve_interval(g, half + abs(dyadic(rng, 0, 1, 16))))
-        elif not (g.interval.bounded and not central and rng.random() < 0.2):
+        elif not (bounded(g.interval) and not central and rng.random() < 0.2):
             right.append(_jitter(rng, g))
     if not central:
         right += [GradedInterval(bar(a, a + 0.5), 0)
