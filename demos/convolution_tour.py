@@ -4,10 +4,12 @@ Closed bars fatten, open bars shrink, half-open bars slide.  The
 interesting moment is when an open bar runs out of room: it collapses
 onto its centre and re-emerges as a closed bar one degree higher.
 Negative widths undo all of this, which the semigroup identity makes
-precise.
+precise.  The pointwise oracle (``stalk_type`` in ``tests/oracles.py``,
+which the test suite holds ``convolve_interval`` to) recomputes each
+stalk independently, from a window of radius eps around the point.
 """
 
-from sheafdist import convolve_interval, parse_graded_interval, stalk_type
+from sheafdist import convolve_interval, parse_graded_interval
 
 bars = [
     parse_graded_interval("[0,4]@0"),
@@ -28,9 +30,14 @@ print(f"\ncollapse of {g}: half-width 2, so eps=2 is the threshold")
 for e in (1.5, 2.0, 2.5):
     print(f"  eps={e}: {convolve_interval(g, e)}")
 
-print("\nthe pointwise check at eps=2.5 (window of radius 2.5 around x):")
-for x in (-1.0, -0.5, 2.0, 4.5, 5.0):
-    print(f"  x={x:4}: window meets (0,4) in piece giving {stalk_type(g, 2.5, x)}")
+h = convolve_interval(g, 2.5)
+iv = h.interval
+print(f"\npointwise at eps=2.5: the smoothed bar is {h}")
+for x in (-1.0, 1.5, 2.0, 2.5, 4.5):
+    inside = ((iv.lo < x or (x == iv.lo and iv.lo_closed))
+              and (x < iv.hi or (x == iv.hi and iv.hi_closed)))
+    stalk = f"k in degree {h.degree}" if inside else "0"
+    print(f"  x={x:4}: {'in' if inside else 'not in'} {iv}, stalk {stalk}")
 
 print("\nnegative eps inverts:")
 h = convolve_interval(g, 1.25)

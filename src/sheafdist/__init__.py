@@ -31,7 +31,7 @@ _HOME = {
         "barcode",
     ),
     **dict.fromkeys(("global_sections", "hom_dim"), "homs"),
-    **dict.fromkeys(("convolve_barcode", "convolve_interval", "stalk_type"), "convolve"),
+    **dict.fromkeys(("convolve_barcode", "convolve_interval"), "convolve"),
     **dict.fromkeys(("deletion_cost", "pair_cost"), "costs"),
     **dict.fromkeys(
         ("Matching", "bruteforce_distance", "distance_with_matching", "part_bottleneck",

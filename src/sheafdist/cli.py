@@ -22,6 +22,9 @@ half-open bar whose ends round onto each other, as ``[0,1)`` by
 parse error: ``--eps``, then ``convolve_interval``'s own message, which
 names the bar and the value of eps.
 
+``main`` writes a command's whole stdout, which ``_run`` returns as one
+string, or the help text, in one write (print writes each line apart).
+
 Start-up: at module level this imports only ``barcode``, ``intervals``
 and ``matching``, all that ``validate``, ``dist``, ``match`` and
 ``component`` run, and no argument parser.
@@ -131,18 +134,15 @@ def _load(path: str, parse=parse_barcode):
         raise ParseError(f"{path}: {exc}") from None
 
 
-def _run(args: SimpleNamespace) -> int:
+def _run(args: SimpleNamespace) -> str:
     if args.command == "validate":
-        b = _load(args.barcode)
-        print(f"OK {len(b)} bars")
-        return 0
+        return f"OK {len(_load(args.barcode))} bars\n"
 
     if args.command == "dist":
         value, _ = distance_with_matching(_load(args.left), _load(args.right))
-        print(fmt_number(value))
-        return 0
+        return f"{fmt_number(value)}\n"
 
-    if args.command == "match":  # one write, as print writes each line and its end apart
+    if args.command == "match":
         value, matching = distance_with_matching(_load(args.left), _load(args.right))
         out = [f"{fmt_number(value)}\n"]
         if value != INF:
@@ -152,8 +152,7 @@ def _run(args: SimpleNamespace) -> int:
             out += (f"{side} {j} {bar if origin == 'left' else 'DELETED'} "
                     f"{bar if origin == 'right' else 'DELETED'} {fmt_number(c)}\n"
                     for side, j, origin, bar, c in matching.deletions)
-        sys.stdout.write("".join(out))
-        return 0
+        return "".join(out)
 
     if args.command == "convolve":
         from .convolve import convolve_barcode
@@ -164,8 +163,7 @@ def _run(args: SimpleNamespace) -> int:
             b = convolve_barcode(b, eps)
         except ValueError as exc:
             raise ParseError(f"--eps: {exc}") from None
-        sys.stdout.write(format_barcode(b))
-        return 0
+        return format_barcode(b)
 
     if args.command == "interpolate":
         from .interpolate import interpolate
@@ -173,28 +171,21 @@ def _run(args: SimpleNamespace) -> int:
         t = _finite("--t", args.t)
         F, G = _load(args.left), _load(args.right)
         value, matching = distance_with_matching(F, G)
-        sys.stdout.write(format_barcode(interpolate(F, G, matching, t)))
-        return 0
+        return format_barcode(interpolate(F, G, matching, t))
 
     if args.command == "hom":
         from .homs import hom_dim
 
-        src = parse_graded_interval(args.source)
-        tgt = parse_graded_interval(args.target)
-        print(hom_dim(src, tgt))
-        return 0
+        return f"{hom_dim(*map(parse_graded_interval, (args.source, args.target)))}\n"
 
     if args.command == "gamma":
         from .homs import global_sections
 
         dims = global_sections(_load(args.barcode), compact_support=args.compact)
-        for degree, dim in dims.items():
-            print(f"{degree} {dim}")
-        return 0
+        return "".join(f"{degree} {dim}\n" for degree, dim in dims.items())
 
     if args.command == "component":
-        print("true" if same_component(_load(args.left), _load(args.right)) else "false")
-        return 0
+        return "true\n" if same_component(_load(args.left), _load(args.right)) else "false\n"
 
     if args.command == "import-diagram":
         from .persistence import from_persistence, parse_diagrams
@@ -203,8 +194,7 @@ def _run(args: SimpleNamespace) -> int:
             return Barcode(tuple(g for d in parse_diagrams(text)
                                  for g in from_persistence(d, args.side)))
 
-        sys.stdout.write(format_barcode(_load(args.diagram, barcode)))
-        return 0
+        return format_barcode(_load(args.diagram, barcode))
 
     raise AssertionError(f"unhandled command {args.command}")
 
@@ -212,13 +202,9 @@ def _run(args: SimpleNamespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
-        if isinstance(args, str):  # -h
-            sys.stdout.write(args)
-            code = 0
-        else:
-            code = _run(args)
+        sys.stdout.write(args if isinstance(args, str) else _run(args))
         sys.stdout.flush()  # a closed stdout shows here, however it is buffered
-        return code
+        return 0
     except BrokenPipeError:  # no reader; fd 1 to devnull keeps the final flush quiet
         import os
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

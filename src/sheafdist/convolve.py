@@ -14,15 +14,15 @@ Each finite end is one rounded sum of an end and eps, so it is the
 correctly rounded exact end.  The collapse is centred: the open bar
 (a,b) smoothed past its half-width is ``[b-eps, a+eps]``, the closed bar
 around its centre (a+b)/2 with radius eps - (b-a)/2, one degree higher.
-``stalk_type`` computes the same answer pointwise and independently,
-from the window geometry alone.
+The test oracle ``stalk_type`` (``tests/oracles.py``) computes the same
+answer pointwise and independently, from the window geometry alone.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
 
-from .intervals import _LIMIT, GradedInterval, Interval, bar_at, point
+from .intervals import _LIMIT, GradedInterval, bar_at, point
 from .barcode import Barcode
 
 
@@ -60,31 +60,3 @@ def convolve_interval(gi: GradedInterval, eps: float) -> GradedInterval:
 
 def convolve_barcode(b: Barcode, eps: float) -> Barcode:
     return Barcode(tuple(map(convolve_interval, b.bars, repeat(eps))))
-
-
-def stalk_type(gi: GradedInterval, eps: float, x: float) -> dict[int, int]:
-    """Pointwise oracle for ``convolve_interval``.
-
-    Intersects the bar with the window of radius ``|eps|`` around ``x``
-    (closed window for eps >= 0, open window one degree down for
-    eps < 0) and reads off the local contribution: a compact piece sits
-    at relative degree 0, an open piece at relative degree 1, a
-    half-open piece contributes nothing.  A window out of range is a
-    ValueError.
-    """
-    if eps >= 0:
-        window = Interval(x - eps, x + eps, True, True)
-    else:
-        window = Interval(x + eps, x - eps, False, False)
-    piece = gi.interval.intersection(window)
-    if piece is None:
-        return {}
-    if piece.lo_closed and piece.hi_closed:
-        rel = 0
-    elif not piece.lo_closed and not piece.hi_closed:
-        rel = 1
-    else:
-        return {}
-    if eps < 0:
-        rel -= 1
-    return {gi.degree + rel: 1}

@@ -168,18 +168,6 @@ class Interval(namedtuple("Interval", "lo hi lo_closed hi_closed")):
     def line() -> "Interval":
         return Interval(-INF, INF, False, False)
 
-    # -- queries -----------------------------------------------------
-
-    def intersection(self, other: "Interval") -> "Interval | None":
-        """Set intersection, or None when it is empty."""
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        lo_c = all(lo > iv.lo or (lo == iv.lo and iv.lo_closed) for iv in (self, other))
-        hi_c = all(hi < iv.hi or (hi == iv.hi and iv.hi_closed) for iv in (self, other))
-        if lo > hi or (lo == hi and not (lo_c and hi_c)):
-            return None
-        return Interval(lo, hi, lo_c, hi_c)
-
     def __str__(self) -> str:
         return _text(self.lo, not self.lo_closed, self.hi, not self.hi_closed)
 

@@ -3,9 +3,11 @@
 ``ext_oracle`` recomputes a morphism-space dimension from resolutions,
 independently of the closed-form rules of ``sheafdist.homs.hom_dim``;
 ``generator_composite_nonzero`` composes two canonical generators, as
-the oracle's differentials need; ``contains`` is interval membership
-and ``bounded`` says both ends are finite, each read off the fields.
-None of these runs in the library.
+the oracle's differentials need; ``stalk_type`` recomputes
+``sheafdist.convolve.convolve_interval`` pointwise, from the window
+geometry alone; ``contains`` is interval membership, ``bounded`` says
+both ends are finite and ``intersection`` is the set intersection, each
+read off the fields.  None of these runs in the library.
 
 The tests import this module as they import ``conftest``.
 """
@@ -30,6 +32,45 @@ def bounded(iv: Interval) -> bool:
     return iv.lo != -INF and iv.hi != INF
 
 
+def intersection(i: Interval, j: Interval) -> Interval | None:
+    """Set intersection of ``i`` and ``j``, or None when it is empty."""
+    lo = max(i.lo, j.lo)
+    hi = min(i.hi, j.hi)
+    lo_c = all(lo > iv.lo or (lo == iv.lo and iv.lo_closed) for iv in (i, j))
+    hi_c = all(hi < iv.hi or (hi == iv.hi and iv.hi_closed) for iv in (i, j))
+    if lo > hi or (lo == hi and not (lo_c and hi_c)):
+        return None
+    return Interval(lo, hi, lo_c, hi_c)
+
+
+def stalk_type(gi: GradedInterval, eps: float, x: float) -> dict[int, int]:
+    """Pointwise oracle for ``convolve_interval``.
+
+    Intersects the bar with the window of radius ``|eps|`` around ``x``
+    (closed window for eps >= 0, open window one degree down for
+    eps < 0) and reads off the local contribution: a compact piece sits
+    at relative degree 0, an open piece at relative degree 1, a
+    half-open piece contributes nothing.  A window out of range is a
+    ValueError.
+    """
+    if eps >= 0:
+        window = Interval(x - eps, x + eps, True, True)
+    else:
+        window = Interval(x + eps, x - eps, False, False)
+    piece = intersection(gi.interval, window)
+    if piece is None:
+        return {}
+    if piece.lo_closed and piece.hi_closed:
+        rel = 0
+    elif not piece.lo_closed and not piece.hi_closed:
+        rel = 1
+    else:
+        return {}
+    if eps < 0:
+        rel -= 1
+    return {gi.degree + rel: 1}
+
+
 def generator_composite_nonzero(i: Interval, j: Interval, k: Interval) -> bool:
     """Whether the composite of the two canonical generators i -> j -> k
     (degree 0) is nonzero.
@@ -41,8 +82,8 @@ def generator_composite_nonzero(i: Interval, j: Interval, k: Interval) -> bool:
     qi, qj, qk = (GradedInterval(x, 0) for x in (i, j, k))
     if hom_dim(qi, qj) != 1 or hom_dim(qj, qk) != 1:
         raise ValueError("generator_composite_nonzero: no generator to compose")
-    meet = i.intersection(j)
-    meet = meet.intersection(k) if meet is not None else None
+    meet = intersection(i, j)
+    meet = intersection(meet, k) if meet is not None else None
     return hom_dim(qi, qk) == 1 and meet is not None
 
 

@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 from conftest import dyadic, perturbed_barcode, random_barcode
-from oracles import contains, ext_oracle
+from oracles import contains, ext_oracle, stalk_type
 from sheafdist import (
     Barcode,
     GradedInterval,
@@ -26,7 +26,6 @@ from sheafdist import (
     interpolate,
     parse_barcode,
     part_bottleneck,
-    stalk_type,
     to_persistence,
 )
 from sheafdist.homs import _src_shape, _tgt_shape

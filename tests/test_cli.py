@@ -99,9 +99,39 @@ def test_match_line_order(tmp_path):
     )
 
 
-def test_match_writes_its_lines_at_once(monkeypatch):
+HELP = (
+    "usage: sheafdist COMMAND ...  (sheafdist COMMAND -h for its help)\n"
+    "  validate BARCODE                      check a .gbc file\n"
+    "  dist LEFT RIGHT                       bottleneck distance of two .gbc files\n"
+    "  match LEFT RIGHT                      distance plus an optimal matching\n"
+    "  convolve BARCODE --eps E              smooth a barcode, print .gbc\n"
+    "  interpolate LEFT RIGHT --t T          barcode at time t between two files\n"
+    '  hom SOURCE TARGET                     morphism dimension between graded bars, as "[0,1]@0"\n'
+    "  gamma BARCODE [--compact]             graded global section dimensions\n"
+    "  component LEFT RIGHT                  same connected component?\n"
+    "  import-diagram DIAGRAM --side R|L     convert a .pdg file to .gbc\n"
+)
+
+
+@pytest.mark.parametrize("args, expected", [
+    pytest.param(("validate", "{f}"), "OK 2 bars\n", id="validate"),
+    pytest.param(("dist", "{f}", "{g}"), "1\n", id="dist"),
+    pytest.param(("match", "{f}", "{g}"),
+                 "1\nC -1 [-1,1]@0 [0,0]@0 1\nC 0 (-1,1)@0 [0,0]@1 1\n", id="match"),
+    pytest.param(("convolve", "{f}", "--eps", "0.25"),
+                 "0 [-1.25,1.25]\n0 (-0.75,0.75)\n", id="convolve"),
+    pytest.param(("interpolate", "{f}", "{g}", "--t", "0.5"),
+                 "0 [-0.5,0.5]\n0 (-0.5,0.5)\n", id="interpolate"),
+    pytest.param(("hom", "[0,1]@0", "(1,2)@1"), "1\n", id="hom"),
+    pytest.param(("gamma", "{f}"), "0 1\n1 1\n", id="gamma"),
+    pytest.param(("component", "{f}", "{g}"), "true\n", id="component"),
+    pytest.param(("import-diagram", "{pdg}", "--side", "R"), "0 [0,3)\n1 (-inf,2)\n",
+                 id="import-diagram"),
+    pytest.param(("--help",), HELP, id="help"),
+])
+def test_each_command_writes_its_stdout_once(tmp_path, monkeypatch, args, expected):
     # print writes a line and its end apart, two writes a line when stdout
-    # is unbuffered; match builds its text and writes it once
+    # is unbuffered; main writes the text a command builds at once
     from sheafdist.cli import main
 
     class Counted(StringIO):
@@ -111,10 +141,13 @@ def test_match_writes_its_lines_at_once(monkeypatch):
             Counted.writes += 1
             return super().write(text)
 
+    pdg = tmp_path / "d.pdg"
+    pdg.write_text("0 0 3\n1 -inf 2\n", encoding="utf-8")
+    paths = {"f": FIXTURES / "circle_f.gbc", "g": FIXTURES / "circle_g.gbc", "pdg": pdg}
     out = Counted()
     monkeypatch.setattr(sys, "stdout", out)
-    assert main(["match", str(FIXTURES / "circle_f.gbc"), str(FIXTURES / "circle_g.gbc")]) == 0
-    assert out.getvalue() == "1\nC -1 [-1,1]@0 [0,0]@0 1\nC 0 (-1,1)@0 [0,0]@1 1\n"
+    assert main([a.format(**paths) for a in args]) == 0
+    assert out.getvalue() == expected
     assert Counted.writes == 1
 
 

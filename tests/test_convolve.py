@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import dyadic, perturbed_barcode, random_barcode, random_graded
-from oracles import bounded, contains
+from oracles import bounded, contains, stalk_type
 from sheafdist import (
     Barcode,
     GradedInterval,
@@ -15,7 +15,6 @@ from sheafdist import (
     global_sections,
     parse_barcode,
     parse_graded_interval,
-    stalk_type,
 )
 from sheafdist.intervals import INF, point
 

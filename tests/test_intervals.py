@@ -5,7 +5,7 @@ import struct
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import bounded, contains
+from oracles import bounded, contains, intersection
 from sheafdist import (
     Barcode,
     GradedInterval,
@@ -85,11 +85,11 @@ def test_contains_respects_flags():
 
 
 def test_intersection():
-    assert Interval.closed(0, 2).intersection(Interval.closed(2, 3)) == Interval.point(2)
-    assert Interval.open(0, 2).intersection(Interval.closed(2, 3)) is None
-    got = Interval.right_open(0, 5).intersection(Interval.open(-1, 3))
+    assert intersection(Interval.closed(0, 2), Interval.closed(2, 3)) == Interval.point(2)
+    assert intersection(Interval.open(0, 2), Interval.closed(2, 3)) is None
+    got = intersection(Interval.right_open(0, 5), Interval.open(-1, 3))
     assert got == Interval.right_open(0, 3)
-    assert Interval.line().intersection(Interval.open(0, 1)) == Interval.open(0, 1)
+    assert intersection(Interval.line(), Interval.open(0, 1)) == Interval.open(0, 1)
 
 
 def test_literals_round_trip():

@@ -52,6 +52,15 @@ def test_every_public_name_resolves_to_its_module_object():
         exec("from sheafdist import nope", {})
 
 
+def test_test_oracles_are_not_public():
+    # stalk_type and the interval intersection check the library from
+    # tests/oracles.py; nothing in the package runs them
+    assert "stalk_type" not in sheafdist.__all__
+    assert not hasattr(sheafdist, "stalk_type")
+    assert not hasattr(sheafdist.convolve, "stalk_type")
+    assert not hasattr(Interval, "intersection")
+
+
 def test_fresh_import_loads_nothing_and_resolves_on_access():
     out = run_python(
         "import sys, sheafdist\n"
